@@ -30,6 +30,7 @@ from .kernel import (  # noqa: F401
     OriginSpec,
     compute_cosine_map,
     compute_gram,
+    gram_pair,
     layerwise_maps,
     relative_trajectory_map,
     trajectory_map,
@@ -37,7 +38,6 @@ from .kernel import (  # noqa: F401
 from .spectral import (  # noqa: F401
     MatrixId,
     SpectralSummary,
-    jacobi_eigenvalues,
     symmetric_eigenvalues,
     trajectory_spectra,
 )

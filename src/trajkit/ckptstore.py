@@ -33,6 +33,7 @@ from .errors import (
     EmptySelection,
     EmptyTrajectory,
     InvalidCheckpoint,
+    InvalidManifest,
     InvalidTensor,
     LayoutMismatch,
     TruncatedFile,
@@ -206,7 +207,10 @@ def _read_header(reader: _Reader, payloads: bool):
     offsets = []
     for _ in range(count):
         (name_len,) = struct.unpack("<H", reader.take(2))
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise InvalidTensor(f"{reader.path}: tensor name is not UTF-8")
         dtype_code, rank = struct.unpack("<BB", reader.take(2))
         try:
             dtype = Dtype(dtype_code)
@@ -252,7 +256,7 @@ class TrajectoryStore:
         self.n_points = len(self.indices)
         self.dim_p = sum(math.prod(dims) for _, _, dims in self.layout)
         self.has_init = self.n_points > 0 and self.indices[0] == 0
-        self._matrix_cache: dict = {}
+        self._memo: dict = {}
 
     # construction -----------------------------------------------------
 
@@ -314,6 +318,12 @@ class TrajectoryStore:
 
     # data access ------------------------------------------------------
 
+    def memo(self, key, build):
+        """``build()``, computed once per store and ``key`` (e.g. per selection)."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def flatten(self, i: int, sel: SelectionSpec | None = None) -> np.ndarray:
         """Flattened float64 parameter vector of checkpoint ``i`` (store order)."""
         chosen = self.selected_layout(sel)
@@ -323,24 +333,18 @@ class TrajectoryStore:
             src = self._sources[i]
             parts = []
             with open(src.path, "rb") as f:
-                for ti, _ in chosen:
-                    name, dtype, dims, off = src.offsets[ti]
-                    f.seek(off)
-                    nel = math.prod(dims)
-                    raw = f.read(nel * dtype.np_dtype.itemsize)
-                    parts.append(np.frombuffer(raw, dtype=dtype.np_dtype))
+                for ti, (_, dtype, dims) in chosen:
+                    parts.append(_read_values(f, src, ti, 0, math.prod(dims)))
         if not parts:
             return np.empty(0, dtype=np.float64)
         return np.concatenate([p.astype(np.float64) for p in parts])
 
     def matrix(self, sel: SelectionSpec | None = None) -> np.ndarray:
         """All points stacked as an (n_points, p_selected) float64 matrix."""
-        key = (sel.include_globs, sel.exclude_globs) if sel else ((("**",)), ())
-        cached = self._matrix_cache.get(key)
-        if cached is None:
-            cached = np.stack([self.flatten(i, sel) for i in range(self.n_points)])
-            self._matrix_cache[key] = cached
-        return cached
+        return self.memo(
+            ("matrix", sel or ALL),
+            lambda: np.stack([self.flatten(i, sel) for i in range(self.n_points)]),
+        )
 
     def chunk_matrix(self, sel: SelectionSpec | None, start: int, stop: int) -> np.ndarray:
         """Columns [start, stop) of matrix(sel), read lazily when not cached."""
@@ -357,14 +361,21 @@ class TrajectoryStore:
                     nel = math.prod(dims)
                     lo, hi = max(start - base, 0), min(stop - base, nel)
                     if lo < hi:
-                        name, dtype, _, off = src.offsets[ti]
-                        f.seek(off + lo * dtype.np_dtype.itemsize)
-                        raw = f.read((hi - lo) * dtype.np_dtype.itemsize)
-                        vals = np.frombuffer(raw, dtype=dtype.np_dtype)
-                        out[i, col : col + hi - lo] = vals.astype(np.float64)
+                        out[i, col : col + hi - lo] = _read_values(f, src, ti, lo, hi)
                         col += hi - lo
                     base += nel
         return out
+
+
+def _read_values(f, src: _Source, ti: int, lo: int, hi: int) -> np.ndarray:
+    """Elements [lo, hi) of tensor ``ti`` from the open checkpoint file ``f``."""
+    _, dtype, _, off = src.offsets[ti]
+    size = dtype.np_dtype.itemsize
+    f.seek(off + lo * size)
+    raw = f.read((hi - lo) * size)
+    if len(raw) != (hi - lo) * size:
+        raise TruncatedFile(f"{src.path}: file shrank after the store was opened")
+    return np.frombuffer(raw, dtype=dtype.np_dtype)
 
 
 def _check_layout(expected, got, who: str) -> None:
@@ -392,19 +403,13 @@ def open_store(manifest_path, mem_budget: int = DEFAULT_MEM_BUDGET) -> Trajector
     disk and are streamed chunk-wise during kernel computations.
     """
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("version") != 1:
-        raise UnsupportedVersion(f"manifest version {manifest.get('version')!r}")
-    entries = manifest["checkpoints"]
-    if not entries:
-        raise EmptyTrajectory("manifest lists no checkpoints")
-
+    entries = _manifest_entries(manifest_path)
     indices, labels, sources = [], [], []
     layout = None
     total_bytes = 0
     seen = set()
     for entry in entries:
-        idx = int(entry["index"])
+        idx = entry["index"]
         if idx in seen:
             raise DuplicateIndex(f"manifest index {idx} appears twice")
         seen.add(idx)
@@ -431,6 +436,32 @@ def open_store(manifest_path, mem_budget: int = DEFAULT_MEM_BUDGET) -> Trajector
         ]
         store._cached = cached
     return store
+
+
+def _manifest_entries(manifest_path: Path) -> list[dict]:
+    """The manifest's checkpoint entries, each with an integer index and a path."""
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidManifest(f"{manifest_path}: not a JSON document ({exc})")
+    if not isinstance(manifest, dict):
+        raise InvalidManifest(f"{manifest_path}: expected a JSON object")
+    if manifest.get("version") != 1:
+        raise UnsupportedVersion(f"manifest version {manifest.get('version')!r}")
+    entries = manifest.get("checkpoints")
+    if not isinstance(entries, list):
+        raise InvalidManifest(f"{manifest_path}: \"checkpoints\" must be a list")
+    if not entries:
+        raise EmptyTrajectory("manifest lists no checkpoints")
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InvalidManifest(f"{manifest_path}: entry {pos} is not an object")
+        idx = entry.get("index")
+        if not isinstance(idx, int) or isinstance(idx, bool):
+            raise InvalidManifest(f"{manifest_path}: entry {pos} needs an integer \"index\"")
+        if not isinstance(entry.get("path"), str):
+            raise InvalidManifest(f"{manifest_path}: entry {pos} needs a string \"path\"")
+    return entries
 
 
 def write_store(checkpoints: list[Checkpoint], out_dir, manifest_name: str = "manifest.json"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,11 +22,10 @@ from .hallmarks import (
     NormMeasureKind,
     angular_series,
     mds,
-    mds_relative,
     norm_series,
 )
 from .heatmap import HeatmapStyle, render_svg
-from .kernel import OriginSpec, compute_cosine_map, compute_gram
+from .kernel import OriginSpec, compute_cosine_map, compute_gram, gram_pair
 from .report import (
     AnalysisSummary,
     alignment_json,
@@ -160,18 +160,19 @@ def cmd_hallmarks(args) -> int:
         requested = ALL_MEASURES
     if not requested:
         raise NoMeasuresRequested("pass --measure NAME (repeatable) or --measure all")
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     out = _out_dir(args)
-
-    from .kernel import trajectory_map
 
     summary = AnalysisSummary(
         manifest_path=str(args.manifest),
         n=store.n_points,
         p=store.selection_dim(sel),
     )
-    summary.omega = mds(trajectory_map(store, sel, threads=args.threads)).omega
-    if store.n_points >= 2:
-        summary.omega0 = mds_relative(store, 0, sel, threads=args.threads).omega
+    gram, gram0 = gram_pair(store, sel, threads=args.threads)
+    summary.omega = mds(compute_cosine_map(gram)).omega
+    if gram0 is not None:
+        summary.omega0 = mds(compute_cosine_map(gram0)).omega
     for name in requested:
         if name in ANGULAR_NAMES:
             series = angular_series(store, ANGULAR_NAMES[name], k=args.k, sel=sel)
@@ -204,6 +205,20 @@ def _load_params(args) -> dict:
     return {}
 
 
+def _parameter_file_verb(cmd):
+    """Bad values in a --params/--spec file are usage errors, as bad argv is."""
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        try:
+            return cmd(args)
+        except ValueError as exc:  # JSONDecodeError and the spec validators
+            raise UsageError(str(exc)) from exc
+
+    return run
+
+
+@_parameter_file_verb
 def cmd_theory(args) -> int:
     out = _out_dir(args)
     params = _load_params(args)
@@ -254,6 +269,7 @@ def _train_spec_from(payload: dict) -> TrainSpec:
     return TrainSpec(**merged)
 
 
+@_parameter_file_verb
 def cmd_train(args) -> int:
     payload = json.loads(Path(args.spec).read_text()) if args.spec else {}
     spec = _train_spec_from(payload.get("train", {}))
@@ -291,9 +307,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
     except UsageError as exc:
-        _emit_error("UsageError", str(exc))
-        return 1
-    except ValueError as exc:
         _emit_error("UsageError", str(exc))
         return 1
     except TrajkitError as exc:

@@ -26,6 +26,10 @@ class InvalidCheckpoint(TrajkitError):
     pass
 
 
+class InvalidManifest(TrajkitError):
+    pass
+
+
 class BadMagic(TrajkitError):
     pass
 
@@ -47,6 +51,10 @@ class DuplicateIndex(TrajkitError):
 
 
 class EmptySelection(TrajkitError):
+    pass
+
+
+class NonFinitePayload(TrajkitError):
     pass
 
 

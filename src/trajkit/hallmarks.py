@@ -3,24 +3,26 @@
 MDS (mean directional similarity) is the mean of all n^2 entries of a
 cosine map, equivalently the squared norm of the average unit-normalized
 trajectory point. The angular and norm measure families are per-step
-series over the flattened checkpoints.
+series over the flattened checkpoints; all of them derive from one table
+of step inner products, streamed once per store, selection and lag.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ckptstore import SelectionSpec, TrajectoryStore
-from .errors import DegenerateVector, InsufficientPoints
+from .ckptstore import ALL, SelectionSpec, TrajectoryStore
+from .errors import DegenerateVector, InsufficientPoints, NonFinitePayload
 from .kernel import EPS_NORM, CosineMap, OriginSpec, relative_trajectory_map
 
 
 class AngularMeasureKind(enum.Enum):
-    # angle(second arg is the reference vector); see _angle_pairs for ranges
+    # angle(second arg is the reference vector); see _angle_terms for ranges
     CONSECUTIVE_UPDATES = "consecutive_updates"
     LAGGED_UPDATES = "lagged_updates"
     APEX_AT_INIT = "apex_at_init"
@@ -71,35 +73,130 @@ def mds_relative(
     return mds(relative_trajectory_map(store, tau, sel, threads=threads))
 
 
-def _angle_pairs(theta: np.ndarray, measure: AngularMeasureKind, k: int):
-    """Yield (t, vector_a, vector_b) for every defined step of the measure."""
-    last = theta.shape[0] - 1  # index T
-    if measure is AngularMeasureKind.CONSECUTIVE_UPDATES:
-        for t in range(1, last):
-            yield t, theta[t + 1] - theta[t], theta[t] - theta[t - 1]
-    elif measure is AngularMeasureKind.LAGGED_UPDATES:
-        for t in range(k, last - k + 1):
-            yield t, theta[t + k] - theta[t], theta[t] - theta[t - k]
-    elif measure is AngularMeasureKind.APEX_AT_INIT:
-        for t in range(1, last + 1):
-            yield t, theta[t] - theta[0], theta[1] - theta[0]
-    elif measure is AngularMeasureKind.APEX_AT_ORIGIN:
-        for t in range(0, last + 1):
-            yield t, theta[t], theta[0]
-    elif measure is AngularMeasureKind.UPDATE_VS_POSITION:
-        for t in range(0, last):
-            yield t, theta[t + 1] - theta[t], theta[t]
-    elif measure is AngularMeasureKind.UPDATE_VS_TOTAL_DISPLACEMENT:
-        for t in range(0, last):
-            yield t, theta[t + 1] - theta[t], theta[last] - theta[0]
-    elif measure is AngularMeasureKind.PROGRESS_VS_TOTAL_DISPLACEMENT:
-        for t in range(1, last + 1):
-            yield t, theta[t] - theta[0], theta[last] - theta[0]
-    elif measure is AngularMeasureKind.UPDATE_VS_DISPLACEMENT_FROM_INIT:
-        for t in range(1, last):
-            yield t, theta[t + 1] - theta[t], theta[t] - theta[0]
-    else:  # pragma: no cover
-        raise ValueError(measure)
+@dataclass
+class _StepProducts:
+    """Every inner product the hallmark series use, indexed by step t.
+
+    With d_t = theta_t - theta_0, D = theta_T - theta_0, u_t = theta_{t+1}
+    - theta_t and v_t = theta_{t+k} - theta_t, each entry is one
+    float64 dot product of those vectors (None where undefined).
+    """
+
+    theta_theta: list  # theta_t . theta_t
+    theta_init: list  # theta_t . theta_0
+    disp_disp: list  # d_t . d_t
+    disp_first: list  # d_t . d_1
+    disp_total: list  # d_t . D
+    upd_upd: list  # u_t . u_t
+    upd_prev: list  # u_t . u_{t-1}
+    upd_theta: list  # u_t . theta_t
+    upd_total: list  # u_t . D
+    upd_disp: list  # u_t . d_t
+    lag_lag: list  # v_t . v_t (the u_t column when k = 1)
+    lag_prev: list  # v_t . v_{t-k} (the upd_prev column when k = 1)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # dot() checks every product
+def _stream_products(
+    store: TrajectoryStore, sel: SelectionSpec | None, k: int
+) -> _StepProducts:
+    """One pass that reads each checkpoint once, in order after theta_0 and
+    theta_T (D needs both). It holds theta_0, theta_T, D, d_1, the last k
+    checkpoints, the last k lagged updates and the current step's vectors.
+    """
+    n = store.n_points
+    last = n - 1
+    cols = {name: [None] * n for name in _StepProducts.__dataclass_fields__}
+
+    def dot(name: str, t: int, a: np.ndarray, b: np.ndarray) -> None:
+        value = float(np.dot(a, b))
+        if not math.isfinite(value):
+            raise NonFinitePayload(
+                f"{name} at step {t} is not finite: a checkpoint holds NaN or Inf, "
+                "or its products overflow float64"
+            )
+        cols[name][t] = value
+
+    first = store.flatten(0, sel)
+    final = store.flatten(last, sel) if last else first
+    total = final - first
+    window: deque = deque(maxlen=k)  # theta_{s-k} .. theta_{s-1}
+    lags: deque = deque(maxlen=k)  # v_{s-2k} .. v_{s-k-1}
+    disp1 = prev_disp = prev_upd = None
+    for s in range(n):
+        theta = first if s == 0 else final if s == last else store.flatten(s, sel)
+        disp = theta - first
+        dot("theta_theta", s, theta, theta)
+        dot("theta_init", s, theta, first)
+        dot("disp_disp", s, disp, disp)
+        if s >= 1:
+            if s == 1:
+                disp1 = disp
+            dot("disp_first", s, disp, disp1)
+            dot("disp_total", s, disp, total)
+            t, prev = s - 1, window[-1]
+            upd = theta - prev
+            dot("upd_upd", t, upd, upd)
+            dot("upd_theta", t, upd, prev)
+            dot("upd_total", t, upd, total)
+            if t >= 1:
+                dot("upd_prev", t, upd, prev_upd)
+                dot("upd_disp", t, upd, prev_disp)
+            prev_upd = upd
+        if k > 1 and s >= k:
+            lag = theta - window[0]
+            dot("lag_lag", s - k, lag, lag)
+            if len(lags) == k:
+                dot("lag_prev", s - k, lag, lags[0])
+            lags.append(lag)
+        window.append(theta)
+        prev_disp = disp
+    if k == 1:
+        cols["lag_lag"], cols["lag_prev"] = cols["upd_upd"], cols["upd_prev"]
+    return _StepProducts(**cols)
+
+
+def _step_products(
+    store: TrajectoryStore, k: int = 1, sel: SelectionSpec | None = None
+) -> _StepProducts:
+    """The store's step products for lag k, streamed once per selection and k."""
+    return store.memo(("step_products", sel or ALL, k), lambda: _stream_products(store, sel, k))
+
+
+def _angle_terms(tab: _StepProducts, measure: AngularMeasureKind, k: int, last: int):
+    """(t, a.b, a.a, b.b) for every defined step of the measure."""
+    M = AngularMeasureKind
+    if measure is M.CONSECUTIVE_UPDATES:
+        return [(t, tab.upd_prev[t], tab.upd_upd[t], tab.upd_upd[t - 1]) for t in range(1, last)]
+    if measure is M.LAGGED_UPDATES:
+        return [
+            (t, tab.lag_prev[t], tab.lag_lag[t], tab.lag_lag[t - k])
+            for t in range(k, last - k + 1)
+        ]
+    if measure is M.APEX_AT_INIT:
+        return [
+            (t, tab.disp_first[t], tab.disp_disp[t], tab.disp_disp[1])
+            for t in range(1, last + 1)
+        ]
+    if measure is M.APEX_AT_ORIGIN:
+        return [
+            (t, tab.theta_init[t], tab.theta_theta[t], tab.theta_theta[0])
+            for t in range(0, last + 1)
+        ]
+    if measure is M.UPDATE_VS_POSITION:
+        return [(t, tab.upd_theta[t], tab.upd_upd[t], tab.theta_theta[t]) for t in range(0, last)]
+    if measure is M.UPDATE_VS_TOTAL_DISPLACEMENT:
+        return [
+            (t, tab.upd_total[t], tab.upd_upd[t], tab.disp_disp[last]) for t in range(0, last)
+        ]
+    if measure is M.PROGRESS_VS_TOTAL_DISPLACEMENT:
+        return [
+            (t, tab.disp_total[t], tab.disp_disp[t], tab.disp_disp[last])
+            for t in range(1, last + 1)
+        ]
+    if measure is M.UPDATE_VS_DISPLACEMENT_FROM_INIT:
+        return [(t, tab.upd_disp[t], tab.upd_upd[t], tab.disp_disp[t]) for t in range(1, last)]
+    raise ValueError(measure)  # pragma: no cover
 
 
 _MIN_POINTS = {
@@ -114,12 +211,13 @@ _MIN_POINTS = {
 }
 
 
-def angle_degrees(a: np.ndarray, b: np.ndarray) -> float:
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
+def angle_degrees(ab: float, aa: float, bb: float) -> float:
+    """Angle between a and b in degrees, from a.b, a.a and b.b."""
+    na = math.sqrt(aa)
+    nb = math.sqrt(bb)
     if na <= EPS_NORM or nb <= EPS_NORM:
         raise DegenerateVector("zero vector in angle computation")
-    c = float(np.dot(a, b)) / (na * nb)
+    c = ab / (na * nb)
     return math.degrees(math.acos(max(-1.0, min(1.0, c))))
 
 
@@ -138,11 +236,11 @@ def angular_series(
         raise InsufficientPoints(
             f"{measure.value} needs >= {need} checkpoints, store has {store.n_points}"
         )
-    theta = store.matrix(sel)
+    tab = _step_products(store, k, sel)
     points = []
-    for t, a, b in _angle_pairs(theta, measure, k):
+    for t, ab, aa, bb in _angle_terms(tab, measure, k, store.n_points - 1):
         try:
-            points.append((t, angle_degrees(a, b)))
+            points.append((t, angle_degrees(ab, aa, bb)))
         except DegenerateVector:
             raise DegenerateVector(
                 f"{measure.value}: zero vector at t={t} (converged or repeated checkpoint)"
@@ -158,20 +256,19 @@ def norm_series(
 ) -> ScalarSeries:
     if k < 1:
         raise ValueError("lag k must be >= 1")
-    theta = store.matrix(sel)
     last = store.n_points - 1
     if measure is NormMeasureKind.PARAM_NORM:
-        points = [(t, float(np.linalg.norm(theta[t]))) for t in range(last + 1)]
+        squares, steps = "theta_theta", range(last + 1)
     elif measure is NormMeasureKind.DIST_FROM_INIT:
         if store.n_points < 2:
             raise InsufficientPoints("dist_from_init needs >= 2 checkpoints")
-        points = [(t, float(np.linalg.norm(theta[t] - theta[0]))) for t in range(last + 1)]
+        squares, steps = "disp_disp", range(last + 1)
     elif measure is NormMeasureKind.UPDATE_NORM:
         if store.n_points < k + 1:
             raise InsufficientPoints(f"update_norm with k={k} needs >= {k + 1} checkpoints")
-        points = [
-            (t, float(np.linalg.norm(theta[t + k] - theta[t]))) for t in range(last - k + 1)
-        ]
+        squares, steps = "lag_lag", range(last - k + 1)
     else:  # pragma: no cover
         raise ValueError(measure)
+    column = getattr(_step_products(store, k, sel), squares)
+    points = [(t, math.sqrt(column[t])) for t in steps]
     return ScalarSeries(measure_id=measure.value, k=k, points=points, units=Units.L2NORM)

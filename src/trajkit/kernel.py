@@ -3,18 +3,26 @@
 All pairwise inner products accumulate in float64 over fixed 4096-element
 chunks whose partial results are combined by a pairwise tree keyed on
 chunk index, so the output is bit-identical regardless of how many
-workers computed the partials.
+workers computed the partials. Each chunk is read once however many
+Gram matrices (e.g. K and K0) it feeds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ckptstore import SelectionSpec, TrajectoryStore
-from .errors import DegenerateVector, EmptySelection, EmptyTrajectory, OriginOutOfRange
+from .errors import (
+    DegenerateVector,
+    EmptySelection,
+    EmptyTrajectory,
+    NonFinitePayload,
+    OriginOutOfRange,
+)
 
 CHUNK = 4096
 EPS_NORM = 1e-30
@@ -65,19 +73,109 @@ class CosineMap:
         return self.values.shape[0]
 
 
-def _tree_sum(parts: list[np.ndarray]) -> np.ndarray:
-    """Pairwise sum in fixed order; independent of how parts were produced."""
-    while len(parts) > 1:
-        parts = [
-            parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-    return parts[0]
+def _tree_sum(parts: Iterable[list[np.ndarray]]) -> list[np.ndarray]:
+    """Pairwise sum in fixed order; independent of how parts were produced.
+
+    Neighbours are added level by level and an odd last part moves up a
+    level unchanged. The parts are consumed as they arrive: a binary
+    counter holds one partial per level, so at most log2(chunks) + 1.
+    Each part is a list of arrays, summed position by position.
+    """
+
+    def add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+        for x, y in zip(a, b):
+            x += y
+        return a
+
+    levels: list[list[np.ndarray]] = []
+    for count, part in enumerate(parts, 1):
+        levels.append(part)
+        while count % 2 == 0:
+            right = levels.pop()
+            levels.append(add(levels.pop(), right))
+            count //= 2
+    while len(levels) > 1:
+        right = levels.pop()
+        levels.append(add(levels.pop(), right))
+    return levels[0]
 
 
 def _mirror_upper(m: np.ndarray) -> None:
     iu = np.triu_indices(m.shape[0], k=1)
     m[(iu[1], iu[0])] = m[iu]
+
+
+def _block_gram(block: np.ndarray) -> np.ndarray:
+    g = block @ block.T
+    _mirror_upper(g)
+    return g
+
+
+def _grams(
+    store: TrajectoryStore,
+    origins: list[OriginSpec],
+    sel: SelectionSpec | None,
+    origin_store: TrajectoryStore | None,
+    threads: int,
+) -> list[GramMatrix]:
+    """One Gram matrix per origin, from a single read of each column chunk.
+
+    A checkpoint origin is a row of ``origin_store`` when given, otherwise
+    a row of ``store`` that is then omitted from the shifted point set.
+    """
+    p = store.selection_dim(sel)
+    labels = []
+    for origin in origins:
+        if origin.is_absolute:
+            labels.append(list(store.labels))
+            continue
+        if origin_store is not None:
+            if not 0 <= origin.tau < origin_store.n_points:
+                raise OriginOutOfRange(f"origin index {origin.tau} not in origin store")
+            labels.append(list(store.labels))
+            continue
+        if not 0 <= origin.tau < store.n_points:
+            raise OriginOutOfRange(
+                f"origin index {origin.tau} not in store of {store.n_points} points"
+            )
+        if store.n_points == 1:
+            raise EmptyTrajectory("no points remain after removing the origin row")
+        labels.append([lbl for i, lbl in enumerate(store.labels) if i != origin.tau])
+
+    def shifted(x: np.ndarray, origin: OriginSpec, start: int, stop: int) -> np.ndarray:
+        if origin.is_absolute:
+            return x
+        if origin_store is not None:
+            return x - origin_store.chunk_matrix(sel, start, stop)[origin.tau]
+        y = np.delete(x, origin.tau, axis=0)
+        y -= x[origin.tau]
+        return y
+
+    def partial(start: int) -> list[np.ndarray]:
+        stop = min(start + CHUNK, p)
+        x = store.chunk_matrix(sel, start, stop)
+        with np.errstate(invalid="ignore", over="ignore"):  # checked once, below
+            return [_block_gram(shifted(x, origin, start, stop)) for origin in origins]
+
+    chunk_starts = list(range(0, p, CHUNK)) or [0]
+    if threads > 1 and len(chunk_starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            sums = _tree_sum(ex.map(partial, chunk_starts))
+    else:
+        sums = _tree_sum(map(partial, chunk_starts))
+
+    out = []
+    for origin, values, point_labels in zip(origins, sums, labels):
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = (point_labels[int(v)] for v in bad[0])
+            raise NonFinitePayload(
+                f"Gram entry ({i!r}, {j!r}) relative to {origin.describe()} is not finite: "
+                "a checkpoint holds NaN or Inf, or its products overflow float64"
+            )
+        norms = np.sqrt(np.maximum(np.diagonal(values), 0.0))
+        out.append(GramMatrix(values=values, norms=norms, origin=origin, point_labels=point_labels))
+    return out
 
 
 def compute_gram(
@@ -94,49 +192,22 @@ def compute_gram(
     omitted, shrinking n by one. An external origin point is supplied as
     a one-checkpoint ``origin_store``.
     """
-    p = store.selection_dim(sel)
-    tau_row = None
-    if origin.is_absolute:
-        rows = list(range(store.n_points))
-    elif origin_store is not None:
-        if not 0 <= origin.tau < origin_store.n_points:
-            raise OriginOutOfRange(f"origin index {origin.tau} not in origin store")
-        rows = list(range(store.n_points))
-    else:
-        if not 0 <= origin.tau < store.n_points:
-            raise OriginOutOfRange(
-                f"origin index {origin.tau} not in store of {store.n_points} points"
-            )
-        rows = [i for i in range(store.n_points) if i != origin.tau]
-        tau_row = origin.tau
-    if not rows:
-        raise EmptyTrajectory("no points remain after removing the origin row")
+    return _grams(store, [origin], sel, origin_store, threads)[0]
 
-    n = len(rows)
-    chunk_starts = list(range(0, p, CHUNK)) or [0]
 
-    def partial(start: int) -> np.ndarray:
-        stop = min(start + CHUNK, p)
-        block = store.chunk_matrix(sel, start, stop)[rows]
-        if tau_row is not None:
-            block = block - store.chunk_matrix(sel, start, stop)[tau_row]
-        elif origin_store is not None:
-            block = block - origin_store.chunk_matrix(sel, start, stop)[origin.tau]
-        g = block @ block.T
-        _mirror_upper(g)
-        return g
+def gram_pair(
+    store: TrajectoryStore, sel: SelectionSpec | None = None, *, threads: int = 1
+) -> tuple[GramMatrix, GramMatrix | None]:
+    """K and K0 (relative to checkpoint 0) from one pass over the store.
 
-    if threads > 1 and len(chunk_starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(partial, chunk_starts))
-    else:
-        parts = [partial(s) for s in chunk_starts]
-    values = _tree_sum(parts) if p > 0 else np.zeros((n, n))
-
-    diag = np.maximum(np.diagonal(values), 0.0)
-    norms = np.sqrt(diag)
-    labels = [store.labels[i] for i in rows]
-    return GramMatrix(values=values, norms=norms, origin=origin, point_labels=labels)
+    Each is bit-identical to its own ``compute_gram`` call. K0 is None for
+    a one-point store, which has no points left once the origin is omitted.
+    """
+    origins = [OriginSpec.absolute()]
+    if store.n_points > 1:
+        origins.append(OriginSpec.checkpoint(0))
+    grams = _grams(store, origins, sel, None, threads)
+    return grams[0], grams[1] if len(grams) > 1 else None
 
 
 def compute_cosine_map(gram: GramMatrix) -> CosineMap:

@@ -1,8 +1,8 @@
-"""Dense symmetric eigensolver for the small trajectory matrices.
+"""Spectra of the small trajectory matrices K, K0, C and C0.
 
-Cyclic Jacobi rotations; adequate and robust for the n x n Gram and
-cosine matrices (n is the number of checkpoints, at most a few hundred).
-Eigenvectors are not retained.
+The n x n Gram and cosine matrices (n is the number of checkpoints) go
+to LAPACK's symmetric eigenvalue routine through ``np.linalg.eigvalsh``.
+Eigenvectors are not computed.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ckptstore import SelectionSpec, TrajectoryStore
-from .errors import NegativeGramEigenvalue, NoConvergence, NotSymmetric
-from .kernel import OriginSpec, compute_cosine_map, compute_gram
+from .errors import EmptyTrajectory, NegativeGramEigenvalue, NoConvergence, NotSymmetric
+from .kernel import compute_cosine_map, gram_pair
 
-MAX_SWEEPS = 100
 SYMMETRY_TOL = 1e-10
-OFFDIAG_TOL = 1e-12
 GRAM_CLAMP = 1e-8
 
 
@@ -36,55 +34,6 @@ class SpectralSummary:
     n: int
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # summed directly (not as ||A||_F^2 - ||diag||^2, which cancels badly)
-    d = a.copy()
-    np.fill_diagonal(d, 0.0)
-    return float(np.linalg.norm(d))
-
-
-def jacobi_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending, via cyclic Jacobi."""
-    a = np.array(m, dtype=np.float64)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return np.zeros(n)
-    for _ in range(MAX_SWEEPS):
-        off = _offdiag_norm(a)
-        if off <= OFFDIAG_TOL * fro:
-            return np.sort(np.diagonal(a))[::-1].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # classic two-sided rotation zeroing a[p, q]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    off = _offdiag_norm(a)
-    if off <= OFFDIAG_TOL * fro:
-        return np.sort(np.diagonal(a))[::-1].copy()
-    raise NoConvergence(f"Jacobi did not converge in {MAX_SWEEPS} sweeps (off={off:.3e})")
-
-
 def symmetric_eigenvalues(m: np.ndarray, matrix_id: MatrixId = MatrixId.K) -> SpectralSummary:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -92,7 +41,10 @@ def symmetric_eigenvalues(m: np.ndarray, matrix_id: MatrixId = MatrixId.K) -> Sp
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within 1e-10 per entry")
     sym = 0.5 * (m + m.T)
-    eigs = jacobi_eigenvalues(sym)
+    try:
+        eigs = np.linalg.eigvalsh(sym)[::-1].copy()
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"{matrix_id.value}: eigenvalues did not converge ({exc})")
     return SpectralSummary(matrix_id=matrix_id, eigenvalues=eigs, n=m.shape[0])
 
 
@@ -111,15 +63,12 @@ def trajectory_spectra(
 ) -> dict[MatrixId, SpectralSummary]:
     """Spectra of K, K0, C, C0 for a store (K0/C0 relative to checkpoint 0)."""
     out: dict[MatrixId, SpectralSummary] = {}
-    for matrix_id, origin in (
-        (MatrixId.K, OriginSpec.absolute()),
-        (MatrixId.K0, OriginSpec.checkpoint(0)),
-    ):
-        gram = compute_gram(store, origin, sel, threads=threads)
+    k, k0 = gram_pair(store, sel, threads=threads)
+    for matrix_id, cos_id, gram in ((MatrixId.K, MatrixId.C, k), (MatrixId.K0, MatrixId.C0, k0)):
+        if gram is None:
+            raise EmptyTrajectory("no points remain after removing the origin row")
         summary = symmetric_eigenvalues(gram.values, matrix_id)
         summary.eigenvalues = _clamp_gram_spectrum(summary.eigenvalues, matrix_id)
         out[matrix_id] = summary
-        cos = compute_cosine_map(gram)
-        cos_id = MatrixId.C if matrix_id is MatrixId.K else MatrixId.C0
-        out[cos_id] = symmetric_eigenvalues(cos.values, cos_id)
+        out[cos_id] = symmetric_eigenvalues(compute_cosine_map(gram).values, cos_id)
     return out

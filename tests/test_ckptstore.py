@@ -23,6 +23,7 @@ from trajkit.errors import (
     DuplicateIndex,
     EmptySelection,
     InvalidCheckpoint,
+    InvalidManifest,
     InvalidTensor,
     LayoutMismatch,
     TruncatedFile,
@@ -204,6 +205,39 @@ def test_duplicate_index_rejected(tmp_path):
     )
     with pytest.raises(DuplicateIndex):
         open_store(manifest)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"label": "a", "path": "c0"}, {"index": "0", "path": "c0"}, {"index": 0.5, "path": "c0"},
+     {"index": 0}, "c0"],
+)
+def test_malformed_manifest_entry_is_typed(tmp_path, entry):
+    write_checkpoint(two_tensor_ckpt(0, [0, 0], np.zeros((2, 2))), tmp_path / "c0")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "checkpoints": [entry]}))
+    with pytest.raises(InvalidManifest):
+        open_store(manifest)
+
+
+@pytest.mark.parametrize("text", ['{"version": 1, "checkpoints": [', "[1, 2]", '{"version": 1}'])
+def test_malformed_manifest_document_is_typed(tmp_path, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    with pytest.raises(InvalidManifest):
+        open_store(manifest)
+
+
+def test_file_shrunk_after_open_is_truncated(tmp_path):
+    ckpts = [two_tensor_ckpt(i, [i, i], np.full((2, 2), i)) for i in range(2)]
+    manifest = write_store(ckpts, tmp_path)
+    lazy = open_store(manifest, mem_budget=0)
+    path = tmp_path / "ckpt_000001.trajckpt"
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(TruncatedFile):
+        lazy.flatten(1)
+    with pytest.raises(TruncatedFile):
+        lazy.chunk_matrix(None, 0, 6)
 
 
 # --- flatten / selection ---

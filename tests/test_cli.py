@@ -239,3 +239,59 @@ def test_train_grid(tmp_path, capsys):
     report = json.loads((out / "grid.json").read_text())
     assert set(report) == {"a", "b"}
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in report.values())
+
+
+# --- error contract ---
+
+
+def run_error(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return rc, json.loads(err[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        '{"version": 1, "checkpoints": [{"label": "a", "path": "ckpt_000000.trajckpt"}]}',
+        '{"version": 1, "checkpoints": [{"index": "zero", "path": "ckpt_000000.trajckpt"}]}',
+        '{"version": 1, "checkpoints": [',
+    ],
+    ids=["missing-index", "non-integer-index", "malformed-json"],
+)
+def test_malformed_manifest_is_data_error(linear_manifest, tmp_path, capsys, manifest):
+    path = tmp_path / "store" / "bad.json"
+    path.write_text(manifest)
+    rc, code = run_error(["map", "--manifest", str(path), "--out", str(tmp_path / "m")], capsys)
+    assert (rc, code) == (2, "InvalidManifest")
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e200], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("verb", ["map", "hallmarks", "spectra"])
+def test_non_finite_checkpoint_is_data_error(tmp_path, capsys, verb, bad):
+    ckpts = []
+    for i in range(5):
+        vec = np.array([1.0 + i, 2.0, -1.0 * i])
+        if i == 3:
+            vec[1] = bad
+        ckpts.append(Checkpoint(i, f"e{i}", [TensorRecord("w", Dtype.F64, (3,), vec)]))
+    manifest = str(write_store(ckpts, tmp_path / "store"))
+    extra = ["--measure", "all"] if verb == "hallmarks" else []
+    rc, code = run_error(
+        [verb, "--manifest", manifest, *extra, "--out", str(tmp_path / "o")], capsys
+    )
+    assert (rc, code) == (2, "NonFinitePayload")
+
+
+def test_hallmarks_bad_lag_is_usage_error(linear_manifest, tmp_path, capsys):
+    argv = ["hallmarks", "--manifest", linear_manifest, "--measure", "all", "--k", "0"]
+    rc, code = run_error([*argv, "--out", str(tmp_path / "h")], capsys)
+    assert (rc, code) == (1, "UsageError")
+
+
+def test_malformed_params_file_is_usage_error(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text("{not json")
+    argv = ["theory", "eos", "--params", str(params), "--out", str(tmp_path / "e")]
+    assert run_error(argv, capsys) == (1, "UsageError")

@@ -6,15 +6,20 @@ from hypothesis import strategies as st
 from oracles import angular_oracle, norm_oracle
 from trajkit import (
     AngularMeasureKind,
+    Checkpoint,
+    Dtype,
     NormMeasureKind,
+    TensorRecord,
     TrajectoryStore,
     angular_series,
     mds,
     mds_relative,
     norm_series,
+    open_store,
     trajectory_map,
+    write_store,
 )
-from trajkit.errors import DegenerateVector, InsufficientPoints
+from trajkit.errors import DegenerateVector, InsufficientPoints, NonFinitePayload
 
 from conftest import random_store
 
@@ -219,3 +224,67 @@ def test_duplicating_anti_aligned_point_can_decrease_omega():
     after = mds(trajectory_map(TrajectoryStore.from_arrays(np.vstack([pts, u])))).omega
     assert abs(before - 0.25) <= 1e-12
     assert abs(after - 0.04) <= 1e-12
+
+
+# --- streamed step products ---
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_streamed_series_bit_identical_without_matrix(rng, tmp_path, monkeypatch, k):
+    pts = rng.standard_normal((9, 3000)).astype(np.float32)
+    ckpts = [
+        Checkpoint(i, f"c{i}", [
+            TensorRecord("a", Dtype.F32, (1000,), row[:1000]),
+            TensorRecord("b", Dtype.F32, (2000,), row[1000:]),
+        ])
+        for i, row in enumerate(pts)
+    ]
+    cached = open_store(write_store(ckpts, tmp_path))
+    lazy = open_store(tmp_path / "manifest.json", mem_budget=0)
+    theta = pts.astype(np.float64)
+
+    def no_matrix(self, sel=None):
+        raise AssertionError("the series must not build the n x p matrix")
+
+    want = {}
+    for measure in AngularMeasureKind:
+        want[measure] = angular_series(cached, measure, k=k).points
+        # the per-definition oracle uses the same dot products, so it agrees bit for bit
+        assert want[measure] == angular_oracle(theta, measure.value, k=k)
+    for measure in NormMeasureKind:
+        want[measure] = norm_series(cached, measure, k=k).points
+        assert want[measure] == norm_oracle(theta, measure.value, k=k)
+    monkeypatch.setattr(TrajectoryStore, "matrix", no_matrix)
+    for measure in AngularMeasureKind:
+        assert angular_series(lazy, measure, k=k).points == want[measure]
+    for measure in NormMeasureKind:
+        assert norm_series(lazy, measure, k=k).points == want[measure]
+
+
+def test_step_products_streamed_once_per_lag(rng, monkeypatch):
+    store = random_store(rng, 6, 20)
+    reads = []
+    flatten = TrajectoryStore.flatten
+
+    def counted(self, i, sel=None):
+        reads.append(i)
+        return flatten(self, i, sel)
+
+    monkeypatch.setattr(TrajectoryStore, "flatten", counted)
+    for measure in AngularMeasureKind:
+        angular_series(store, measure)
+    for measure in NormMeasureKind:
+        norm_series(store, measure)
+    assert sorted(reads) == list(range(6))
+    norm_series(store, NormMeasureKind.UPDATE_NORM, k=2)
+    assert len(reads) == 12
+
+
+def test_non_finite_checkpoint_raises_in_series():
+    pts = np.outer(np.arange(1.0, 6.0), [1.0, 2.0])
+    pts[3, 1] = np.nan
+    store = TrajectoryStore.from_arrays(pts)
+    with pytest.raises(NonFinitePayload):
+        angular_series(store, AngularMeasureKind.CONSECUTIVE_UPDATES)
+    with pytest.raises(NonFinitePayload):
+        norm_series(store, NormMeasureKind.PARAM_NORM)

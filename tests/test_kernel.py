@@ -8,17 +8,22 @@ from trajkit import (
     TrajectoryStore,
     compute_cosine_map,
     compute_gram,
+    gram_pair,
     layerwise_maps,
+    open_store,
     relative_trajectory_map,
     trajectory_map,
+    write_store,
 )
 from trajkit.ckptstore import Checkpoint, Dtype, TensorRecord
 from trajkit.errors import (
     DegenerateVector,
     EmptySelection,
     EmptyTrajectory,
+    NonFinitePayload,
     OriginOutOfRange,
 )
+from trajkit.kernel import _tree_sum
 
 from conftest import random_store
 
@@ -230,3 +235,60 @@ def test_diag_matches_norms(rng):
     store = random_store(rng, 5, 200)
     gram = compute_gram(store, OriginSpec.absolute())
     np.testing.assert_allclose(np.diagonal(gram.values), gram.norms**2, rtol=1e-12)
+
+
+# --- fused K/K0 pass ---
+
+
+def lazy_f32_store(tmp_path, pts):
+    ckpts = [
+        Checkpoint(i, f"c{i}", [TensorRecord("w", Dtype.F32, (pts.shape[1],), row)])
+        for i, row in enumerate(pts)
+    ]
+    return open_store(write_store(ckpts, tmp_path), mem_budget=0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_gram_pair_is_bit_identical_to_separate_grams(rng, tmp_path, threads):
+    pts = rng.standard_normal((7, 5 * 4096 + 17))
+    for store in (TrajectoryStore.from_arrays(pts), lazy_f32_store(tmp_path, pts)):
+        k, k0 = gram_pair(store, threads=threads)
+        for fused, origin in ((k, OriginSpec.absolute()), (k0, OriginSpec.checkpoint(0))):
+            single = compute_gram(store, origin, threads=1)
+            assert np.array_equal(fused.values, single.values)
+            assert np.array_equal(fused.norms, single.norms)
+            assert fused.point_labels == single.point_labels
+
+
+def test_gram_pair_single_point_has_no_k0():
+    k, k0 = gram_pair(TrajectoryStore.from_arrays([[3.0, 4.0]]))
+    np.testing.assert_array_equal(k.values, [[25.0]])
+    assert k0 is None
+
+
+def test_streamed_tree_sum_matches_level_by_level_sum(rng):
+    def level_by_level(parts):
+        while len(parts) > 1:
+            parts = [
+                parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
+                for i in range(0, len(parts), 2)
+            ]
+        return parts[0]
+
+    for n in range(1, 70):
+        # magnitudes spread over 16 decades make every summation order visible
+        parts = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+        want = level_by_level([np.array([v]) for v in parts])
+        [got] = _tree_sum([np.array([v])] for v in parts)
+        assert got[0] == want[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_payload_raises(bad):
+    pts = np.ones((4, 10))
+    pts[2, 3] = bad
+    store = TrajectoryStore.from_arrays(pts)
+    with pytest.raises(NonFinitePayload):
+        compute_gram(store, OriginSpec.absolute())
+    with pytest.raises(NonFinitePayload):
+        gram_pair(store)

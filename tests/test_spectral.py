@@ -1,15 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
-from oracles import power_iteration_eigs
+from oracles import jacobi_eigs, power_iteration_eigs
 from trajkit import (
+    Checkpoint,
+    Dtype,
     MatrixId,
+    TensorRecord,
     TrajectoryStore,
-    jacobi_eigenvalues,
     symmetric_eigenvalues,
     trajectory_spectra,
+    write_store,
 )
-from trajkit.errors import NotSymmetric
+from trajkit.cli import main
+from trajkit.errors import NoConvergence, NotSymmetric
 
 from conftest import random_store
 
@@ -19,22 +25,63 @@ def random_symmetric(rng, n):
     return 0.5 * (m + m.T)
 
 
+def eigenvalues(m):
+    return symmetric_eigenvalues(m).eigenvalues
+
+
 def test_identity_spectrum():
-    np.testing.assert_array_equal(jacobi_eigenvalues(np.eye(4)), np.ones(4))
+    np.testing.assert_array_equal(eigenvalues(np.eye(4)), np.ones(4))
 
 
 def test_two_by_two_known():
-    eigs = jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    eigs = eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(eigs, [3.0, 1.0], atol=1e-14)
 
 
 def test_diagonal_matrix_sorted():
-    eigs = jacobi_eigenvalues(np.diag([1.0, 5.0, -2.0]))
+    eigs = eigenvalues(np.diag([1.0, 5.0, -2.0]))
     np.testing.assert_array_equal(eigs, [5.0, 1.0, -2.0])
 
 
 def test_one_by_one():
-    np.testing.assert_array_equal(jacobi_eigenvalues(np.array([[7.0]])), [7.0])
+    np.testing.assert_array_equal(eigenvalues(np.array([[7.0]])), [7.0])
+
+
+def test_jacobi_oracle_matches_power_iteration_oracle(rng):
+    # the two oracles share no code with each other or with LAPACK
+    np.testing.assert_array_equal(jacobi_eigs(np.diag([1.0, 5.0, -2.0])), [5.0, 1.0, -2.0])
+    np.testing.assert_array_equal(jacobi_eigs(np.zeros((3, 3))), np.zeros(3))
+    for _ in range(25):
+        m = random_symmetric(rng, int(rng.integers(1, 13)))
+        assert np.max(np.abs(jacobi_eigs(m) - power_iteration_eigs(m))) <= 1e-9
+
+
+def test_matches_jacobi_oracle(rng):
+    for _ in range(25):
+        m = random_symmetric(rng, int(rng.integers(1, 40)))
+        got = eigenvalues(m)
+        assert np.max(np.abs(got - jacobi_eigs(m))) <= 1e-12 * max(np.linalg.norm(m), 1.0)
+
+
+def test_solver_failure_is_no_convergence(monkeypatch, tmp_path, capsys):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence):
+        symmetric_eigenvalues(np.eye(3))
+    pts = np.random.default_rng(1).standard_normal((4, 6))
+    manifest = write_store(
+        [
+            Checkpoint(i, f"c{i}", [TensorRecord("w", Dtype.F64, (6,), pts[i])])
+            for i in range(4)
+        ],
+        tmp_path / "store",
+    )
+    rc = main(["spectra", "--manifest", str(manifest), "--out", str(tmp_path / "s")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "NoConvergence"
 
 
 def test_matches_power_iteration_oracle(rng):
