@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -181,21 +182,39 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 class _Reader:
+    """Sequential reads from a checkpoint file; short reads are TruncatedFile."""
+
     def __init__(self, path):
         self.path = Path(path)
-        self.buf = self.path.read_bytes()
+        self.f = open(self.path, "rb")
+        self.size = os.fstat(self.f.fileno()).st_size
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def _advance(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise TruncatedFile(f"{self.path}: needed {n} bytes at offset {self.pos}")
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        out = self.f.read(n)
+        if len(out) != n:
+            raise TruncatedFile(f"{self.path}: file shrank while it was read")
         return out
+
+    def skip(self, n: int) -> None:
+        self._advance(n)
+        self.f.seek(self.pos)
 
 
 def _read_header(reader: _Reader, payloads: bool):
-    """Parse a checkpoint; with payloads=False records (offset, nbytes) instead."""
+    """Parse a checkpoint; with payloads=False records offsets and skips payloads."""
     if reader.take(8) != MAGIC:
         raise BadMagic(f"{reader.path}: not a trajectory checkpoint file")
     version, count = struct.unpack("<II", reader.take(8))
@@ -224,12 +243,13 @@ def _read_header(reader: _Reader, payloads: bool):
             tensors.append(TensorRecord(name, dtype, dims, data))
         else:
             offsets.append((name, dtype, tuple(int(d) for d in dims), reader.pos))
-            reader.take(nbytes)
+            reader.skip(nbytes)
     return tensors, offsets
 
 
 def read_checkpoint(path, *, index: int = 0, label: str = "") -> Checkpoint:
-    tensors, _ = _read_header(_Reader(path), payloads=True)
+    with _Reader(path) as reader:
+        tensors, _ = _read_header(reader, payloads=True)
     return Checkpoint(index=index, label=label, tensors=tensors)
 
 
@@ -414,8 +434,8 @@ def open_store(manifest_path, mem_budget: int = DEFAULT_MEM_BUDGET) -> Trajector
             raise DuplicateIndex(f"manifest index {idx} appears twice")
         seen.add(idx)
         path = (manifest_path.parent / entry["path"]).resolve()
-        reader = _Reader(path)
-        _, offsets = _read_header(reader, payloads=False)
+        with _Reader(path) as reader:
+            _, offsets = _read_header(reader, payloads=False)
         this_layout = tuple((n, d, dims) for n, d, dims, _ in offsets)
         if layout is None:
             layout = this_layout

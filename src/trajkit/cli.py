@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__, fixtures
@@ -218,13 +219,51 @@ def _parameter_file_verb(cmd):
     return run
 
 
+def _fits(value, hint) -> bool:
+    """Whether the JSON value ``value`` can stand for a field annotated ``hint``."""
+    if dataclasses.is_dataclass(hint):
+        return isinstance(value, dict)
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _checked(params, hints: dict, what: str) -> dict:
+    """``params``, once it is a JSON object whose keys all name ``hints``
+    and whose values fit them."""
+    if not isinstance(params, dict):
+        raise UsageError(f"{what} must be a JSON object, got {type(params).__name__}")
+    for key, value in params.items():
+        if key not in hints:
+            raise UsageError(f"{what}: unknown key {key!r}; known: {', '.join(hints)}")
+        if not _fits(value, hints[key]):
+            hint = hints[key]
+            name = str(hint) if typing.get_origin(hint) else hint.__name__
+            raise UsageError(f"{what}: {key!r} must be {name}, got {json.dumps(value)}")
+    return params
+
+
+def _fields(cls, **extra) -> dict:
+    return {**typing.get_type_hints(cls), **extra}
+
+
 @_parameter_file_verb
 def cmd_theory(args) -> int:
     out = _out_dir(args)
     params = _load_params(args)
     if args.subcommand == "lemma":
+        _checked(params, _fields(QuadraticSpec, steps=int), "--params")
         steps = params.pop("steps", fixtures.LEMMA_STEPS)
-        spec = _quadratic_from(params, fixtures.LEMMA_1D_PLAIN)
+        spec = dataclasses.replace(fixtures.LEMMA_1D_PLAIN, **params)
         out_path = out / "lemma.json"
         try:
             trace = simulate_quadratic(spec, steps)
@@ -237,47 +276,59 @@ def cmd_theory(args) -> int:
         out_path.write_text(json.dumps(lemma_report_json(report), indent=2) + "\n")
         print(json.dumps({"pairs": len(report.pairs), "all_satisfied": report.all_satisfied}))
     elif args.subcommand == "eos":
+        _checked(params, _fields(QuadraticSpec, steps=int, eta_grid=tuple[float, ...]), "--params")
         steps = params.pop("steps", fixtures.EOS_STEPS)
         grid = params.pop("eta_grid", list(fixtures.EOS_GRID))
-        spec = _quadratic_from(params, fixtures.EOS_BASE)
+        spec = dataclasses.replace(fixtures.EOS_BASE, **params)
         points = eos_angle_sweep(spec, grid, steps=steps)
         (out / "eos.json").write_text(json.dumps(eos_json(points), indent=2) + "\n")
         print(json.dumps({"points": len(points)}))
     else:
-        defaults = dataclasses.asdict(fixtures.WIDTH_FIXTURE)
-        defaults.update(params)
+        _checked(params, _fields(WidthSpec), "--params")
         if args.seed is not None:
-            defaults["seed"] = args.seed
-        curve = width_alignment(WidthSpec(**defaults))
+            params["seed"] = args.seed
+        curve = width_alignment(dataclasses.replace(fixtures.WIDTH_FIXTURE, **params))
         (out / "width.json").write_text(json.dumps(alignment_json(curve), indent=2) + "\n")
         print(json.dumps({"fitted_loglog_slope": curve.fitted_loglog_slope}))
     return 0
 
 
-def _quadratic_from(params: dict, default: QuadraticSpec) -> QuadraticSpec:
-    merged = dataclasses.asdict(default)
-    merged.update(params)
-    return QuadraticSpec(**merged)
+_GRID_ENTRY = {"name": str, "mu": float, "wd": float}
 
 
-def _train_spec_from(payload: dict) -> TrainSpec:
-    merged = dataclasses.asdict(fixtures.TRAIN_FIXTURE)
-    merged.update(payload)
-    if isinstance(merged.get("data"), dict):
-        merged["data"] = BlobSpec(**merged["data"])
-    merged["eta_schedule"] = tuple(tuple(e) for e in merged.get("eta_schedule", ()))
-    return TrainSpec(**merged)
+def _train_spec_from(params) -> TrainSpec:
+    _checked(params, _fields(TrainSpec), '"train"')
+    if "data" in params:
+        params["data"] = BlobSpec(**_checked(params["data"], _fields(BlobSpec), '"data"'))
+    if "eta_schedule" in params:
+        params["eta_schedule"] = tuple(tuple(e) for e in params["eta_schedule"])
+    return dataclasses.replace(fixtures.TRAIN_FIXTURE, **params)
+
+
+def _grid_variants(grid) -> list[tuple[str, float, float]]:
+    variants = []
+    for entry in grid:
+        _checked(entry, _GRID_ENTRY, "grid entry")
+        if set(entry) != set(_GRID_ENTRY):
+            raise UsageError(f"grid entry needs {', '.join(_GRID_ENTRY)}: {json.dumps(entry)}")
+        name = entry["name"]
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise UsageError(f"grid entry name must be a plain file name, got {name!r}")
+        if any(name == v[0] for v in variants):  # runs and report entries are keyed by name
+            raise UsageError(f"grid entry name {name!r} appears twice")
+        variants.append((name, float(entry["mu"]), float(entry["wd"])))
+    return variants
 
 
 @_parameter_file_verb
 def cmd_train(args) -> int:
     payload = json.loads(Path(args.spec).read_text()) if args.spec else {}
+    _checked(payload, {"train": dict, "grid": list}, "--spec")
     spec = _train_spec_from(payload.get("train", {}))
     out = _out_dir(args)
     grid = payload.get("grid")
     if grid:
-        variants = [(v["name"], float(v["mu"]), float(v["wd"])) for v in grid]
-        results = hyperparameter_grid(spec, variants, out)
+        results = hyperparameter_grid(spec, _grid_variants(grid), out)
         report = {name: r.omega for name, r in results}
         (out / "grid.json").write_text(json.dumps(report, indent=2) + "\n")
         print(json.dumps(report))

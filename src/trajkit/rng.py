@@ -1,27 +1,36 @@
 """Bit-reproducible pseudo-randomness.
 
 A SplitMix64 stage expands a 64-bit seed into the 256-bit state of a
-xoshiro256** generator; Gaussians come from Box-Muller on that stream.
+xoshiro256** generator (Blackman & Vigna, "Scrambled linear pseudorandom
+number generators", 2021); Gaussians come from Box-Muller on that stream.
 The exact construction is fixed so that every sampled quantity in this
 package (quadratic simulations, width experiments, training runs) is
 reproducible bit-for-bit from its integer seed.
+
+A draw of at least ``LANE_THRESHOLD`` values runs in lanes. The state
+transition T of xoshiro256** is linear over GF(2), so the state i steps
+ahead is T^i applied to the state, a 256 x 256 bit-matrix power
+(Haramoto et al., "Efficient jump ahead for F2-linear random number
+generators", 2008). A draw of n values is cut into L lanes of
+M = 2^floor(log2(n - 1) / 2) consecutive values. Lane l starts at
+T^(l M) applied to the state, and the lanes step together as numpy
+uint64 operations. The values, and the state after the draw, are
+bit-identical to the serial stream. Shorter draws run the serial loop:
+there, building the powers of T once per process (tens of milliseconds)
+would cost more than it saves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 _MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53_INV = 2.0 ** -53
+LANE_THRESHOLD = 1 << 15
 
 
 def splitmix64_stream(seed: int, n: int) -> list[int]:
@@ -37,7 +46,7 @@ def splitmix64_stream(seed: int, n: int) -> list[int]:
     return out
 
 
-def _fill_py(state: np.ndarray, out: np.ndarray) -> None:
+def _fill_serial(state: np.ndarray, out: np.ndarray) -> None:
     s0, s1, s2, s3 = (int(v) for v in state)
     for i in range(out.shape[0]):
         r = (s1 * 5) & _MASK
@@ -56,29 +65,88 @@ def _fill_py(state: np.ndarray, out: np.ndarray) -> None:
     state[3] = s3
 
 
-if _HAVE_NUMBA:
+def _rotl_inplace(x: np.ndarray, k: int, tmp: np.ndarray) -> None:
+    np.left_shift(x, np.uint64(k), out=tmp)
+    np.right_shift(x, np.uint64(64 - k), out=x)
+    np.bitwise_or(x, tmp, out=x)
 
-    @njit(cache=True)
-    def _fill_nb(state, out):  # pragma: no cover - compiled
-        s0 = state[0]
-        s1 = state[1]
-        s2 = state[2]
-        s3 = state[3]
-        for i in range(out.shape[0]):
-            r = np.uint64(s1 * np.uint64(5))
-            r = (r << np.uint64(7)) | (r >> np.uint64(57))
-            out[i] = r * np.uint64(9)
-            t = s1 << np.uint64(17)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-        state[0] = s0
-        state[1] = s1
-        state[2] = s2
-        state[3] = s3
+
+def _step_lanes(s: list[np.ndarray], out: np.ndarray, r: np.ndarray, t: np.ndarray) -> None:
+    """Write each lane's output to ``out`` and advance every lane one step."""
+    s0, s1, s2, s3 = s
+    np.multiply(s1, np.uint64(5), out=r)
+    _rotl_inplace(r, 7, t)
+    np.multiply(r, np.uint64(9), out=out)
+    np.left_shift(s1, np.uint64(17), out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    _rotl_inplace(s3, 45, t)
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """(k, 4) uint64 states -> (k, 256) float32 rows of 0/1.
+
+    Bit b of word w lands in column 64 w + b; one generator step maps a
+    row x to x @ T mod 2.
+    """
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, bitorder="little").astype(np.float32)
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Inverse of _bits."""
+    raw = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return raw.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _packed_power(k: int) -> np.ndarray:
+    """T^(2^k), bit-packed (8 KB) and read-only."""
+    if k == 0:  # row c of T is the image of the state with only bit c set
+        basis = list(_words(np.eye(256, dtype=np.float32)).T.copy())
+        _step_lanes(basis, *(np.empty(256, np.uint64) for _ in range(3)))
+        power = _bits(np.stack(basis, axis=1))
+    else:
+        prev = _power(k - 1)
+        power = (prev @ prev) % 2  # exact: float32 holds sums up to 256
+    packed = np.packbits(power.astype(np.uint8), axis=1)
+    packed.flags.writeable = False
+    return packed
+
+
+def _power(k: int) -> np.ndarray:
+    """T^(2^k) as a float32 0/1 matrix."""
+    return np.unpackbits(_packed_power(k), axis=1).astype(np.float32)
+
+
+def _fill_lanes(state: np.ndarray, n: int) -> np.ndarray:
+    """The next ``n`` values, run in lanes; advances ``state`` by ``n`` steps."""
+    m = ((n - 1).bit_length() - 1) // 2
+    steps = 1 << m
+    lanes = -(-n // steps)
+    starts = _bits(state[None, :])
+    k = m
+    while starts.shape[0] < lanes:  # doubling: starts l and l + 2^(k-m) are T^(2^k) apart
+        starts = np.concatenate([starts, (starts @ _power(k)) % 2])
+        k += 1
+    s = list(_words(starts[:lanes]).T.copy())
+    buf = np.empty(lanes * steps, dtype=np.uint64)
+    grid = buf.reshape(lanes, steps)
+    r, t = np.empty(lanes, dtype=np.uint64), np.empty(lanes, dtype=np.uint64)
+    last = n - (lanes - 1) * steps  # steps the last lane takes within the draw
+    for j in range(steps):
+        _step_lanes(s, grid[:, j], r, t)
+        if j + 1 == last:
+            state[:] = [w[-1] for w in s]
+    return buf[:n]
+
+
+def _rejection_bound(n: int) -> int:
+    """Values below this map to [0, n) without bias as ``x % n``."""
+    return (1 << 64) - ((1 << 64) % n)
 
 
 class Rng:
@@ -98,11 +166,12 @@ class Rng:
         return rng
 
     def uint64(self, n: int) -> np.ndarray:
+        """The next ``n`` values of the stream (the one source of stream values)."""
+        n = operator.index(n)
+        if n >= LANE_THRESHOLD:
+            return _fill_lanes(self._state, n)
         out = np.empty(n, dtype=np.uint64)
-        if _HAVE_NUMBA:
-            _fill_nb(self._state, out)
-        else:
-            _fill_py(self._state, out)
+        _fill_serial(self._state, out)
         return out
 
     def next_uint64(self) -> int:
@@ -137,17 +206,24 @@ class Rng:
         """Unbiased integer in [0, n) by rejection."""
         if n <= 0:
             raise ValueError("n must be positive")
-        bound = (1 << 64) - ((1 << 64) % n)
+        bound = _rejection_bound(n)
         while True:
             x = self.next_uint64()
             if x < bound:
                 return x % n
 
     def shuffle(self, items) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates; takes the same values from the stream as
+        one ``below(i + 1)`` per position, drawn in batches."""
+        i = len(items) - 1
+        while i > 0:
+            # One value per remaining position; a rejected value is skipped
+            # and its position is drawn again in the next batch.
+            for x in self.uint64(i).tolist():
+                if x < _rejection_bound(i + 1):
+                    j = x % (i + 1)
+                    items[i], items[j] = items[j], items[i]
+                    i -= 1
 
     def orthogonal(self, d: int) -> np.ndarray:
         """Random orthogonal d x d matrix via modified Gram-Schmidt."""

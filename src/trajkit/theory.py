@@ -44,8 +44,8 @@ class QuadraticSpec:
             raise ValueError("eigenvalues must be sorted descending")
         if len(self.theta_init) != len(self.eigenvalues):
             raise ValueError("theta_init length must match the spectrum size")
-        if any(e <= 0 for e in self.eta):
-            raise ValueError("learning rates must be positive")
+        if not self.eta or any(e <= 0 for e in self.eta):
+            raise ValueError("need at least one learning rate, each positive")
         if self.alpha < 0 or self.mu < 0:
             raise ValueError("alpha and mu must be non-negative")
 
@@ -190,11 +190,16 @@ def eos_angle_sweep(
         except NonFiniteIterate as exc:
             out.append(EosPoint(eta=float(eta), mean_angle_deg=None, error=str(exc)))
             continue
-        d = trace.deltas
+        # Each update is scaled by a power of two that brings its largest
+        # entry into [0.5, 1): the cosines are bit-identical, and the squares
+        # of a fast-diverging but still finite run no longer overflow.
+        _, exponents = np.frexp(np.abs(trace.deltas).max(axis=1))
+        d = np.ldexp(trace.deltas, -exponents[:, None])
         norms = np.linalg.norm(d, axis=1)
+        inner = np.einsum("ij,ij->i", d[:-1], d[1:])
         cos = np.full(d.shape[0] - 1, np.nan)
         ok = (norms[:-1] > 0) & (norms[1:] > 0)
-        cos[ok] = trace.inner_products[ok] / (norms[:-1][ok] * norms[1:][ok])
+        cos[ok] = inner[ok] / (norms[:-1][ok] * norms[1:][ok])
         angles = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
         half = angles[angles.shape[0] // 2 :]
         half = half[np.isfinite(half)]

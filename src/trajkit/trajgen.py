@@ -32,6 +32,10 @@ class BlobSpec:
     noise_std: float = 1.0
     seed: int = 7
 
+    def __post_init__(self):
+        if self.samples_per_class < 1 or self.dim < 1:
+            raise ValueError("samples_per_class and dim must be >= 1")
+
 
 @dataclass
 class TrainSpec:
@@ -49,8 +53,8 @@ class TrainSpec:
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(self.layer_sizes) < 2:
-            raise ValueError("need at least input and output layer sizes")
+        if len(self.layer_sizes) < 2 or min(self.layer_sizes) < 1:
+            raise ValueError("need at least input and output layer sizes, each >= 1")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.wd < 0 or self.eta <= 0:
@@ -155,6 +159,9 @@ def _lr_at(spec: TrainSpec, epoch: int) -> float:
     return lr
 
 
+# divergence is reported as NonFiniteLoss; numpy's warnings would only add
+# lines to stderr
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train(spec: TrainSpec, out_dir) -> TrainRunRecord:
     """Run SGD; writes the checkpoint store and returns the run record.
 

@@ -191,3 +191,33 @@ def jacobi_eigs(m: np.ndarray, max_sweeps: int = 100, tol: float = 1e-12) -> np.
     if off_norm() <= tol * fro:
         return np.sort(np.diagonal(a))[::-1].copy()
     raise ArithmeticError(f"Jacobi did not converge in {max_sweeps} sweeps")
+
+
+def xoshiro256ss(seed: int, n: int) -> tuple[list[int], tuple[int, int, int, int]]:
+    """First ``n`` xoshiro256** outputs from a SplitMix64-seeded state, and
+    the state after them, in plain integers after the published reference
+    code (Blackman & Vigna, "Scrambled linear pseudorandom number
+    generators", 2021)."""
+    mask = (1 << 64) - 1
+
+    def rotl(x, k):
+        return ((x << k) | (x >> (64 - k))) & mask
+
+    x = seed & mask
+    s = []
+    for _ in range(4):  # splitmix64 next()
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        s.append(z ^ (z >> 31))
+    out = []
+    for _ in range(n):
+        out.append((rotl((s[1] * 5) & mask, 7) * 9) & mask)
+        t = (s[1] << 17) & mask
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = rotl(s[3], 45)
+    return out, tuple(s)

@@ -1,5 +1,7 @@
+import builtins
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from trajkit.errors import (
     UnsupportedVersion,
 )
 
+from trajkit import ckptstore
 from conftest import random_checkpoint
 
 
@@ -238,6 +241,67 @@ def test_file_shrunk_after_open_is_truncated(tmp_path):
         lazy.flatten(1)
     with pytest.raises(TruncatedFile):
         lazy.chunk_matrix(None, 0, 6)
+
+
+class _CountingFile:
+    """A file whose read() calls add the bytes they return to ``counts``."""
+
+    def __init__(self, f, counts):
+        self._f = f
+        self._counts = counts
+
+    def read(self, n=-1):
+        data = self._f.read(n)
+        self._counts.append(len(data))
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def test_lazy_open_reads_headers_only(tmp_path, monkeypatch):
+    ckpts = [
+        Checkpoint(i, f"c{i}", [
+            TensorRecord("layer.w", Dtype.F32, (50, 100), np.full(5000, i)),
+            TensorRecord("layer.b", Dtype.F64, (100,), np.full(100, i)),
+        ])
+        for i in range(3)
+    ]
+    manifest = write_store(ckpts, tmp_path)
+    counts = []
+    monkeypatch.setattr(
+        ckptstore, "open", lambda path, mode: _CountingFile(builtins.open(path, mode), counts),
+        raising=False,
+    )
+
+    def no_whole_file_reads(self):
+        raise AssertionError(f"read_bytes({self})")
+
+    monkeypatch.setattr(Path, "read_bytes", no_whole_file_reads)
+    lazy = open_store(manifest, mem_budget=0)
+    assert not lazy.is_cached
+    # magic + version/count, then per tensor name length, name, dtype/rank, dims
+    header = 16 + (2 + 7 + 2 + 16) + (2 + 7 + 2 + 8)
+    assert sum(counts) == 3 * header
+    monkeypatch.undo()
+    np.testing.assert_array_equal(lazy.flatten(2)[:5000], np.full(5000, 2.0))
+
+
+def test_lazy_open_of_short_payload_is_truncated(tmp_path):
+    ckpts = [two_tensor_ckpt(i, [i, i], np.full((2, 2), i)) for i in range(2)]
+    manifest = write_store(ckpts, tmp_path)
+    path = tmp_path / "ckpt_000001.trajckpt"
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedFile):
+        open_store(manifest, mem_budget=0)
+    with pytest.raises(TruncatedFile):
+        open_store(manifest)
 
 
 # --- flatten / selection ---

@@ -295,3 +295,36 @@ def test_malformed_params_file_is_usage_error(tmp_path, capsys):
     params.write_text("{not json")
     argv = ["theory", "eos", "--params", str(params), "--out", str(tmp_path / "e")]
     assert run_error(argv, capsys) == (1, "UsageError")
+
+
+@pytest.mark.parametrize("verb", ["lemma", "eos", "width"])
+def test_unknown_params_key_is_usage_error(tmp_path, capsys, verb):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"bogus": 1}))
+    argv = ["theory", verb, "--params", str(params), "--out", str(tmp_path / "t")]
+    rc = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "UsageError" and "'bogus'" in error["detail"]
+
+
+@pytest.mark.parametrize(
+    "spec", [{"train": {"bogus": 1}}, {"train": {"data": {"bogus": 1}}}, {"bogus": 1}]
+)
+def test_unknown_spec_key_is_usage_error(tmp_path, capsys, spec):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["train", "--spec", str(path), "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "UsageError" and "'bogus'" in error["detail"]
+
+
+def test_duplicate_grid_name_is_usage_error(tmp_path, capsys):
+    entry = {"name": "a", "mu": 0.9, "wd": 0.0}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"train": {"epochs": 1}, "grid": [entry, entry]}))
+    argv = ["train", "--spec", str(path), "--out", str(tmp_path / "t")]
+    assert run_error(argv, capsys) == (1, "UsageError")

@@ -1,0 +1,103 @@
+"""Fuzzing of ``theory --params`` and ``train --spec`` files.
+
+Whatever a parameter file holds (known and unknown keys, values of the
+wrong type), a run exits 0, 1, 2 or 3, writes at most one line to stderr,
+that line is JSON, and no exception escapes ``cli.main``. Valid numbers
+stay small so that every run is short.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from trajkit.cli import main
+
+small_int = st.integers(-2, 6)
+small_float = st.floats(-2.0, 12.0, allow_nan=False)
+junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), small_int, small_float,
+    st.lists(st.one_of(small_int, st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), small_int, max_size=2),
+)
+floats = st.lists(small_float, min_size=0, max_size=3)
+
+
+def _maybe(required=None, **fields):
+    """Objects with the ``required`` fields and any subset of ``fields``;
+    about half of them then get one known or unknown key set to junk."""
+    required = required or {}
+    known = st.fixed_dictionaries(required, optional=fields)
+    keys = st.sampled_from([*required, *fields, "bogus", ""])
+    spoil = st.one_of(st.none(), st.tuples(keys, junk))
+
+    def spoiled(obj, change):
+        if change is not None:
+            obj[change[0]] = change[1]
+        return obj
+
+    return st.builds(spoiled, known, spoil)
+
+
+quadratic = dict(
+    eigenvalues=floats, alpha=small_float, mu=small_float, eta=floats,
+    theta_init=floats, rotation_seed=small_int, steps=st.integers(-1, 20),
+)
+theory_params = {
+    "lemma": _maybe(**quadratic),
+    "eos": _maybe(**quadratic, eta_grid=floats),
+    "width": _maybe(
+        {"widths": st.lists(st.integers(-1, 12), max_size=3)}, eta_scale=small_float,
+        steps=st.integers(-1, 3), seed=small_int, init_std_scale=small_float,
+    ),
+}
+data = _maybe(
+    samples_per_class=st.integers(-1, 6), dim=st.integers(-1, 4),
+    separation=small_float, noise_std=small_float, seed=small_int,
+)
+train = _maybe(
+    {"epochs": st.integers(-1, 3)},
+    layer_sizes=st.lists(st.integers(-1, 4), max_size=4), data=data, eta=small_float,
+    eta_schedule=st.lists(st.tuples(small_int, small_float), max_size=2), mu=small_float,
+    wd=small_float, batch_size=st.integers(-1, 8),
+    ckpt_every=st.integers(-1, 3), seed=small_int, loss=st.sampled_from(["squared", "x"]),
+)
+grid_entry = _maybe(name=st.sampled_from(["a", "b", "", "..", "x/y"]), mu=small_float,
+                    wd=small_float)
+train_spec = _maybe({"train": train}, grid=st.lists(grid_entry, max_size=2))
+
+documents = st.one_of(
+    st.sampled_from(["lemma", "eos", "width"]).flatmap(
+        lambda verb: st.tuples(st.just(["theory", verb, "--params"]), theory_params[verb])
+    ),
+    st.tuples(st.just(["train", "--spec"]), train_spec),
+    st.tuples(st.sampled_from([["theory", "eos", "--params"], ["train", "--spec"]]), junk),
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents)
+def test_parameter_files_fail_cleanly(case):
+    argv, document = case
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.json"
+        path.write_text(json.dumps(document))
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            rc = main([*argv, str(path), "--out", str(Path(tmp) / "out")])
+    err = stderr.getvalue().splitlines()
+    event(f"{argv[0]} exit {rc}")
+    assert rc in (0, 1, 2, 3)
+    # a warning would be one more stderr line from a CLI process
+    assert [str(w.message) for w in caught] == []
+    assert len(err) <= 1
+    if err:
+        assert set(json.loads(err[0])) == {"error", "detail"}
+    assert (rc == 0) == (not err)

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from oracles import xoshiro256ss
 
-from trajkit.rng import Rng, _fill_py, splitmix64_stream
+from trajkit.rng import LANE_THRESHOLD, Rng
 
 
 def test_xoshiro_known_outputs():
@@ -17,11 +20,76 @@ def test_seeded_streams_reproduce():
     assert not np.array_equal(a, Rng(43).uint64(1000))
 
 
-def test_python_fallback_matches_compiled():
-    state = np.array(splitmix64_stream(7, 4), dtype=np.uint64)
-    out_py = np.empty(257, dtype=np.uint64)
-    _fill_py(state.copy(), out_py)
-    assert np.array_equal(Rng(7).uint64(257), out_py)
+def test_stream_matches_serial_oracle():
+    # draws on both sides of the lane threshold, values and final state
+    for seed in (3, 2024, 2**64 - 5):
+        for n in (LANE_THRESHOLD - 1, LANE_THRESHOLD, LANE_THRESHOLD + 1, 100_003):
+            values, state = xoshiro256ss(seed, n)
+            r = Rng(seed)
+            assert r.uint64(n).tolist() == values, (seed, n)
+            assert tuple(int(w) for w in r._state) == state, (seed, n)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1, LANE_THRESHOLD - 1), (1000, LANE_THRESHOLD), (LANE_THRESHOLD - 1, 70_001),
+     (LANE_THRESHOLD, LANE_THRESHOLD + 3), (65_537, 9)],
+)
+def test_block_split_across_lane_threshold(a, b):
+    r, whole = Rng(17), Rng(17)
+    parts = np.concatenate([r.uint64(a), r.uint64(b)])
+    assert np.array_equal(parts, whole.uint64(a + b))
+    assert np.array_equal(r._state, whole._state)
+
+
+def test_golden_stream_digest():
+    digest = hashlib.sha256(Rng(2024).uint64(10**5).tobytes()).hexdigest()
+    assert digest == "6b168658d72015dbc7b16f2120f2f211663c42735e5ffe0f409f74f754c1301c"
+
+
+def _per_draw_shuffle(rng: Rng, items) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+class _ScriptedRng(Rng):
+    """Replays a fixed list of stream values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.pos = 0
+
+    def uint64(self, n: int) -> np.ndarray:
+        out = self.values[self.pos : self.pos + n]
+        assert len(out) == n, "script ran out"
+        self.pos += n
+        return np.array(out, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 300])
+def test_shuffle_matches_per_draw_fisher_yates(size):
+    for seed in (1, 8):
+        a, b = list(range(size)), list(range(size))
+        ra, rb = Rng(seed), Rng(seed)
+        ra.shuffle(a)
+        _per_draw_shuffle(rb, b)
+        assert a == b
+        assert np.array_equal(ra._state, rb._state)
+
+
+def test_shuffle_rejection_consumes_stream_like_below():
+    # 2**64 - 1 is rejected for every n that is not a power of two. The
+    # script rejects the first draw (n = 6), the last draw of the first
+    # batch (n = 3) and the first draw of the second batch (n = 3 again).
+    top = 2**64 - 1
+    script = [top, 11, 40, 7, top, top, 2**63, 5, 123, 456]
+    a, b = list(range(6)), list(range(6))
+    sa, sb = _ScriptedRng(script), _ScriptedRng(script)
+    sa.shuffle(a)
+    _per_draw_shuffle(sb, b)
+    assert a == b
+    assert sa.pos == sb.pos == 8
 
 
 def test_block_split_invariance():
