@@ -22,8 +22,10 @@ import json
 import math
 import os
 import re
+import resource
 import struct
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -258,14 +260,91 @@ def read_checkpoint(path, *, index: int = 0, label: str = "") -> Checkpoint:
 
 @dataclass
 class _Source:
-    """Lazy handle on one checkpoint file: payload offsets by tensor order."""
+    """Lazy handle on one checkpoint file: payload offsets by tensor order.
+
+    ``fd`` is a read-only descriptor held while the store is open, or None
+    once the store is closed or past the process's descriptor budget; such
+    a checkpoint is opened for each read instead.
+    """
 
     path: Path
     offsets: list[tuple[str, Dtype, tuple[int, ...], int]]
+    fd: int | None = None
+
+
+# Descriptors held by the open lazy stores of this process: the descriptor
+# limit is per process, so their budget is too. A set, because a finalizer
+# may update it from any thread, and add/discard need no lock.
+_HELD: set[int] = set()
+
+
+def _descriptor_budget() -> int:
+    """How many more checkpoint descriptors open stores may hold: half the
+    soft RLIMIT_NOFILE, less those already held, leaves the rest of the
+    process its share."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft == resource.RLIM_INFINITY:
+        soft = 1 << 20
+    return soft // 2 - len(_HELD)
+
+
+def _release(sources: list[_Source]) -> None:
+    for src in sources:
+        if src.fd is not None:
+            _HELD.discard(src.fd)
+            os.close(src.fd)
+            src.fd = None
+
+
+def _pread_into(fd: int, view: memoryview, offset: int, path: Path) -> None:
+    """Fill ``view`` from byte ``offset`` of the file; a short file is TruncatedFile."""
+    while view:
+        got = os.preadv(fd, [view], offset)
+        if not got:
+            raise TruncatedFile(f"{path}: file shrank after the store was opened")
+        view, offset = view[got:], offset + got
+
+
+def _row_plan(chosen, start: int, stop: int):
+    """How to read columns [start, stop) of a selection for one checkpoint.
+
+    Returns ``(reads, converts)``. Each read is (tensor index, byte offset
+    in that tensor's payload, target bytes): a positioned read into a
+    staging array of the payload dtype. Each convert is (first column,
+    staging array), copied into the float64 row once. Neighbouring tensors
+    of one dtype share a staging array. The plan holds for every
+    checkpoint, since all share one layout.
+    """
+    runs: list[tuple[Dtype, int, list]] = []
+    base = 0
+    for ti, (_, dtype, dims) in chosen:
+        nel = math.prod(dims)
+        lo, hi = max(start - base, 0), min(stop - base, nel)
+        if lo < hi:
+            if not runs or runs[-1][0] != dtype:
+                runs.append((dtype, base + lo - start, []))
+            runs[-1][2].append((ti, lo, hi))
+        base += nel
+    reads, converts = [], []
+    for dtype, col, parts in runs:
+        size = dtype.np_dtype.itemsize
+        buf = np.empty(sum(hi - lo for _, lo, hi in parts), dtype=dtype.np_dtype)
+        view = memoryview(buf).cast("B")
+        pos = 0
+        for ti, lo, hi in parts:
+            reads.append((ti, lo * size, view[pos : pos + (hi - lo) * size]))
+            pos += (hi - lo) * size
+        converts.append((col, buf))
+    return reads, converts
 
 
 class TrajectoryStore:
-    """Immutable ordered trajectory with a shared tensor layout."""
+    """Immutable ordered trajectory with a shared tensor layout.
+
+    A lazy store holds one read descriptor per checkpoint until ``close()``
+    (or its use as a context manager) releases them; a closed store still
+    reads, opening each checkpoint file per read.
+    """
 
     def __init__(self, *, indices, labels, layout, cached=None, sources=None):
         self.indices = list(indices)
@@ -277,6 +356,17 @@ class TrajectoryStore:
         self.dim_p = sum(math.prod(dims) for _, _, dims in self.layout)
         self.has_init = self.n_points > 0 and self.indices[0] == 0
         self._memo: dict = {}
+        self._finalizer = weakref.finalize(self, _release, sources or [])
+
+    def close(self) -> None:
+        """Release the checkpoint descriptors a lazy store holds."""
+        self._finalizer()
+
+    def __enter__(self) -> "TrajectoryStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # construction -----------------------------------------------------
 
@@ -347,17 +437,16 @@ class TrajectoryStore:
     def flatten(self, i: int, sel: SelectionSpec | None = None) -> np.ndarray:
         """Flattened float64 parameter vector of checkpoint ``i`` (store order)."""
         chosen = self.selected_layout(sel)
-        if self._cached is not None:
-            parts = [self._cached[i].tensors[ti].data for ti, _ in chosen]
-        else:
-            src = self._sources[i]
-            parts = []
-            with open(src.path, "rb") as f:
-                for ti, (_, dtype, dims) in chosen:
-                    parts.append(_read_values(f, src, ti, 0, math.prod(dims)))
-        if not parts:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate([p.astype(np.float64) for p in parts])
+        out = np.empty(sum(math.prod(dims) for _, (_, _, dims) in chosen), dtype=np.float64)
+        if self._cached is None:
+            self._read_row(i, *_row_plan(chosen, 0, out.size), out)
+            return out
+        col = 0
+        for ti, _ in chosen:
+            data = self._cached[i].tensors[ti].data
+            out[col : col + data.size] = data
+            col += data.size
+        return out
 
     def matrix(self, sel: SelectionSpec | None = None) -> np.ndarray:
         """All points stacked as an (n_points, p_selected) float64 matrix."""
@@ -370,32 +459,26 @@ class TrajectoryStore:
         """Columns [start, stop) of matrix(sel), read lazily when not cached."""
         if self._cached is not None:
             return self.matrix(sel)[:, start:stop]
-        chosen = self.selected_layout(sel)
+        reads, converts = _row_plan(self.selected_layout(sel), start, stop)
         out = np.empty((self.n_points, stop - start), dtype=np.float64)
         for i in range(self.n_points):
-            src = self._sources[i]
-            col = 0
-            base = 0
-            with open(src.path, "rb") as f:
-                for ti, (_, _, dims) in chosen:
-                    nel = math.prod(dims)
-                    lo, hi = max(start - base, 0), min(stop - base, nel)
-                    if lo < hi:
-                        out[i, col : col + hi - lo] = _read_values(f, src, ti, lo, hi)
-                        col += hi - lo
-                    base += nel
+            self._read_row(i, reads, converts, out[i])
         return out
 
-
-def _read_values(f, src: _Source, ti: int, lo: int, hi: int) -> np.ndarray:
-    """Elements [lo, hi) of tensor ``ti`` from the open checkpoint file ``f``."""
-    _, dtype, _, off = src.offsets[ti]
-    size = dtype.np_dtype.itemsize
-    f.seek(off + lo * size)
-    raw = f.read((hi - lo) * size)
-    if len(raw) != (hi - lo) * size:
-        raise TruncatedFile(f"{src.path}: file shrank after the store was opened")
-    return np.frombuffer(raw, dtype=dtype.np_dtype)
+    def _read_row(self, i: int, reads, converts, out: np.ndarray) -> None:
+        """Fill the float64 row ``out`` of checkpoint ``i`` by a ``_row_plan``."""
+        src = self._sources[i]
+        fd = src.fd
+        if fd is None:
+            fd = os.open(src.path, os.O_RDONLY)
+        try:
+            for ti, skip, view in reads:
+                _pread_into(fd, view, src.offsets[ti][3] + skip, src.path)
+        finally:
+            if fd != src.fd:
+                os.close(fd)
+        for col, buf in converts:
+            out[col : col + buf.size] = buf
 
 
 def _check_layout(expected, got, who: str) -> None:
@@ -420,7 +503,8 @@ def open_store(manifest_path, mem_budget: int = DEFAULT_MEM_BUDGET) -> Trajector
     """Load a trajectory manifest; order follows the manifest entry order.
 
     Checkpoints whose total payload exceeds ``mem_budget`` bytes stay on
-    disk and are streamed chunk-wise during kernel computations.
+    disk and are streamed chunk-wise during kernel computations, through
+    the descriptors opened here to parse their headers.
     """
     manifest_path = Path(manifest_path)
     entries = _manifest_entries(manifest_path)
@@ -428,33 +512,40 @@ def open_store(manifest_path, mem_budget: int = DEFAULT_MEM_BUDGET) -> Trajector
     layout = None
     total_bytes = 0
     seen = set()
-    for entry in entries:
-        idx = entry["index"]
-        if idx in seen:
-            raise DuplicateIndex(f"manifest index {idx} appears twice")
-        seen.add(idx)
-        path = (manifest_path.parent / entry["path"]).resolve()
-        with _Reader(path) as reader:
-            _, offsets = _read_header(reader, payloads=False)
-        this_layout = tuple((n, d, dims) for n, d, dims, _ in offsets)
-        if layout is None:
-            layout = this_layout
-        else:
-            _check_layout(layout, this_layout, entry.get("label", str(idx)))
-        indices.append(idx)
-        labels.append(str(entry.get("label", idx)))
-        sources.append(_Source(path, offsets))
-        total_bytes += sum(
-            math.prod(dims) * d.np_dtype.itemsize for _, d, dims, _ in offsets
-        )
-
-    store = TrajectoryStore(indices=indices, labels=labels, layout=layout, sources=sources)
-    if total_bytes <= mem_budget:
-        cached = [
-            read_checkpoint(src.path, index=idx, label=lbl)
-            for src, idx, lbl in zip(sources, indices, labels)
-        ]
-        store._cached = cached
+    budget = _descriptor_budget()
+    try:
+        for entry in entries:
+            idx = entry["index"]
+            if idx in seen:
+                raise DuplicateIndex(f"manifest index {idx} appears twice")
+            seen.add(idx)
+            path = (manifest_path.parent / entry["path"]).resolve()
+            with _Reader(path) as reader:
+                _, offsets = _read_header(reader, payloads=False)
+                fd = os.dup(reader.f.fileno()) if len(sources) < budget else None
+            sources.append(_Source(path, offsets, fd))
+            if fd is not None:
+                _HELD.add(fd)
+            this_layout = tuple((n, d, dims) for n, d, dims, _ in offsets)
+            if layout is None:
+                layout = this_layout
+            else:
+                _check_layout(layout, this_layout, entry.get("label", str(idx)))
+            indices.append(idx)
+            labels.append(str(entry.get("label", idx)))
+            total_bytes += sum(
+                math.prod(dims) * d.np_dtype.itemsize for _, d, dims, _ in offsets
+            )
+        store = TrajectoryStore(indices=indices, labels=labels, layout=layout, sources=sources)
+        if total_bytes <= mem_budget:
+            store._cached = [
+                read_checkpoint(src.path, index=idx, label=lbl)
+                for src, idx, lbl in zip(sources, indices, labels)
+            ]
+            store.close()
+    except BaseException:
+        _release(sources)
+        raise
     return store
 
 
@@ -479,8 +570,10 @@ def _manifest_entries(manifest_path: Path) -> list[dict]:
         idx = entry.get("index")
         if not isinstance(idx, int) or isinstance(idx, bool):
             raise InvalidManifest(f"{manifest_path}: entry {pos} needs an integer \"index\"")
-        if not isinstance(entry.get("path"), str):
-            raise InvalidManifest(f"{manifest_path}: entry {pos} needs a string \"path\"")
+        path = entry.get("path")
+        if not isinstance(path, str) or "\0" in path:
+            raise InvalidManifest(f"{manifest_path}: entry {pos} needs a string \"path\" "
+                                  "without NUL characters")
     return entries
 
 

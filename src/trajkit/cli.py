@@ -140,10 +140,10 @@ def _out_dir(args) -> Path:
 
 
 def cmd_map(args) -> int:
-    store = open_store(args.manifest, mem_budget=args.mem_budget)
     sel = _selection(args)
     origin = _parse_origin(args.origin)
-    gram = compute_gram(store, origin, sel, threads=args.threads)
+    with open_store(args.manifest, mem_budget=args.mem_budget) as store:
+        gram = compute_gram(store, origin, sel, threads=args.threads)
     cosmap = compute_cosine_map(gram)
     style = HeatmapStyle(v_min=args.vmin, v_max=args.vmax, cell_px=args.cell_px)
     out = _out_dir(args)
@@ -154,7 +154,11 @@ def cmd_map(args) -> int:
 
 
 def cmd_hallmarks(args) -> int:
-    store = open_store(args.manifest, mem_budget=args.mem_budget)
+    with open_store(args.manifest, mem_budget=args.mem_budget) as store:
+        return _hallmarks(args, store)
+
+
+def _hallmarks(args, store) -> int:
     sel = _selection(args)
     requested = args.measure or []
     if "all" in requested:
@@ -190,9 +194,9 @@ def cmd_hallmarks(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    store = open_store(args.manifest, mem_budget=args.mem_budget)
     sel = _selection(args)
-    spectra = trajectory_spectra(store, sel, threads=args.threads)
+    with open_store(args.manifest, mem_budget=args.mem_budget) as store:
+        spectra = trajectory_spectra(store, sel, threads=args.threads)
     out = _out_dir(args)
     for matrix_id, summary in spectra.items():
         write_spectrum_csv(summary, out / f"{matrix_id.value}.csv")

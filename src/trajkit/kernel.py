@@ -105,12 +105,6 @@ def _mirror_upper(m: np.ndarray) -> None:
     m[(iu[1], iu[0])] = m[iu]
 
 
-def _block_gram(block: np.ndarray) -> np.ndarray:
-    g = block @ block.T
-    _mirror_upper(g)
-    return g
-
-
 def _grams(
     store: TrajectoryStore,
     origins: list[OriginSpec],
@@ -155,7 +149,8 @@ def _grams(
         stop = min(start + CHUNK, p)
         x = store.chunk_matrix(sel, start, stop)
         with np.errstate(invalid="ignore", over="ignore"):  # checked once, below
-            return [_block_gram(shifted(x, origin, start, stop)) for origin in origins]
+            blocks = (shifted(x, origin, start, stop) for origin in origins)
+            return [b @ b.T for b in blocks]
 
     chunk_starts = list(range(0, p, CHUNK)) or [0]
     if threads > 1 and len(chunk_starts) > 1:
@@ -166,6 +161,8 @@ def _grams(
 
     out = []
     for origin, values, point_labels in zip(origins, sums, labels):
+        # the upper triangle is the sum of every partial's upper triangle
+        _mirror_upper(values)
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = (point_labels[int(v)] for v in bad[0])

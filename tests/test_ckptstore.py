@@ -1,6 +1,9 @@
 import builtins
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,10 @@ from trajkit.errors import (
     UnsupportedVersion,
 )
 
+import trajkit
 from trajkit import ckptstore
+from trajkit.cli import main
+from trajkit.kernel import OriginSpec, compute_gram
 from conftest import random_checkpoint
 
 
@@ -213,7 +219,7 @@ def test_duplicate_index_rejected(tmp_path):
 @pytest.mark.parametrize(
     "entry",
     [{"label": "a", "path": "c0"}, {"index": "0", "path": "c0"}, {"index": 0.5, "path": "c0"},
-     {"index": 0}, "c0"],
+     {"index": 0}, "c0", {"index": 0, "path": "c\0"}],
 )
 def test_malformed_manifest_entry_is_typed(tmp_path, entry):
     write_checkpoint(two_tensor_ckpt(0, [0, 0], np.zeros((2, 2))), tmp_path / "c0")
@@ -373,3 +379,113 @@ def test_lazy_store_matches_cached(tmp_path, rng):
     np.testing.assert_array_equal(
         cached.matrix()[:, 1:3], lazy.chunk_matrix(None, 1, 3)
     )
+
+
+# --- lazy reads through held descriptors ---
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd"
+)
+
+
+@needs_proc_fd
+def test_lazy_store_holds_one_descriptor_per_checkpoint_until_closed(tmp_path):
+    ckpts = [two_tensor_ckpt(i, [i, 1], np.full((2, 2), i)) for i in range(5)]
+    manifest = write_store(ckpts, tmp_path)
+    baseline = open_fds()
+    cached = open_store(manifest)
+    assert cached.is_cached and open_fds() == baseline
+    with open_store(manifest, mem_budget=0) as lazy:
+        assert open_fds() == baseline + 5
+        expected = lazy.matrix()
+    assert open_fds() == baseline
+    # a closed store still reads, opening each checkpoint per read
+    np.testing.assert_array_equal(lazy.chunk_matrix(None, 1, 5), expected[:, 1:5])
+    assert open_fds() == baseline
+    lazy.close()
+    again = open_store(manifest, mem_budget=0)
+    del again  # the finalizer releases a store that was never closed
+    assert open_fds() == baseline
+
+
+@needs_proc_fd
+def test_failed_open_releases_descriptors(tmp_path):
+    ckpts = [two_tensor_ckpt(i, [i, 1], np.full((2, 2), i)) for i in range(4)]
+    manifest = write_store(ckpts, tmp_path)
+    (tmp_path / "ckpt_000002.trajckpt").write_bytes(b"NOTACKPT" + bytes(40))
+    baseline = open_fds()
+    with pytest.raises(BadMagic):
+        open_store(manifest, mem_budget=0)
+    assert open_fds() == baseline
+
+
+def mixed_dtype_store(tmp_path, n=5):
+    """Tensors of F16/F32/F64 whose sizes put 4096-column chunk edges inside them."""
+    rng = np.random.default_rng(3)
+    shapes = [("a", Dtype.F16, (3000,)), ("b", Dtype.F32, (50, 100)), ("c", Dtype.F64, (2500,)),
+              ("d", Dtype.F32, (1234,)), ("e", Dtype.F32, (7,)), ("f", Dtype.F16, (3, 3))]
+    ckpts = [
+        Checkpoint(i, f"c{i}", [
+            TensorRecord(name, dtype, dims, rng.standard_normal(int(np.prod(dims))))
+            for name, dtype, dims in shapes
+        ])
+        for i in range(n)
+    ]
+    return write_store(ckpts, tmp_path)
+
+
+def test_lazy_chunks_straddling_mixed_dtype_tensors_match_cached(tmp_path):
+    manifest = mixed_dtype_store(tmp_path)
+    cached = open_store(manifest)
+    with open_store(manifest, mem_budget=0) as lazy:
+        p = lazy.dim_p
+        for start, stop in [(0, p), (0, 4096), (4096, 8192), (8192, p), (2999, 3001),
+                            (7999, 8001), (p - 10, p), (3000, 3000)]:
+            np.testing.assert_array_equal(
+                lazy.chunk_matrix(None, start, stop), cached.chunk_matrix(None, start, stop)
+            )
+        sel = SelectionSpec(include_globs=("a", "c", "f"))
+        for i in range(lazy.n_points):
+            np.testing.assert_array_equal(lazy.flatten(i, sel), cached.flatten(i, sel))
+        expected = compute_gram(cached, OriginSpec.absolute()).values
+        for threads in (1, 2, 3):
+            got = compute_gram(lazy, OriginSpec.absolute(), threads=threads).values
+            assert np.array_equal(got, expected)
+
+
+def test_store_past_the_descriptor_limit_reads_per_checkpoint(tmp_path):
+    n = 40
+    ckpts = [
+        Checkpoint(i, f"e{i}", [TensorRecord("w", Dtype.F32, (3,), [i + 1.0, 1.0, (-1.0) ** i])])
+        for i in range(n)
+    ]
+    manifest = str(write_store(ckpts, tmp_path / "store"))
+    assert main(["map", "--manifest", manifest, "--out", str(tmp_path / "cached")]) == 0
+    lazy_out = str(tmp_path / "lazy")
+    # the lowered limit holds in the child process only
+    child = f"""
+import resource
+from trajkit import open_store
+from trajkit.cli import main
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))
+with open_store({manifest!r}, mem_budget=0) as store:
+    print(sum(src.fd is not None for src in store._sources))
+raise SystemExit(main(["map", "--manifest", {manifest!r}, "--mem-budget", "0",
+                       "--threads", "2", "--out", {lazy_out!r}]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(trajkit.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert 0 < int(done.stdout.splitlines()[0]) < n
+    assert (tmp_path / "lazy" / "map.csv").read_bytes() == (
+        tmp_path / "cached" / "map.csv"
+    ).read_bytes()

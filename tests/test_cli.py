@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from trajkit import Checkpoint, Dtype, TensorRecord, write_store
+from trajkit import Checkpoint, Dtype, TensorRecord, TrajectoryStore, write_store
 from trajkit.cli import main
 
 
@@ -282,6 +283,22 @@ def test_non_finite_checkpoint_is_data_error(tmp_path, capsys, verb, bad):
         [verb, "--manifest", manifest, *extra, "--out", str(tmp_path / "o")], capsys
     )
     assert (rc, code) == (2, "NonFinitePayload")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+@pytest.mark.parametrize("verb", [["map"], ["hallmarks", "--measure", "all"], ["spectra"]])
+def test_analysis_verbs_close_their_stores(linear_manifest, tmp_path, capsys, monkeypatch, verb):
+    closed = []
+    close = TrajectoryStore.close
+    monkeypatch.setattr(TrajectoryStore, "close", lambda self: closed.append(close(self)))
+    baseline = len(os.listdir("/proc/self/fd"))
+    for threads in ("1", "2"):
+        argv = [*verb, "--manifest", linear_manifest, "--mem-budget", "0", "--threads", threads]
+        assert main([*argv, "--out", str(tmp_path / threads)]) == 0
+        # fails once the store is open
+        assert main([*argv, "--select", "nothing", "--out", str(tmp_path / "x")]) == 2
+    assert len(closed) == 4
+    assert len(os.listdir("/proc/self/fd")) == baseline
 
 
 def test_hallmarks_bad_lag_is_usage_error(linear_manifest, tmp_path, capsys):
