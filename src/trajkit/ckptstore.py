@@ -415,13 +415,19 @@ class TrajectoryStore:
     # selection --------------------------------------------------------
 
     def selected_layout(self, sel: SelectionSpec | None):
+        """The (tensor index, layout entry) pairs ``sel`` chooses, matched
+        once per store and selection; an empty choice raises every time."""
         sel = sel or ALL
-        chosen = [(i, entry) for i, entry in enumerate(self.layout) if sel.matches(entry[0])]
-        if not chosen:
-            raise EmptySelection(
-                f"selection {sel.include_globs}/{sel.exclude_globs} matches no tensors"
-            )
-        return chosen
+
+        def choose():
+            chosen = tuple((i, e) for i, e in enumerate(self.layout) if sel.matches(e[0]))
+            if not chosen:
+                raise EmptySelection(
+                    f"selection {sel.include_globs}/{sel.exclude_globs} matches no tensors"
+                )
+            return chosen
+
+        return self.memo(("layout", sel), choose)
 
     def selection_dim(self, sel: SelectionSpec | None = None) -> int:
         return sum(math.prod(dims) for _, (_, _, dims) in self.selected_layout(sel))
@@ -434,10 +440,14 @@ class TrajectoryStore:
             self._memo[key] = build()
         return self._memo[key]
 
-    def flatten(self, i: int, sel: SelectionSpec | None = None) -> np.ndarray:
-        """Flattened float64 parameter vector of checkpoint ``i`` (store order)."""
+    def flatten(
+        self, i: int, sel: SelectionSpec | None = None, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Flattened float64 parameter vector of checkpoint ``i`` (store order),
+        written into ``out`` when given."""
         chosen = self.selected_layout(sel)
-        out = np.empty(sum(math.prod(dims) for _, (_, _, dims) in chosen), dtype=np.float64)
+        if out is None:
+            out = np.empty(self.selection_dim(sel), dtype=np.float64)
         if self._cached is None:
             self._read_row(i, *_row_plan(chosen, 0, out.size), out)
             return out
@@ -455,12 +465,24 @@ class TrajectoryStore:
             lambda: np.stack([self.flatten(i, sel) for i in range(self.n_points)]),
         )
 
-    def chunk_matrix(self, sel: SelectionSpec | None, start: int, stop: int) -> np.ndarray:
-        """Columns [start, stop) of matrix(sel), read lazily when not cached."""
+    def chunk_matrix(
+        self, sel: SelectionSpec | None, start: int, stop: int, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Columns [start, stop) of matrix(sel), read lazily when not cached.
+
+        With ``out``, an (n_points, stop - start) float64 array, the columns
+        are written there; a cached store copies them, so its memoised
+        matrix is never handed out for writing.
+        """
         if self._cached is not None:
-            return self.matrix(sel)[:, start:stop]
+            cols = self.matrix(sel)[:, start:stop]
+            if out is None:
+                return cols
+            np.copyto(out, cols)
+            return out
         reads, converts = _row_plan(self.selected_layout(sel), start, stop)
-        out = np.empty((self.n_points, stop - start), dtype=np.float64)
+        if out is None:
+            out = np.empty((self.n_points, stop - start), dtype=np.float64)
         for i in range(self.n_points):
             self._read_row(i, reads, converts, out[i])
         return out

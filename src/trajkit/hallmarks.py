@@ -102,7 +102,8 @@ def _stream_products(
 ) -> _StepProducts:
     """One pass that reads each checkpoint once, in order after theta_0 and
     theta_T (D needs both). It holds theta_0, theta_T, D, d_1, the last k
-    checkpoints, the last k lagged updates and the current step's vectors.
+    checkpoints, the last k lagged updates and the current step's vectors,
+    each in a buffer allocated once and reused from step to step.
     """
     n = store.n_points
     last = n - 1
@@ -117,40 +118,52 @@ def _stream_products(
             )
         cols[name][t] = value
 
+    def ring(size: int) -> list[np.ndarray]:
+        return [np.empty_like(first) for _ in range(size)]
+
     first = store.flatten(0, sel)
     final = store.flatten(last, sel) if last else first
     total = final - first
+    # step s writes slot s % len(ring), so theta_s outlives the k-window,
+    # u_s the next step and v_s the next k steps
+    thetas, upds = ring(k + 1), ring(2)
+    lag_bufs = ring(k + 1) if k > 1 else []
+    disp1, disp_buf = ring(2)
     window: deque = deque(maxlen=k)  # theta_{s-k} .. theta_{s-1}
     lags: deque = deque(maxlen=k)  # v_{s-2k} .. v_{s-k-1}
-    disp1 = prev_disp = prev_upd = None
+    prev_upd = None
     for s in range(n):
-        theta = first if s == 0 else final if s == last else store.flatten(s, sel)
-        disp = theta - first
+        if s == 0:
+            theta = first
+        elif s == last:
+            theta = final
+        else:
+            theta = store.flatten(s, sel, out=thetas[s % (k + 1)])
         dot("theta_theta", s, theta, theta)
         dot("theta_init", s, theta, first)
-        dot("disp_disp", s, disp, disp)
         if s >= 1:
-            if s == 1:
-                disp1 = disp
-            dot("disp_first", s, disp, disp1)
-            dot("disp_total", s, disp, total)
             t, prev = s - 1, window[-1]
-            upd = theta - prev
+            upd = np.subtract(theta, prev, out=upds[s % 2])
             dot("upd_upd", t, upd, upd)
             dot("upd_theta", t, upd, prev)
             dot("upd_total", t, upd, total)
             if t >= 1:
                 dot("upd_prev", t, upd, prev_upd)
-                dot("upd_disp", t, upd, prev_disp)
+                dot("upd_disp", t, upd, disp)  # disp still holds d_t
             prev_upd = upd
+        # d_s replaces d_{s-1}, used for the last time just above; d_1 is kept
+        disp = np.subtract(theta, first, out=disp1 if s == 1 else disp_buf)
+        dot("disp_disp", s, disp, disp)
+        if s >= 1:
+            dot("disp_first", s, disp, disp1)
+            dot("disp_total", s, disp, total)
         if k > 1 and s >= k:
-            lag = theta - window[0]
+            lag = np.subtract(theta, window[0], out=lag_bufs[s % (k + 1)])
             dot("lag_lag", s - k, lag, lag)
             if len(lags) == k:
                 dot("lag_prev", s - k, lag, lags[0])
             lags.append(lag)
         window.append(theta)
-        prev_disp = disp
     if k == 1:
         cols["lag_lag"], cols["lag_prev"] = cols["upd_upd"], cols["upd_prev"]
     return _StepProducts(**cols)

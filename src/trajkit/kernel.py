@@ -1,14 +1,19 @@
 """Gram matrices and cosine-similarity trajectory maps.
 
 All pairwise inner products accumulate in float64 over fixed 4096-element
-chunks whose partial results are combined by a pairwise tree keyed on
-chunk index, so the output is bit-identical regardless of how many
+column chunks whose partial results are combined by a pairwise tree in
+chunk order, so the output is bit-identical regardless of how many
 workers computed the partials. Each chunk is read once however many
-Gram matrices (e.g. K and K0) it feeds.
+Gram matrices (K and K0) it feeds. The calling thread reads the chunks
+into a ring of reused buffers; the products, and the origin shift done
+in place between them, run on worker threads while the next chunk is
+read. Per chunk, a pass allocates only the n x n partials and the
+read's staging row of payload-dtype values.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,6 +25,7 @@ from .errors import (
     DegenerateVector,
     EmptySelection,
     EmptyTrajectory,
+    LayoutMismatch,
     NonFinitePayload,
     OriginOutOfRange,
 )
@@ -107,57 +113,109 @@ def _mirror_upper(m: np.ndarray) -> None:
 
 def _grams(
     store: TrajectoryStore,
-    origins: list[OriginSpec],
     sel: SelectionSpec | None,
+    *,
+    absolute: bool,
+    shift: OriginSpec | None,
     origin_store: TrajectoryStore | None,
     threads: int,
 ) -> list[GramMatrix]:
-    """One Gram matrix per origin, from a single read of each column chunk.
+    """K (when ``absolute``) and then K_shift (when ``shift``), from a single
+    read of each column chunk.
 
     A checkpoint origin is a row of ``origin_store`` when given, otherwise
     a row of ``store`` that is then omitted from the shifted point set.
+    The calling thread reads the chunks in order into a ring of
+    ``min(threads, chunks)`` reused buffers; a pool of one worker fewer
+    shifts each one in place and multiplies it while the next is read.
     """
     p = store.selection_dim(sel)
-    labels = []
-    for origin in origins:
-        if origin.is_absolute:
-            labels.append(list(store.labels))
-            continue
+    n = store.n_points
+    origins, labels = [], []
+    if absolute:
+        origins.append(OriginSpec.absolute())
+        labels.append(list(store.labels))
+    omit = None
+    if shift is not None:
         if origin_store is not None:
-            if not 0 <= origin.tau < origin_store.n_points:
-                raise OriginOutOfRange(f"origin index {origin.tau} not in origin store")
+            if not 0 <= shift.tau < origin_store.n_points:
+                raise OriginOutOfRange(f"origin index {shift.tau} not in origin store")
+            if origin_store.selection_dim(sel) != p:
+                raise LayoutMismatch(
+                    f"origin store selects {origin_store.selection_dim(sel)} parameters, "
+                    f"the store {p}"
+                )
             labels.append(list(store.labels))
-            continue
-        if not 0 <= origin.tau < store.n_points:
-            raise OriginOutOfRange(
-                f"origin index {origin.tau} not in store of {store.n_points} points"
-            )
-        if store.n_points == 1:
-            raise EmptyTrajectory("no points remain after removing the origin row")
-        labels.append([lbl for i, lbl in enumerate(store.labels) if i != origin.tau])
+        else:
+            if not 0 <= shift.tau < n:
+                raise OriginOutOfRange(f"origin index {shift.tau} not in store of {n} points")
+            if n == 1:
+                raise EmptyTrajectory("no points remain after removing the origin row")
+            omit = shift.tau
+            labels.append([lbl for i, lbl in enumerate(store.labels) if i != omit])
+        origins.append(shift)
 
-    def shifted(x: np.ndarray, origin: OriginSpec, start: int, stop: int) -> np.ndarray:
-        if origin.is_absolute:
-            return x
-        if origin_store is not None:
-            return x - origin_store.chunk_matrix(sel, start, stop)[origin.tau]
-        y = np.delete(x, origin.tau, axis=0)
-        y -= x[origin.tau]
-        return y
-
-    def partial(start: int) -> list[np.ndarray]:
-        stop = min(start + CHUNK, p)
-        x = store.chunk_matrix(sel, start, stop)
-        with np.errstate(invalid="ignore", over="ignore"):  # checked once, below
-            blocks = (shifted(x, origin, start, stop) for origin in origins)
-            return [b @ b.T for b in blocks]
-
-    chunk_starts = list(range(0, p, CHUNK)) or [0]
-    if threads > 1 and len(chunk_starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            sums = _tree_sum(ex.map(partial, chunk_starts))
+    chunks = [(a, min(a + CHUNK, p)) for a in range(0, p, CHUNK)] or [(0, 0)]
+    slots = max(1, min(threads, len(chunks)))
+    width = chunks[0][1] - chunks[0][0]
+    # a cached chunk is a view of the store's matrix, copied into the ring
+    # only when the origin shift must write to it
+    ring = not store.is_cached or shift is not None
+    bufs = [np.empty(n * width) if ring else None for _ in range(slots)]
+    # per slot: the origin row saved before the shift overwrites it, or
+    # the origin store's rows of the chunk
+    if shift is None:
+        keeps = [None] * slots
+    elif origin_store is None:
+        keeps = [np.empty(width) for _ in range(slots)]
     else:
-        sums = _tree_sum(map(partial, chunk_starts))
+        keeps = [np.empty(origin_store.n_points * width) for _ in range(slots)]
+
+    def read(k: int, start: int, stop: int):
+        slot, w = k % slots, stop - start
+        out = bufs[slot][: n * w].reshape(n, w) if ring else None
+        x = store.chunk_matrix(sel, start, stop, out=out)
+        keep = keeps[slot]
+        if keep is not None:
+            if origin_store is None:
+                keep = keep[:w]
+            else:
+                rows = keep[: origin_store.n_points * w].reshape(-1, w)
+                keep = origin_store.chunk_matrix(sel, start, stop, out=rows)[shift.tau]
+        return x, keep
+
+    def products(x: np.ndarray, keep: np.ndarray | None) -> list[np.ndarray]:
+        with np.errstate(invalid="ignore", over="ignore"):  # checked once, below
+            out = [x @ x.T] if absolute else []
+            if keep is None:
+                return out
+            if omit is None:
+                x -= keep
+            else:
+                # drop row tau: rows 0..tau-1 each move down one, onto rows 1..tau
+                np.copyto(keep, x[omit])
+                x[omit + 1 :] -= keep
+                for i in range(omit, 0, -1):
+                    np.subtract(x[i - 1], keep, out=x[i])
+                x = x[1:]
+            out.append(x @ x.T)
+            return out
+
+    if slots == 1:
+        sums = _tree_sum(products(*read(k, a, b)) for k, (a, b) in enumerate(chunks))
+    else:
+        with ThreadPoolExecutor(max_workers=slots - 1) as ex:
+
+            def parts():
+                pending: deque = deque()
+                for k, (a, b) in enumerate(chunks):
+                    if len(pending) == slots:  # chunk k - slots frees slot k % slots
+                        yield pending.popleft().result()
+                    pending.append(ex.submit(products, *read(k, a, b)))
+                while pending:
+                    yield pending.popleft().result()
+
+            sums = _tree_sum(parts())
 
     out = []
     for origin, values, point_labels in zip(origins, sums, labels):
@@ -189,7 +247,11 @@ def compute_gram(
     omitted, shrinking n by one. An external origin point is supplied as
     a one-checkpoint ``origin_store``.
     """
-    return _grams(store, [origin], sel, origin_store, threads)[0]
+    shift = None if origin.is_absolute else origin
+    return _grams(
+        store, sel, absolute=shift is None, shift=shift, origin_store=origin_store,
+        threads=threads,
+    )[0]
 
 
 def gram_pair(
@@ -200,10 +262,8 @@ def gram_pair(
     Each is bit-identical to its own ``compute_gram`` call. K0 is None for
     a one-point store, which has no points left once the origin is omitted.
     """
-    origins = [OriginSpec.absolute()]
-    if store.n_points > 1:
-        origins.append(OriginSpec.checkpoint(0))
-    grams = _grams(store, origins, sel, None, threads)
+    shift = OriginSpec.checkpoint(0) if store.n_points > 1 else None
+    grams = _grams(store, sel, absolute=True, shift=shift, origin_store=None, threads=threads)
     return grams[0], grams[1] if len(grams) > 1 else None
 
 

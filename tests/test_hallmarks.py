@@ -266,9 +266,9 @@ def test_step_products_streamed_once_per_lag(rng, monkeypatch):
     reads = []
     flatten = TrajectoryStore.flatten
 
-    def counted(self, i, sel=None):
+    def counted(self, i, sel=None, **kwargs):
         reads.append(i)
-        return flatten(self, i, sel)
+        return flatten(self, i, sel, **kwargs)
 
     monkeypatch.setattr(TrajectoryStore, "flatten", counted)
     for measure in AngularMeasureKind:
@@ -288,3 +288,49 @@ def test_non_finite_checkpoint_raises_in_series():
         angular_series(store, AngularMeasureKind.CONSECUTIVE_UPDATES)
     with pytest.raises(NonFinitePayload):
         norm_series(store, NormMeasureKind.PARAM_NORM)
+
+
+# --- hard trajectories ---
+
+
+def _walk(rng, n, p, step, sign_flip):
+    """theta_t = theta_{t-1} + step |theta_0| unit(0.6 u +- 0.5 v + noise):
+    v's sign alternates when ``sign_flip``, so consecutive updates turn back."""
+    theta = rng.standard_normal(p)
+    u, v = (x / np.linalg.norm(x) for x in rng.standard_normal((2, p)))
+    out = [theta]
+    for t in range(1, n):
+        noise = rng.standard_normal(p)
+        direction = 0.6 * u + (0.5 if t % 2 or not sign_flip else -0.5) * v
+        direction = direction + 0.2 * noise / np.linalg.norm(noise)
+        theta = theta + step * np.linalg.norm(out[0]) * direction / np.linalg.norm(direction)
+        out.append(theta)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize(
+    "step, sign_flip",
+    [(1e-6, False), (1e-6, True), (1e-2, True)],
+    ids=["near_converged", "near_converged_oscillating", "oscillating"],
+)
+@pytest.mark.parametrize("k", [1, 2])
+def test_hard_trajectories_match_oracle(rng, tmp_path, step, sign_flip, k):
+    theta = _walk(rng, 12, 3000, step, sign_flip)
+    ckpts = [
+        Checkpoint(i, f"c{i}", [
+            TensorRecord("a", Dtype.F64, (1200,), row[:1200]),
+            TensorRecord("b", Dtype.F64, (1800,), row[1200:]),
+        ])
+        for i, row in enumerate(theta)
+    ]
+    manifest = write_store(ckpts, tmp_path)
+    for store in (open_store(manifest), open_store(manifest, mem_budget=0)):
+        for measure in AngularMeasureKind:
+            got = angular_series(store, measure, k=k).points
+            want = angular_oracle(theta, measure.value, k=k)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            assert max(abs(a - b) for (_, a), (_, b) in zip(got, want)) <= 1e-9
+        for measure in NormMeasureKind:
+            got = np.array([v for _, v in norm_series(store, measure, k=k).points])
+            want = np.array([v for _, v in norm_oracle(theta, measure.value, k=k)])
+            assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-30)) <= 1e-12

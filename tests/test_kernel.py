@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,10 +23,11 @@ from trajkit.errors import (
     DegenerateVector,
     EmptySelection,
     EmptyTrajectory,
+    LayoutMismatch,
     NonFinitePayload,
     OriginOutOfRange,
 )
-from trajkit.kernel import _tree_sum
+from trajkit.kernel import CHUNK, _tree_sum
 
 from conftest import random_store
 
@@ -292,3 +296,97 @@ def test_non_finite_payload_raises(bad):
         compute_gram(store, OriginSpec.absolute())
     with pytest.raises(NonFinitePayload):
         gram_pair(store)
+
+
+# --- reused chunk buffers ---
+
+
+@pytest.fixture
+def wide_pts(rng):
+    # the last chunk is 123 columns wide
+    return rng.standard_normal((9, 3 * CHUNK + 123)).astype(np.float32)
+
+
+def test_grams_bit_identical_at_any_thread_count(wide_pts, tmp_path):
+    n = wide_pts.shape[0]
+    theta = wide_pts.astype(np.float64)
+    lazy = lazy_f32_store(tmp_path / "store", wide_pts)
+    cached = TrajectoryStore.from_arrays(theta, labels=[f"c{i}" for i in range(n)])
+    external = theta[n // 2] + 0.5
+    origin_stores = (
+        lazy_f32_store(tmp_path / "origin", external[None, :].astype(np.float32)),
+        TrajectoryStore.from_arrays(external.astype(np.float32).astype(np.float64)[None, :]),
+    )
+
+    def grams(store, origin_store, threads):
+        k, k0 = gram_pair(store, threads=threads)
+        out = [k, k0, *(
+            compute_gram(store, OriginSpec.checkpoint(tau), threads=threads)
+            for tau in (0, 2, n // 2, n - 1)  # 0, 2, mid or n - 1 rows move
+        )]
+        out.append(compute_gram(
+            store, OriginSpec.checkpoint(0), origin_store=origin_store, threads=threads
+        ))
+        return out
+
+    want = grams(lazy, origin_stores[0], 1)
+    for tau, gram in zip((0, 0, 2, n // 2, n - 1), want[1:6]):
+        keep = [i for i in range(n) if i != tau]
+        assert gram.point_labels == [f"c{i}" for i in keep]
+        expected = naive_gram(theta[keep], origin=theta[tau])
+        assert np.max(np.abs(gram.values - expected)) <= 1e-9 * np.max(np.abs(expected))
+    expected = naive_gram(theta, origin=origin_stores[1].flatten(0))
+    assert np.max(np.abs(want[6].values - expected)) <= 1e-9 * np.max(np.abs(expected))
+    for threads in (1, 2, 3, 8):
+        for store, origin_store in ((lazy, origin_stores[0]), (cached, origin_stores[1])):
+            for got, ref in zip(grams(store, origin_store, threads), want):
+                assert np.array_equal(got.values, ref.values)
+                assert np.array_equal(got.norms, ref.norms)
+                assert got.point_labels == ref.point_labels
+
+
+def test_ring_buffers_are_not_reused_early_under_thread_switching(rng, tmp_path):
+    # many narrow chunks and more workers than cores; a slot refilled while
+    # a worker still multiplies it changes that chunk's partial
+    pts = rng.standard_normal((5, 40 * CHUNK + 7)).astype(np.float32)
+    store = lazy_f32_store(tmp_path, pts)
+    want = gram_pair(store, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (2, 3, 8) * 3:
+            got = gram_pair(store, threads=threads)
+            assert all(np.array_equal(g.values, w.values) for g, w in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cached_matrix_is_never_written(wide_pts):
+    store = TrajectoryStore.from_arrays(wide_pts.astype(np.float64))
+    before = store.matrix().tobytes()
+    gram_pair(store, threads=2)
+    for tau in (0, 4, 8):
+        compute_gram(store, OriginSpec.checkpoint(tau), threads=3)
+    assert store.matrix().tobytes() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_lazy_gram_pass_holds_at_most_threads_plus_one_chunks(rng, tmp_path, threads):
+    n = 16
+    pts = rng.standard_normal((n, 6 * CHUNK + 100)).astype(np.float32)
+    store = lazy_f32_store(tmp_path, pts)
+    gram_pair(store)  # selection lookups are memoised on the first pass
+    tracemalloc.start()
+    try:
+        gram_pair(store, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (threads + 1) * n * CHUNK * 8 + 64 * n * n * 8
+
+
+def test_origin_store_of_another_width_is_rejected(rng):
+    store = TrajectoryStore.from_arrays(rng.standard_normal((3, 10)))
+    origin_store = TrajectoryStore.from_arrays(rng.standard_normal((1, 11)))
+    with pytest.raises(LayoutMismatch):
+        compute_gram(store, OriginSpec.checkpoint(0), origin_store=origin_store)
