@@ -33,21 +33,21 @@ def main():
     spec = replace(TRAIN_FIXTURE, epochs=15)
     with tempfile.TemporaryDirectory() as tmp:
         record = train(spec, tmp)
-        store = open_store(record.manifest_path)
         print(f"trained {spec.epochs} epochs, final accuracy {record.accuracies[-1]:.3f}")
-        print(f"omega  (absolute origin) = {mds(trajectory_map(store)).omega:.4f}")
-        print(f"omega0 (relative to init) = {mds_relative(store, 0).omega:.4f}")
-        print("angular hallmarks:")
-        for kind in (
-            AngularMeasureKind.CONSECUTIVE_UPDATES,
-            AngularMeasureKind.APEX_AT_ORIGIN,
-            AngularMeasureKind.APEX_AT_INIT,
-            AngularMeasureKind.UPDATE_VS_TOTAL_DISPLACEMENT,
-        ):
-            show(angular_series(store, kind))
-        print("norm hallmarks:")
-        for kind in NormMeasureKind:
-            show(norm_series(store, kind))
+        with open_store(record.manifest_path) as store:
+            print(f"omega  (absolute origin) = {mds(trajectory_map(store)).omega:.4f}")
+            print(f"omega0 (relative to init) = {mds_relative(store, 0).omega:.4f}")
+            print("angular hallmarks:")
+            for kind in (
+                AngularMeasureKind.CONSECUTIVE_UPDATES,
+                AngularMeasureKind.APEX_AT_ORIGIN,
+                AngularMeasureKind.APEX_AT_INIT,
+                AngularMeasureKind.UPDATE_VS_TOTAL_DISPLACEMENT,
+            ):
+                show(angular_series(store, kind))
+            print("norm hallmarks:")
+            for kind in NormMeasureKind:
+                show(norm_series(store, kind))
 
 
 if __name__ == "__main__":

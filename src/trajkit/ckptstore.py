@@ -45,7 +45,6 @@ from .errors import (
 
 MAGIC = b"TRAJCKPT"
 FORMAT_VERSION = 1
-DEFAULT_MEM_BUDGET = 2 << 30
 
 
 class Dtype(enum.IntEnum):
@@ -215,8 +214,8 @@ class _Reader:
         self.f.seek(self.pos)
 
 
-def _read_header(reader: _Reader, payloads: bool):
-    """Parse a checkpoint; with payloads=False records offsets and skips payloads."""
+def _read_header(reader: _Reader):
+    """(name, dtype, dims, payload offset) per tensor; a short payload is TruncatedFile."""
     if reader.take(8) != MAGIC:
         raise BadMagic(f"{reader.path}: not a trajectory checkpoint file")
     version, count = struct.unpack("<II", reader.take(8))
@@ -224,7 +223,6 @@ def _read_header(reader: _Reader, payloads: bool):
         raise UnsupportedVersion(f"{reader.path}: version {version}")
     if count == 0:
         raise InvalidCheckpoint(f"{reader.path}: zero tensors")
-    tensors = []
     offsets = []
     for _ in range(count):
         (name_len,) = struct.unpack("<H", reader.take(2))
@@ -238,20 +236,18 @@ def _read_header(reader: _Reader, payloads: bool):
         except ValueError:
             raise InvalidTensor(f"{reader.path}: unknown dtype code {dtype_code}")
         dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank))
-        nbytes = math.prod(dims) * dtype.np_dtype.itemsize
-        if payloads:
-            raw = reader.take(nbytes)
-            data = np.frombuffer(raw, dtype=dtype.np_dtype).copy()
-            tensors.append(TensorRecord(name, dtype, dims, data))
-        else:
-            offsets.append((name, dtype, tuple(int(d) for d in dims), reader.pos))
-            reader.skip(nbytes)
-    return tensors, offsets
+        offsets.append((name, dtype, tuple(int(d) for d in dims), reader.pos))
+        reader.skip(math.prod(dims) * dtype.np_dtype.itemsize)
+    return offsets
 
 
 def read_checkpoint(path, *, index: int = 0, label: str = "") -> Checkpoint:
     with _Reader(path) as reader:
-        tensors, _ = _read_header(reader, payloads=True)
+        tensors = []
+        for name, dtype, dims, offset in _read_header(reader):
+            data = np.empty(math.prod(dims), dtype=dtype.np_dtype)
+            _pread_into(reader.f.fileno(), memoryview(data).cast("B"), offset, reader.path)
+            tensors.append(TensorRecord(name, dtype, dims, data))
     return Checkpoint(index=index, label=label, tensors=tensors)
 
 
@@ -272,7 +268,7 @@ class _Source:
     fd: int | None = None
 
 
-# Descriptors held by the open lazy stores of this process: the descriptor
+# Descriptors held by the open on-disk stores of this process: the descriptor
 # limit is per process, so their budget is too. A set, because a finalizer
 # may update it from any thread, and add/discard need no lock.
 _HELD: set[int] = set()
@@ -301,7 +297,7 @@ def _pread_into(fd: int, view: memoryview, offset: int, path: Path) -> None:
     while view:
         got = os.preadv(fd, [view], offset)
         if not got:
-            raise TruncatedFile(f"{path}: file shrank after the store was opened")
+            raise TruncatedFile(f"{path}: file shrank after its headers were read")
         view, offset = view[got:], offset + got
 
 
@@ -341,9 +337,11 @@ def _row_plan(chosen, start: int, stop: int):
 class TrajectoryStore:
     """Immutable ordered trajectory with a shared tensor layout.
 
-    A lazy store holds one read descriptor per checkpoint until ``close()``
-    (or its use as a context manager) releases them; a closed store still
-    reads, opening each checkpoint file per read.
+    A store holds the checkpoints it was built from (``from_checkpoints``,
+    ``from_arrays``), or reads them from disk (``open_store``) through one
+    read descriptor per checkpoint until ``close()`` (or its use as a
+    context manager) releases them; a closed store still reads, opening
+    each checkpoint file per read.
     """
 
     def __init__(self, *, indices, labels, layout, cached=None, sources=None):
@@ -359,7 +357,7 @@ class TrajectoryStore:
         self._finalizer = weakref.finalize(self, _release, sources or [])
 
     def close(self) -> None:
-        """Release the checkpoint descriptors a lazy store holds."""
+        """Release the checkpoint descriptors an on-disk store holds."""
         self._finalizer()
 
     def __enter__(self) -> "TrajectoryStore":
@@ -410,6 +408,7 @@ class TrajectoryStore:
 
     @property
     def is_cached(self) -> bool:
+        """Whether the store is in memory rather than read from disk."""
         return self._cached is not None
 
     # selection --------------------------------------------------------
@@ -468,10 +467,10 @@ class TrajectoryStore:
     def chunk_matrix(
         self, sel: SelectionSpec | None, start: int, stop: int, *, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Columns [start, stop) of matrix(sel), read lazily when not cached.
+        """Columns [start, stop) of matrix(sel); an on-disk store reads only these.
 
         With ``out``, an (n_points, stop - start) float64 array, the columns
-        are written there; a cached store copies them, so its memoised
+        are written there; an in-memory store copies them, so its memoised
         matrix is never handed out for writing.
         """
         if self._cached is not None:
@@ -521,18 +520,17 @@ def _check_layout(expected, got, who: str) -> None:
     raise LayoutMismatch(f"checkpoint {who}: layout differs")
 
 
-def open_store(manifest_path, mem_budget: int = DEFAULT_MEM_BUDGET) -> TrajectoryStore:
-    """Load a trajectory manifest; order follows the manifest entry order.
+def open_store(manifest_path) -> TrajectoryStore:
+    """Open a trajectory manifest; order follows the manifest entry order.
 
-    Checkpoints whose total payload exceeds ``mem_budget`` bytes stay on
-    disk and are streamed chunk-wise during kernel computations, through
-    the descriptors opened here to parse their headers.
+    Only the checkpoints' headers are read here. The payloads stay on disk
+    and are read chunk-wise during kernel computations, through the
+    descriptors opened here to parse the headers.
     """
     manifest_path = Path(manifest_path)
     entries = _manifest_entries(manifest_path)
     indices, labels, sources = [], [], []
     layout = None
-    total_bytes = 0
     seen = set()
     budget = _descriptor_budget()
     try:
@@ -543,7 +541,7 @@ def open_store(manifest_path, mem_budget: int = DEFAULT_MEM_BUDGET) -> Trajector
             seen.add(idx)
             path = (manifest_path.parent / entry["path"]).resolve()
             with _Reader(path) as reader:
-                _, offsets = _read_header(reader, payloads=False)
+                offsets = _read_header(reader)
                 fd = os.dup(reader.f.fileno()) if len(sources) < budget else None
             sources.append(_Source(path, offsets, fd))
             if fd is not None:
@@ -555,20 +553,10 @@ def open_store(manifest_path, mem_budget: int = DEFAULT_MEM_BUDGET) -> Trajector
                 _check_layout(layout, this_layout, entry.get("label", str(idx)))
             indices.append(idx)
             labels.append(str(entry.get("label", idx)))
-            total_bytes += sum(
-                math.prod(dims) * d.np_dtype.itemsize for _, d, dims, _ in offsets
-            )
-        store = TrajectoryStore(indices=indices, labels=labels, layout=layout, sources=sources)
-        if total_bytes <= mem_budget:
-            store._cached = [
-                read_checkpoint(src.path, index=idx, label=lbl)
-                for src, idx, lbl in zip(sources, indices, labels)
-            ]
-            store.close()
+        return TrajectoryStore(indices=indices, labels=labels, layout=layout, sources=sources)
     except BaseException:
         _release(sources)
         raise
-    return store
 
 
 def _manifest_entries(manifest_path: Path) -> list[dict]:

@@ -16,7 +16,7 @@ import typing
 from pathlib import Path
 
 from . import __version__, fixtures
-from .ckptstore import DEFAULT_MEM_BUDGET, SelectionSpec, open_store
+from .ckptstore import SelectionSpec, open_store
 from .errors import NoMeasuresRequested, NonFiniteIterate, TrajkitError
 from .hallmarks import (
     AngularMeasureKind,
@@ -26,7 +26,7 @@ from .hallmarks import (
     norm_series,
 )
 from .heatmap import HeatmapStyle, render_svg
-from .kernel import OriginSpec, compute_cosine_map, compute_gram, gram_pair
+from .kernel import CHUNK, OriginSpec, compute_cosine_map, compute_gram, gram_pair
 from .report import (
     AnalysisSummary,
     alignment_json,
@@ -83,7 +83,20 @@ def _add_store_flags(p) -> None:
     p.add_argument("--select", action="append", metavar="GLOB")
     p.add_argument("--exclude", action="append", metavar="GLOB")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET)
+    p.add_argument(
+        "--mem-budget", type=int, default=2 << 30, metavar="BYTES",
+        help="bounds the Gram pass's ring of n x 4096 float64 chunk buffers: at most "
+        "BYTES // (n * 4096 * 8) of them, and at most --threads, but always one. "
+        "The hallmark series' few p-length vectors are outside it. Default 2 GiB",
+    )
+
+
+def _ring_slots(args, store) -> int:
+    """--threads, lowered to the chunk buffers --mem-budget holds (at least one)."""
+    if args.threads < 1 or args.mem_budget < 0:
+        raise UsageError(f"--threads must be >= 1 and --mem-budget >= 0, got "
+                         f"{args.threads} and {args.mem_budget}")
+    return max(1, min(args.threads, args.mem_budget // (store.n_points * CHUNK * 8)))
 
 
 ANGULAR_NAMES = {m.value: m for m in AngularMeasureKind}
@@ -142,8 +155,8 @@ def _out_dir(args) -> Path:
 def cmd_map(args) -> int:
     sel = _selection(args)
     origin = _parse_origin(args.origin)
-    with open_store(args.manifest, mem_budget=args.mem_budget) as store:
-        gram = compute_gram(store, origin, sel, threads=args.threads)
+    with open_store(args.manifest) as store:
+        gram = compute_gram(store, origin, sel, threads=_ring_slots(args, store))
     cosmap = compute_cosine_map(gram)
     style = HeatmapStyle(v_min=args.vmin, v_max=args.vmax, cell_px=args.cell_px)
     out = _out_dir(args)
@@ -154,7 +167,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_hallmarks(args) -> int:
-    with open_store(args.manifest, mem_budget=args.mem_budget) as store:
+    with open_store(args.manifest) as store:
         return _hallmarks(args, store)
 
 
@@ -174,7 +187,7 @@ def _hallmarks(args, store) -> int:
         n=store.n_points,
         p=store.selection_dim(sel),
     )
-    gram, gram0 = gram_pair(store, sel, threads=args.threads)
+    gram, gram0 = gram_pair(store, sel, threads=_ring_slots(args, store))
     summary.omega = mds(compute_cosine_map(gram)).omega
     if gram0 is not None:
         summary.omega0 = mds(compute_cosine_map(gram0)).omega
@@ -195,8 +208,8 @@ def _hallmarks(args, store) -> int:
 
 def cmd_spectra(args) -> int:
     sel = _selection(args)
-    with open_store(args.manifest, mem_budget=args.mem_budget) as store:
-        spectra = trajectory_spectra(store, sel, threads=args.threads)
+    with open_store(args.manifest) as store:
+        spectra = trajectory_spectra(store, sel, threads=_ring_slots(args, store))
     out = _out_dir(args)
     for matrix_id, summary in spectra.items():
         write_spectrum_csv(summary, out / f"{matrix_id.value}.csv")

@@ -4,10 +4,10 @@ All pairwise inner products accumulate in float64 over fixed 4096-element
 column chunks whose partial results are combined by a pairwise tree in
 chunk order, so the output is bit-identical regardless of how many
 workers computed the partials. Each chunk is read once however many
-Gram matrices (K and K0) it feeds. The calling thread reads the chunks
-into a ring of reused buffers; the products, and the origin shift done
-in place between them, run on worker threads while the next chunk is
-read. Per chunk, a pass allocates only the n x n partials and the
+Gram matrices (K and K0) it feeds. The calling thread reads the chunks,
+from any store, into a ring of reused buffers; the products, and the
+origin shift done in place between them, run on worker threads while the
+next chunk is read. Per chunk, a pass allocates only the n x n partials and the
 read's staging row of payload-dtype values.
 """
 
@@ -126,8 +126,9 @@ def _grams(
     A checkpoint origin is a row of ``origin_store`` when given, otherwise
     a row of ``store`` that is then omitted from the shifted point set.
     The calling thread reads the chunks in order into a ring of
-    ``min(threads, chunks)`` reused buffers; a pool of one worker fewer
-    shifts each one in place and multiplies it while the next is read.
+    ``min(threads, chunks)`` reused n x CHUNK float64 buffers; a pool of one
+    worker fewer shifts each one in place and multiplies it while the next
+    is read.
     """
     p = store.selection_dim(sel)
     n = store.n_points
@@ -158,10 +159,7 @@ def _grams(
     chunks = [(a, min(a + CHUNK, p)) for a in range(0, p, CHUNK)] or [(0, 0)]
     slots = max(1, min(threads, len(chunks)))
     width = chunks[0][1] - chunks[0][0]
-    # a cached chunk is a view of the store's matrix, copied into the ring
-    # only when the origin shift must write to it
-    ring = not store.is_cached or shift is not None
-    bufs = [np.empty(n * width) if ring else None for _ in range(slots)]
+    bufs = [np.empty(n * width) for _ in range(slots)]
     # per slot: the origin row saved before the shift overwrites it, or
     # the origin store's rows of the chunk
     if shift is None:
@@ -173,8 +171,7 @@ def _grams(
 
     def read(k: int, start: int, stop: int):
         slot, w = k % slots, stop - start
-        out = bufs[slot][: n * w].reshape(n, w) if ring else None
-        x = store.chunk_matrix(sel, start, stop, out=out)
+        x = store.chunk_matrix(sel, start, stop, out=bufs[slot][: n * w].reshape(n, w))
         keep = keeps[slot]
         if keep is not None:
             if origin_store is None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hallmarks, kernel
-from .ckptstore import Checkpoint, Dtype, TensorRecord, open_store, write_store
+from .ckptstore import Checkpoint, Dtype, TensorRecord, TrajectoryStore, write_store
 from .errors import NonFiniteLoss
 from .rng import Rng
 
@@ -74,6 +74,7 @@ class TrainRunRecord:
     accuracies: list[float]
     manifest_path: str
     wall_clock_s: float
+    checkpoints: list[Checkpoint] = field(repr=False)  # the store's, not in record.json
 
 
 def make_blobs(spec: BlobSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -212,6 +213,7 @@ def train(spec: TrainSpec, out_dir) -> TrainRunRecord:
         accuracies=accuracies,
         manifest_path=str(manifest_path),
         wall_clock_s=time.monotonic() - t0,
+        checkpoints=checkpoints,
     )
     (out_dir / "record.json").write_text(
         json.dumps(
@@ -237,9 +239,7 @@ def hyperparameter_grid(
     out_dir = Path(out_dir)
     results = []
     for name, mu, wd in variants:
-        spec = replace(base, mu=mu, wd=wd)
-        run_dir = out_dir / name
-        record = train(spec, run_dir)
-        store = open_store(record.manifest_path)
+        record = train(replace(base, mu=mu, wd=wd), out_dir / name)
+        store = TrajectoryStore.from_checkpoints(record.checkpoints)
         results.append((name, hallmarks.mds(kernel.trajectory_map(store))))
     return results

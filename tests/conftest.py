@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,7 +7,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from trajkit import Checkpoint, Dtype, TensorRecord, TrajectoryStore
+from trajkit import (
+    Checkpoint,
+    Dtype,
+    TensorRecord,
+    TrajectoryStore,
+    read_checkpoint,
+    write_store,
+)
 
 
 def random_store(rng: np.random.Generator, n: int, p: int) -> TrajectoryStore:
@@ -23,6 +31,31 @@ def random_checkpoint(rng: np.random.Generator, index: int = 0, max_rank: int = 
         data = rng.standard_normal(nel).astype(dtype.np_dtype)
         tensors.append(TensorRecord(f"t{ti}.x", dtype, dims, data))
     return Checkpoint(index=index, label=f"ckpt{index}", tensors=tensors)
+
+
+def mixed_dtype_store(tmp_path, n=5):
+    """Tensors of F16/F32/F64 whose sizes put 4096-column chunk edges inside them."""
+    rng = np.random.default_rng(3)
+    shapes = [("a", Dtype.F16, (3000,)), ("b", Dtype.F32, (50, 100)), ("c", Dtype.F64, (2500,)),
+              ("d", Dtype.F32, (1234,)), ("e", Dtype.F32, (7,)), ("f", Dtype.F16, (3, 3))]
+    ckpts = [
+        Checkpoint(i, f"c{i}", [
+            TensorRecord(name, dtype, dims, rng.standard_normal(int(np.prod(dims))))
+            for name, dtype, dims in shapes
+        ])
+        for i in range(n)
+    ]
+    return write_store(ckpts, tmp_path)
+
+
+def in_memory_store(manifest) -> TrajectoryStore:
+    """The trajectory ``open_store(manifest)`` opens, built in memory from its
+    checkpoints by ``TrajectoryStore.from_checkpoints``."""
+    manifest = Path(manifest)
+    return TrajectoryStore.from_checkpoints([
+        read_checkpoint(manifest.parent / e["path"], index=e["index"], label=e["label"])
+        for e in json.loads(manifest.read_text())["checkpoints"]
+    ])
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ import trajkit
 from trajkit import ckptstore
 from trajkit.cli import main
 from trajkit.kernel import OriginSpec, compute_gram
-from conftest import random_checkpoint
+from conftest import in_memory_store, mixed_dtype_store, random_checkpoint
 
 
 def simple_ckpt():
@@ -240,7 +240,7 @@ def test_malformed_manifest_document_is_typed(tmp_path, text):
 def test_file_shrunk_after_open_is_truncated(tmp_path):
     ckpts = [two_tensor_ckpt(i, [i, i], np.full((2, 2), i)) for i in range(2)]
     manifest = write_store(ckpts, tmp_path)
-    lazy = open_store(manifest, mem_budget=0)
+    lazy = open_store(manifest)
     path = tmp_path / "ckpt_000001.trajckpt"
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(TruncatedFile):
@@ -290,7 +290,7 @@ def test_lazy_open_reads_headers_only(tmp_path, monkeypatch):
         raise AssertionError(f"read_bytes({self})")
 
     monkeypatch.setattr(Path, "read_bytes", no_whole_file_reads)
-    lazy = open_store(manifest, mem_budget=0)
+    lazy = open_store(manifest)
     assert not lazy.is_cached
     # magic + version/count, then per tensor name length, name, dtype/rank, dims
     header = 16 + (2 + 7 + 2 + 16) + (2 + 7 + 2 + 8)
@@ -305,9 +305,9 @@ def test_lazy_open_of_short_payload_is_truncated(tmp_path):
     path = tmp_path / "ckpt_000001.trajckpt"
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(TruncatedFile):
-        open_store(manifest, mem_budget=0)
-    with pytest.raises(TruncatedFile):
         open_store(manifest)
+    with pytest.raises(TruncatedFile):
+        read_checkpoint(path)
 
 
 # --- flatten / selection ---
@@ -370,15 +370,14 @@ def test_lazy_store_matches_cached(tmp_path, rng):
                 ],
             )
         ckpts.append(c)
-    manifest = write_store(ckpts, tmp_path)
-    cached = open_store(manifest)
-    lazy = open_store(manifest, mem_budget=0)
-    assert cached.is_cached and not lazy.is_cached
-    for i in range(3):
-        np.testing.assert_array_equal(cached.flatten(i), lazy.flatten(i))
-    np.testing.assert_array_equal(
-        cached.matrix()[:, 1:3], lazy.chunk_matrix(None, 1, 3)
-    )
+    cached = TrajectoryStore.from_checkpoints(ckpts)
+    with open_store(write_store(ckpts, tmp_path)) as lazy:
+        assert cached.is_cached and not lazy.is_cached
+        for i in range(3):
+            np.testing.assert_array_equal(cached.flatten(i), lazy.flatten(i))
+        np.testing.assert_array_equal(
+            cached.matrix()[:, 1:3], lazy.chunk_matrix(None, 1, 3)
+        )
 
 
 # --- lazy reads through held descriptors ---
@@ -398,9 +397,7 @@ def test_lazy_store_holds_one_descriptor_per_checkpoint_until_closed(tmp_path):
     ckpts = [two_tensor_ckpt(i, [i, 1], np.full((2, 2), i)) for i in range(5)]
     manifest = write_store(ckpts, tmp_path)
     baseline = open_fds()
-    cached = open_store(manifest)
-    assert cached.is_cached and open_fds() == baseline
-    with open_store(manifest, mem_budget=0) as lazy:
+    with open_store(manifest) as lazy:
         assert open_fds() == baseline + 5
         expected = lazy.matrix()
     assert open_fds() == baseline
@@ -408,7 +405,7 @@ def test_lazy_store_holds_one_descriptor_per_checkpoint_until_closed(tmp_path):
     np.testing.assert_array_equal(lazy.chunk_matrix(None, 1, 5), expected[:, 1:5])
     assert open_fds() == baseline
     lazy.close()
-    again = open_store(manifest, mem_budget=0)
+    again = open_store(manifest)
     del again  # the finalizer releases a store that was never closed
     assert open_fds() == baseline
 
@@ -420,29 +417,14 @@ def test_failed_open_releases_descriptors(tmp_path):
     (tmp_path / "ckpt_000002.trajckpt").write_bytes(b"NOTACKPT" + bytes(40))
     baseline = open_fds()
     with pytest.raises(BadMagic):
-        open_store(manifest, mem_budget=0)
+        open_store(manifest)
     assert open_fds() == baseline
-
-
-def mixed_dtype_store(tmp_path, n=5):
-    """Tensors of F16/F32/F64 whose sizes put 4096-column chunk edges inside them."""
-    rng = np.random.default_rng(3)
-    shapes = [("a", Dtype.F16, (3000,)), ("b", Dtype.F32, (50, 100)), ("c", Dtype.F64, (2500,)),
-              ("d", Dtype.F32, (1234,)), ("e", Dtype.F32, (7,)), ("f", Dtype.F16, (3, 3))]
-    ckpts = [
-        Checkpoint(i, f"c{i}", [
-            TensorRecord(name, dtype, dims, rng.standard_normal(int(np.prod(dims))))
-            for name, dtype, dims in shapes
-        ])
-        for i in range(n)
-    ]
-    return write_store(ckpts, tmp_path)
 
 
 def test_lazy_chunks_straddling_mixed_dtype_tensors_match_cached(tmp_path):
     manifest = mixed_dtype_store(tmp_path)
-    cached = open_store(manifest)
-    with open_store(manifest, mem_budget=0) as lazy:
+    cached = in_memory_store(manifest)
+    with open_store(manifest) as lazy:
         p = lazy.dim_p
         for start, stop in [(0, p), (0, 4096), (4096, 8192), (8192, p), (2999, 3001),
                             (7999, 8001), (p - 10, p), (3000, 3000)]:
@@ -465,7 +447,7 @@ def test_store_past_the_descriptor_limit_reads_per_checkpoint(tmp_path):
         for i in range(n)
     ]
     manifest = str(write_store(ckpts, tmp_path / "store"))
-    assert main(["map", "--manifest", manifest, "--out", str(tmp_path / "cached")]) == 0
+    assert main(["map", "--manifest", manifest, "--out", str(tmp_path / "held")]) == 0
     lazy_out = str(tmp_path / "lazy")
     # the lowered limit holds in the child process only
     child = f"""
@@ -474,10 +456,10 @@ from trajkit import open_store
 from trajkit.cli import main
 _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
 resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))
-with open_store({manifest!r}, mem_budget=0) as store:
+with open_store({manifest!r}) as store:
     print(sum(src.fd is not None for src in store._sources))
-raise SystemExit(main(["map", "--manifest", {manifest!r}, "--mem-budget", "0",
-                       "--threads", "2", "--out", {lazy_out!r}]))
+raise SystemExit(main(["map", "--manifest", {manifest!r}, "--threads", "2",
+                       "--out", {lazy_out!r}]))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -487,5 +469,5 @@ raise SystemExit(main(["map", "--manifest", {manifest!r}, "--mem-budget", "0",
     assert done.returncode == 0, done.stderr
     assert 0 < int(done.stdout.splitlines()[0]) < n
     assert (tmp_path / "lazy" / "map.csv").read_bytes() == (
-        tmp_path / "cached" / "map.csv"
+        tmp_path / "held" / "map.csv"
     ).read_bytes()

@@ -1,10 +1,22 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from trajkit import Checkpoint, Dtype, TensorRecord, TrajectoryStore, write_store
+from conftest import in_memory_store, mixed_dtype_store
+from trajkit import (
+    Checkpoint,
+    Dtype,
+    TensorRecord,
+    TrajectoryStore,
+    cli,
+    mds,
+    open_store,
+    trajectory_map,
+    write_store,
+)
 from trajkit.cli import main
 
 
@@ -222,7 +234,7 @@ def test_train_grid(tmp_path, capsys):
         json.dumps(
             {
                 "train": {
-                    "layer_sizes": [6, 8, 2],
+                    "layer_sizes": [6, 640, 2],  # 5762 parameters: two column chunks
                     "data": {"samples_per_class": 8, "dim": 6, "seed": 3},
                     "epochs": 2,
                     "batch_size": 8,
@@ -240,6 +252,56 @@ def test_train_grid(tmp_path, capsys):
     report = json.loads((out / "grid.json").read_text())
     assert set(report) == {"a", "b"}
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in report.values())
+    # the grid's in-memory omega is the one its written store gives on disk
+    for name, omega in report.items():
+        with open_store(out / name / "manifest.json") as store:
+            for threads in (1, 2, 3):
+                assert mds(trajectory_map(store, threads=threads)).omega == omega
+
+
+def test_on_disk_and_in_memory_outputs_are_bit_equal(tmp_path, monkeypatch):
+    manifest = str(mixed_dtype_store(tmp_path / "store"))
+    runs = [["map"], ["map", "--origin", "ckpt:2"], ["hallmarks", "--measure", "all"], ["spectra"]]
+
+    def outputs(threads: int) -> dict[str, bytes]:
+        files = {}
+        for i, verb in enumerate(runs):
+            out = tmp_path / "out" / str(i)  # summary.json names its series files
+            argv = [*verb, "--manifest", manifest, "--threads", str(threads), "--out", str(out)]
+            assert main(argv) == 0
+            files.update({f"{i}/{f.name}": f.read_bytes() for f in out.iterdir()})
+        return files
+
+    want = outputs(1)
+    # map.csv + map.svg twice, 11 series CSVs + summary.json, K/K0/C/C0
+    assert len(want) == 2 + 2 + 12 + 4
+    for threads in (2, 3):
+        assert outputs(threads) == want
+    monkeypatch.setattr(cli, "open_store", in_memory_store)
+    for threads in (1, 2, 3):
+        assert outputs(threads) == want
+
+
+def test_mem_budget_caps_the_gram_ring(tmp_path):
+    n, chunks = 16, 4
+    slot = n * 4096 * 8  # one float64 chunk buffer
+    ckpts = [
+        Checkpoint(i, f"e{i}", [TensorRecord("w", Dtype.F32, (chunks * 4096,),
+                                             np.full(chunks * 4096, i + 1.0))])
+        for i in range(n)
+    ]
+    manifest = str(write_store(ckpts, tmp_path / "store"))
+    argv = ["map", "--manifest", manifest, "--threads", "3", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0  # first-use allocations of the verb are not the pass's
+    for slots in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--mem-budget", str(slots * slot + slot - 1)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the ring, plus O(n^2) partials, staging rows and output text
+        assert slots * slot <= peak <= slots * slot + 1000 * n * n
 
 
 # --- error contract ---
@@ -293,12 +355,21 @@ def test_analysis_verbs_close_their_stores(linear_manifest, tmp_path, capsys, mo
     monkeypatch.setattr(TrajectoryStore, "close", lambda self: closed.append(close(self)))
     baseline = len(os.listdir("/proc/self/fd"))
     for threads in ("1", "2"):
-        argv = [*verb, "--manifest", linear_manifest, "--mem-budget", "0", "--threads", threads]
+        argv = [*verb, "--manifest", linear_manifest, "--threads", threads]
         assert main([*argv, "--out", str(tmp_path / threads)]) == 0
         # fails once the store is open
         assert main([*argv, "--select", "nothing", "--out", str(tmp_path / "x")]) == 2
     assert len(closed) == 4
     assert len(os.listdir("/proc/self/fd")) == baseline
+
+
+@pytest.mark.parametrize(
+    "flag", [["--threads", "0"], ["--threads", "-3"], ["--mem-budget", "-1"]]
+)
+@pytest.mark.parametrize("verb", [["map"], ["hallmarks", "--measure", "all"], ["spectra"]])
+def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, verb, flag):
+    argv = [*verb, "--manifest", linear_manifest, *flag, "--out", str(tmp_path / "o")]
+    assert run_error(argv, capsys) == (1, "UsageError")
 
 
 def test_hallmarks_bad_lag_is_usage_error(linear_manifest, tmp_path, capsys):

@@ -239,8 +239,8 @@ def test_streamed_series_bit_identical_without_matrix(rng, tmp_path, monkeypatch
         ])
         for i, row in enumerate(pts)
     ]
-    cached = open_store(write_store(ckpts, tmp_path))
-    lazy = open_store(tmp_path / "manifest.json", mem_budget=0)
+    cached = TrajectoryStore.from_checkpoints(ckpts)
+    lazy = open_store(write_store(ckpts, tmp_path))
     theta = pts.astype(np.float64)
 
     def no_matrix(self, sel=None):
@@ -324,7 +324,7 @@ def test_hard_trajectories_match_oracle(rng, tmp_path, step, sign_flip, k):
         for i, row in enumerate(theta)
     ]
     manifest = write_store(ckpts, tmp_path)
-    for store in (open_store(manifest), open_store(manifest, mem_budget=0)):
+    for store in (TrajectoryStore.from_checkpoints(ckpts), open_store(manifest)):
         for measure in AngularMeasureKind:
             got = angular_series(store, measure, k=k).points
             want = angular_oracle(theta, measure.value, k=k)

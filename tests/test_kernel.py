@@ -249,7 +249,7 @@ def lazy_f32_store(tmp_path, pts):
         Checkpoint(i, f"c{i}", [TensorRecord("w", Dtype.F32, (pts.shape[1],), row)])
         for i, row in enumerate(pts)
     ]
-    return open_store(write_store(ckpts, tmp_path), mem_budget=0)
+    return open_store(write_store(ckpts, tmp_path))
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -3,8 +3,9 @@
 A small valid store is damaged in one way per example: a checkpoint file
 or the manifest is truncated, one of its bits is flipped, or the manifest
 is replaced by arbitrary JSON. ``map``, ``hallmarks`` and ``spectra``
-then run on it through ``cli.main``, on the lazy path (``--mem-budget 0``)
-or the cached one. Whatever the damage, a run exits 0, 1, 2 or 3, writes
+then run on it through ``cli.main``, with the Gram pass on the calling
+thread alone or with a worker (``--threads 2``). Whatever the damage, a
+run exits 0, 1, 2 or 3, writes
 at most one line to stderr, that line is JSON, and no exception or
 warning escapes.
 """
@@ -69,7 +70,7 @@ damage = st.one_of(
 )
 runs = st.tuples(
     st.sampled_from([["map"], ["hallmarks", "--measure", "all"], ["spectra"]]),
-    st.sampled_from([["--mem-budget", "0"], []]),
+    st.sampled_from([["--threads", "2"], []]),
 )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from trajkit import (
     train,
     trajectory_map,
 )
+from trajkit import kernel
 from trajkit.fixtures import TRAIN_FIXTURE
 from trajkit.trajgen import make_blobs
 
@@ -57,15 +59,15 @@ def test_make_blobs_shapes_and_means():
 
 def test_zero_epochs_single_checkpoint(tmp_path):
     record = train(small_spec(epochs=0), tmp_path)
-    store = open_store(record.manifest_path)
-    assert store.n_points == 1
+    with open_store(record.manifest_path) as store:
+        assert store.n_points == 1
     assert record.losses == [] and record.accuracies == []
 
 
 def test_ckpt_every_and_final_epoch(tmp_path):
     record = train(small_spec(epochs=5, ckpt_every=2), tmp_path)
-    store = open_store(record.manifest_path)
-    assert store.indices == [0, 2, 4, 5]
+    with open_store(record.manifest_path) as store:
+        assert store.indices == [0, 2, 4, 5]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -104,22 +106,23 @@ def test_linear_model_squared_loss_matches_closed_form(tmp_path):
         loss="squared",
     )
     record = train(spec, tmp_path)
-    store = open_store(record.manifest_path)
+    with open_store(record.manifest_path) as store:
+        init = store.flatten(0)
+        final = store.flatten(store.n_points - 1)
 
     x, y = make_blobs(spec.data)
     n = x.shape[0]
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), y] = 1.0
     # replay the store's init, then iterate the exact GD recursion
-    w = store.flatten(0)[:12].reshape(6, 2).copy()
-    b = store.flatten(0)[12:].copy()
+    w = init[:12].reshape(6, 2).copy()
+    b = init[12:].copy()
     for _ in range(5):
         diff = (x @ w + b) - onehot
         gw = x.T @ (diff / n)
         gb = (diff / n).sum(axis=0)
         w -= spec.eta * gw
         b -= spec.eta * gb
-    final = store.flatten(store.n_points - 1)
     expected = np.concatenate([w.ravel(), b])
     assert np.max(np.abs(final - expected)) <= 1e-8
 
@@ -128,10 +131,30 @@ def test_grid_single_variant_matches_direct_run(tmp_path):
     spec = small_spec()
     results = hyperparameter_grid(spec, [("only", spec.mu, spec.wd)], tmp_path / "g")
     record = train(spec, tmp_path / "direct")
-    direct_omega = mds(trajectory_map(open_store(record.manifest_path))).omega
+    with open_store(record.manifest_path) as store:
+        direct_omega = mds(trajectory_map(store)).omega
     [(name, res)] = results
     assert name == "only"
     assert res.omega == direct_omega
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_grid_computes_omega_without_holding_descriptors(tmp_path, monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    baseline = open_fds()
+    during = []
+    tmap = kernel.trajectory_map
+
+    def counted(store, *args, **kwargs):
+        during.append(open_fds())
+        return tmap(store, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "trajectory_map", counted)
+    hyperparameter_grid(small_spec(), [("a", 0.9, 1e-4), ("b", 0.0, 0.0)], tmp_path)
+    assert during == [baseline, baseline]
+    assert open_fds() == baseline
 
 
 def test_grid_empty_variants_rejected(tmp_path):
@@ -141,14 +164,14 @@ def test_grid_empty_variants_rejected(tmp_path):
 
 def test_emitted_store_feeds_analysis(tmp_path):
     record = train(small_spec(epochs=6), tmp_path)
-    store = open_store(record.manifest_path)
-    cm = trajectory_map(store)
-    assert cm.n == store.n_points
-    assert np.all(np.isfinite(cm.values))
-    omega = mds(cm).omega
-    assert -1e-12 <= omega <= 1.0 + 1e-12
-    series = angular_series(store, AngularMeasureKind.CONSECUTIVE_UPDATES)
-    assert len(series.points) == store.n_points - 2
+    with open_store(record.manifest_path) as store:
+        cm = trajectory_map(store)
+        assert cm.n == store.n_points
+        assert np.all(np.isfinite(cm.values))
+        omega = mds(cm).omega
+        assert -1e-12 <= omega <= 1.0 + 1e-12
+        series = angular_series(store, AngularMeasureKind.CONSECUTIVE_UPDATES)
+        assert len(series.points) == store.n_points - 2
 
 
 def test_layer_size_mismatch_rejected(tmp_path):
