@@ -3,12 +3,14 @@
 All pairwise inner products accumulate in float64 over fixed 4096-element
 column chunks whose partial results are combined by a pairwise tree in
 chunk order, so the output is bit-identical regardless of how many
-workers computed the partials. Each chunk is read once however many
-Gram matrices (K and K0) it feeds. The calling thread reads the chunks,
-from any store, into a ring of reused buffers; the products, and the
-origin shift done in place between them, run on worker threads while the
-next chunk is read. Per chunk, a pass allocates only the n x n partials and the
-read's staging row of payload-dtype values.
+workers computed the partials. A pass reads each chunk once and
+multiplies one basis per chunk: the raw rows for the absolute origin, or
+the rows shifted by the origin. K and K0 come from K0's pass, K derived
+from it unless that would cancel. The calling thread reads the chunks,
+from any store, into a ring of reused buffers; the shift, done in place,
+and the product run on worker threads while the next chunk is read. Per
+chunk, a pass allocates only the n x n partial and the read's staging
+row of payload-dtype values.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .errors import (
 
 CHUNK = 4096
 EPS_NORM = 1e-30
+# gram_pair derives K from K0's pass while every (|theta_0| + |theta_i -
+# theta_0|)^2 / K_ii stays within this; the derived cosines' error measured
+# 3-7e-17 times that ratio, so at most about 1e-14 here
+CANCEL_BOUND = 128.0
 
 
 @dataclass(frozen=True)
@@ -79,30 +85,23 @@ class CosineMap:
         return self.values.shape[0]
 
 
-def _tree_sum(parts: Iterable[list[np.ndarray]]) -> list[np.ndarray]:
+def _tree_sum(parts: Iterable[np.ndarray]) -> np.ndarray:
     """Pairwise sum in fixed order; independent of how parts were produced.
 
     Neighbours are added level by level and an odd last part moves up a
     level unchanged. The parts are consumed as they arrive: a binary
     counter holds one partial per level, so at most log2(chunks) + 1.
-    Each part is a list of arrays, summed position by position.
     """
-
-    def add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-        for x, y in zip(a, b):
-            x += y
-        return a
-
-    levels: list[list[np.ndarray]] = []
+    levels: list[np.ndarray] = []
     for count, part in enumerate(parts, 1):
         levels.append(part)
         while count % 2 == 0:
             right = levels.pop()
-            levels.append(add(levels.pop(), right))
+            levels[-1] += right
             count //= 2
     while len(levels) > 1:
         right = levels.pop()
-        levels.append(add(levels.pop(), right))
+        levels[-1] += right
     return levels[0]
 
 
@@ -111,95 +110,74 @@ def _mirror_upper(m: np.ndarray) -> None:
     m[(iu[1], iu[0])] = m[iu]
 
 
-def _grams(
+def _gram_matrix(values: np.ndarray, origin: OriginSpec, labels: list[str]) -> GramMatrix:
+    norms = np.sqrt(np.maximum(np.diagonal(values), 0.0))
+    return GramMatrix(values=values, norms=norms, origin=origin, point_labels=labels)
+
+
+def _gram(
     store: TrajectoryStore,
     sel: SelectionSpec | None,
-    *,
-    absolute: bool,
-    shift: OriginSpec | None,
+    origin: OriginSpec,
     origin_store: TrajectoryStore | None,
     threads: int,
-) -> list[GramMatrix]:
-    """K (when ``absolute``) and then K_shift (when ``shift``), from a single
-    read of each column chunk.
+) -> np.ndarray:
+    """The n x n Gram matrix of one basis, from one read of each column chunk.
 
-    A checkpoint origin is a row of ``origin_store`` when given, otherwise
-    a row of ``store`` that is then omitted from the shifted point set.
-    The calling thread reads the chunks in order into a ring of
-    ``min(threads, chunks)`` reused n x CHUNK float64 buffers; a pool of one
-    worker fewer shifts each one in place and multiplies it while the next
-    is read.
+    The basis is the raw rows for the absolute origin, and the rows less
+    the origin for a row ``tau`` of ``origin_store``. For a row ``tau`` of
+    ``store`` it is the rows less row tau, with row tau itself kept, so
+    K_tau is the result without row and column tau. The calling thread
+    reads the chunks in order into a ring of ``min(threads, chunks)``
+    reused n x CHUNK float64 buffers; a pool of one worker fewer shifts
+    each one in place and multiplies it while the next is read.
     """
     p = store.selection_dim(sel)
     n = store.n_points
-    origins, labels = [], []
-    if absolute:
-        origins.append(OriginSpec.absolute())
-        labels.append(list(store.labels))
-    omit = None
-    if shift is not None:
-        if origin_store is not None:
-            if not 0 <= shift.tau < origin_store.n_points:
-                raise OriginOutOfRange(f"origin index {shift.tau} not in origin store")
-            if origin_store.selection_dim(sel) != p:
-                raise LayoutMismatch(
-                    f"origin store selects {origin_store.selection_dim(sel)} parameters, "
-                    f"the store {p}"
-                )
-            labels.append(list(store.labels))
-        else:
-            if not 0 <= shift.tau < n:
-                raise OriginOutOfRange(f"origin index {shift.tau} not in store of {n} points")
-            if n == 1:
-                raise EmptyTrajectory("no points remain after removing the origin row")
-            omit = shift.tau
-            labels.append([lbl for i, lbl in enumerate(store.labels) if i != omit])
-        origins.append(shift)
+    tau = origin.tau
+    if tau is None:
+        origin_store = None
+    if origin_store is not None:
+        if not 0 <= tau < origin_store.n_points:
+            raise OriginOutOfRange(f"origin index {tau} not in origin store")
+        if origin_store.selection_dim(sel) != p:
+            raise LayoutMismatch(
+                f"origin store selects {origin_store.selection_dim(sel)} parameters, "
+                f"the store {p}"
+            )
+    elif tau is not None:
+        if not 0 <= tau < n:
+            raise OriginOutOfRange(f"origin index {tau} not in store of {n} points")
+        if n == 1:
+            raise EmptyTrajectory("no points remain after removing the origin row")
 
     chunks = [(a, min(a + CHUNK, p)) for a in range(0, p, CHUNK)] or [(0, 0)]
     slots = max(1, min(threads, len(chunks)))
     width = chunks[0][1] - chunks[0][0]
     bufs = [np.empty(n * width) for _ in range(slots)]
-    # per slot: the origin row saved before the shift overwrites it, or
-    # the origin store's rows of the chunk
-    if shift is None:
-        keeps = [None] * slots
-    elif origin_store is None:
-        keeps = [np.empty(width) for _ in range(slots)]
-    else:
-        keeps = [np.empty(origin_store.n_points * width) for _ in range(slots)]
+    # per slot: the origin store's rows of the chunk
+    if origin_store is not None:
+        ext = [np.empty(origin_store.n_points * width) for _ in range(slots)]
 
     def read(k: int, start: int, stop: int):
         slot, w = k % slots, stop - start
         x = store.chunk_matrix(sel, start, stop, out=bufs[slot][: n * w].reshape(n, w))
-        keep = keeps[slot]
-        if keep is not None:
-            if origin_store is None:
-                keep = keep[:w]
-            else:
-                rows = keep[: origin_store.n_points * w].reshape(-1, w)
-                keep = origin_store.chunk_matrix(sel, start, stop, out=rows)[shift.tau]
-        return x, keep
+        if origin_store is None:
+            return x, None
+        rows = ext[slot][: origin_store.n_points * w].reshape(-1, w)
+        return x, origin_store.chunk_matrix(sel, start, stop, out=rows)[tau]
 
-    def products(x: np.ndarray, keep: np.ndarray | None) -> list[np.ndarray]:
+    def product(x: np.ndarray, o: np.ndarray | None) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):  # checked once, below
-            out = [x @ x.T] if absolute else []
-            if keep is None:
-                return out
-            if omit is None:
-                x -= keep
-            else:
-                # drop row tau: rows 0..tau-1 each move down one, onto rows 1..tau
-                np.copyto(keep, x[omit])
-                x[omit + 1 :] -= keep
-                for i in range(omit, 0, -1):
-                    np.subtract(x[i - 1], keep, out=x[i])
-                x = x[1:]
-            out.append(x @ x.T)
-            return out
+            if o is not None:
+                x -= o
+            elif tau is not None:
+                x[:tau] -= x[tau]
+                x[tau + 1 :] -= x[tau]
+            return x @ x.T
 
     if slots == 1:
-        sums = _tree_sum(products(*read(k, a, b)) for k, (a, b) in enumerate(chunks))
+        g = _tree_sum(product(*read(k, a, b)) for k, (a, b) in enumerate(chunks))
     else:
         with ThreadPoolExecutor(max_workers=slots - 1) as ex:
 
@@ -208,26 +186,22 @@ def _grams(
                 for k, (a, b) in enumerate(chunks):
                     if len(pending) == slots:  # chunk k - slots frees slot k % slots
                         yield pending.popleft().result()
-                    pending.append(ex.submit(products, *read(k, a, b)))
+                    pending.append(ex.submit(product, *read(k, a, b)))
                 while pending:
                     yield pending.popleft().result()
 
-            sums = _tree_sum(parts())
+            g = _tree_sum(parts())
 
-    out = []
-    for origin, values, point_labels in zip(origins, sums, labels):
-        # the upper triangle is the sum of every partial's upper triangle
-        _mirror_upper(values)
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            i, j = (point_labels[int(v)] for v in bad[0])
-            raise NonFinitePayload(
-                f"Gram entry ({i!r}, {j!r}) relative to {origin.describe()} is not finite: "
-                "a checkpoint holds NaN or Inf, or its products overflow float64"
-            )
-        norms = np.sqrt(np.maximum(np.diagonal(values), 0.0))
-        out.append(GramMatrix(values=values, norms=norms, origin=origin, point_labels=point_labels))
-    return out
+    # the upper triangle is the sum of every partial's upper triangle
+    _mirror_upper(g)
+    bad = np.argwhere(~np.isfinite(g))
+    if bad.size:
+        i, j = (store.labels[int(v)] for v in bad[0])
+        raise NonFinitePayload(
+            f"Gram entry ({i!r}, {j!r}) relative to {origin.describe()} is not finite: "
+            "a checkpoint holds NaN or Inf, or its products overflow float64"
+        )
+    return g
 
 
 def compute_gram(
@@ -244,11 +218,13 @@ def compute_gram(
     omitted, shrinking n by one. An external origin point is supplied as
     a one-checkpoint ``origin_store``.
     """
-    shift = None if origin.is_absolute else origin
-    return _grams(
-        store, sel, absolute=shift is None, shift=shift, origin_store=origin_store,
-        threads=threads,
-    )[0]
+    g = _gram(store, sel, origin, origin_store, threads)
+    labels = list(store.labels)
+    if origin.is_absolute or origin_store is not None:
+        return _gram_matrix(g, origin, labels)
+    keep = np.arange(store.n_points) != origin.tau
+    labels = [lbl for lbl, k in zip(labels, keep) if k]
+    return _gram_matrix(g[np.ix_(keep, keep)], origin, labels)
 
 
 def gram_pair(
@@ -256,12 +232,35 @@ def gram_pair(
 ) -> tuple[GramMatrix, GramMatrix | None]:
     """K and K0 (relative to checkpoint 0) from one pass over the store.
 
-    Each is bit-identical to its own ``compute_gram`` call. K0 is None for
-    a one-point store, which has no points left once the origin is omitted.
+    The pass is K0's: the Gram G of the basis [theta_0, theta_1 - theta_0,
+    ...], of which K0 is G without row and column 0, bit-identical to
+    ``compute_gram(store, OriginSpec.checkpoint(0))``. K is derived as
+    K_ij = G_00 + (v_i + v_j) + R_ij, with v row 0 of G less v_0 and R G
+    less row and column 0, an order that keeps it symmetric bit for bit.
+    The sum cancels when a point's norm falls far below theta_0's: when
+    some (|theta_0| + |theta_i - theta_0|)^2 exceeds ``CANCEL_BOUND``
+    times the derived K_ii, or K overflows, K comes from a second pass
+    over the raw rows, bit-identical to ``compute_gram(store,
+    OriginSpec.absolute())``. K0 is None for a one-point store, which has
+    no points left once the origin is omitted.
     """
-    shift = OriginSpec.checkpoint(0) if store.n_points > 1 else None
-    grams = _grams(store, sel, absolute=True, shift=shift, origin_store=None, threads=threads)
-    return grams[0], grams[1] if len(grams) > 1 else None
+    if store.n_points == 1:
+        return compute_gram(store, OriginSpec.absolute(), sel, threads=threads), None
+    g = _gram(store, sel, OriginSpec.checkpoint(0), None, threads)
+    labels = list(store.labels)
+    k0 = _gram_matrix(g[1:, 1:].copy(), OriginSpec.checkpoint(0), labels[1:])
+    v = np.concatenate(([0.0], g[0, 1:]))
+    with np.errstate(invalid="ignore", over="ignore"):  # a K that overflows falls back
+        k = np.add.outer(v, v)
+        k += g[0, 0]
+        k[1:, 1:] += k0.values
+        # the reach (|theta_0| + |theta_i - theta_0|)^2 is positive unless theta_0
+        # = 0, where K = R is exact, so a derived K_ii <= 0 fails the bound too
+        reach = (np.sqrt(g[0, 0]) + k0.norms) ** 2
+        derived = np.isfinite(k).all() and (reach <= CANCEL_BOUND * np.diagonal(k)[1:]).all()
+    if not derived:
+        return compute_gram(store, OriginSpec.absolute(), sel, threads=threads), k0
+    return _gram_matrix(k, OriginSpec.absolute(), labels), k0
 
 
 def compute_cosine_map(gram: GramMatrix) -> CosineMap:

@@ -27,6 +27,15 @@ def naive_gram(points: np.ndarray, origin: np.ndarray | None = None) -> np.ndarr
     return out
 
 
+def longdouble_gram(points: np.ndarray, origin: np.ndarray | None = None) -> np.ndarray:
+    """Gram matrix of (optionally shifted) row vectors, shifted and summed in
+    long double (a 64-bit significand on x86), and returned in long double."""
+    pts = np.asarray(points, dtype=np.longdouble)
+    if origin is not None:
+        pts = pts - np.asarray(origin, dtype=np.longdouble)
+    return pts @ pts.T
+
+
 def naive_cosine(points: np.ndarray, origin: np.ndarray | None = None) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if origin is not None:

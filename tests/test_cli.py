@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -341,10 +342,14 @@ def test_non_finite_checkpoint_is_data_error(tmp_path, capsys, verb, bad):
         ckpts.append(Checkpoint(i, f"e{i}", [TensorRecord("w", Dtype.F64, (3,), vec)]))
     manifest = str(write_store(ckpts, tmp_path / "store"))
     extra = ["--measure", "all"] if verb == "hallmarks" else []
-    rc, code = run_error(
-        [verb, "--manifest", manifest, *extra, "--out", str(tmp_path / "o")], capsys
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, code = run_error(
+            [verb, "--manifest", manifest, *extra, "--out", str(tmp_path / "o")], capsys
+        )
     assert (rc, code) == (2, "NonFinitePayload")
+    # a warning would be one more stderr line from a CLI process
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")

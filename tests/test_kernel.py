@@ -1,10 +1,11 @@
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import naive_cosine, naive_gram
+from oracles import longdouble_gram, naive_cosine, naive_gram
 from trajkit import (
     OriginSpec,
     SelectionSpec,
@@ -13,6 +14,7 @@ from trajkit import (
     compute_gram,
     gram_pair,
     layerwise_maps,
+    mds,
     open_store,
     relative_trajectory_map,
     trajectory_map,
@@ -254,14 +256,117 @@ def lazy_f32_store(tmp_path, pts):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_gram_pair_is_bit_identical_to_separate_grams(rng, tmp_path, threads):
+    # K0 is its own compute_gram's; K is derived from K0's pass, so it is
+    # checked against the long-double oracle instead
     pts = rng.standard_normal((7, 5 * 4096 + 17))
     for store in (TrajectoryStore.from_arrays(pts), lazy_f32_store(tmp_path, pts)):
+        theta = np.vstack([store.flatten(i) for i in range(7)])
         k, k0 = gram_pair(store, threads=threads)
-        for fused, origin in ((k, OriginSpec.absolute()), (k0, OriginSpec.checkpoint(0))):
-            single = compute_gram(store, origin, threads=1)
-            assert np.array_equal(fused.values, single.values)
-            assert np.array_equal(fused.norms, single.norms)
-            assert fused.point_labels == single.point_labels
+        single = compute_gram(store, OriginSpec.checkpoint(0), threads=1)
+        assert np.array_equal(k0.values, single.values)
+        assert np.array_equal(k0.norms, single.norms)
+        assert k0.point_labels == single.point_labels
+        assert k.point_labels == list(store.labels)
+        want = longdouble_gram(theta)
+        assert np.max(np.abs(k.values - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(k.values, k.values.T)
+
+
+def hard_trajectory(rng, kind, n=24, p=CHUNK + 123):
+    """Trajectories whose geometry stresses the Gram pass's cancellation."""
+    theta = rng.standard_normal(p)
+    if kind == "random":
+        return rng.standard_normal((n, p))
+    out = [theta]
+    if kind == "near_converged":  # updates shrink from 1e-2 to 1e-9 of |theta_0|
+        for step in np.geomspace(1e-2, 1e-9, n - 1) * np.linalg.norm(theta):
+            noise = rng.standard_normal(p)
+            out.append(out[-1] + step * noise / np.linalg.norm(noise))
+        return np.array(out)
+    if kind == "oscillating":  # edge-of-stability: steps flip along v, with a small drift
+        v = rng.standard_normal(p)
+        for t in range(1, n):
+            out.append(out[-1] + (-1) ** t * 0.05 * v + 1e-3 * rng.standard_normal(p))
+        return np.array(out)
+    # "collapse <f>": a random walk scaled by f ** t, so its norm shrinks by f per step
+    factor = float(kind.split()[1])
+    for _ in range(1, n):
+        out.append(out[-1] + 0.1 * rng.standard_normal(p))
+    return np.array(out) * factor ** np.arange(n)[:, None]
+
+
+HARD_KINDS = ["random", "near_converged", "oscillating", "collapse 0.98", "collapse 0.9",
+              "collapse 0.7", "collapse 0.5"]
+
+
+def longdouble_cosine(k: np.ndarray) -> np.ndarray:
+    d = np.sqrt(np.diagonal(k))
+    return k / np.outer(d, d)
+
+
+def count_chunk_reads(monkeypatch) -> list:
+    calls = []
+    chunk_matrix = TrajectoryStore.chunk_matrix
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[1:3])
+        return chunk_matrix(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectoryStore, "chunk_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", HARD_KINDS)
+def test_grams_match_longdouble_oracle(kind, monkeypatch):
+    rng = np.random.default_rng(HARD_KINDS.index(kind))
+    theta = hard_trajectory(rng, kind)
+    n = theta.shape[0]
+    store = TrajectoryStore.from_arrays(theta)
+    reads = count_chunk_reads(monkeypatch)
+    k, k0 = gram_pair(store)
+    chunks = -(-theta.shape[1] // CHUNK)
+    want = longdouble_gram(theta)
+    want0 = longdouble_gram(theta[1:], origin=theta[0])
+    for got, ref in ((k, want), (k0, want0)):
+        assert np.max(np.abs(got.values - ref)) <= 1e-9 * float(np.max(np.abs(ref)))
+        cmap = compute_cosine_map(got)
+        ref_cos = longdouble_cosine(ref)
+        assert np.max(np.abs(cmap.values - ref_cos)) <= 1e-14
+        assert abs(mds(cmap).omega - float(np.mean(ref_cos))) <= 1e-14
+    # the derivation of K cancels once a point's norm collapses far below
+    # theta_0's; those trajectories take a second pass over the raw rows
+    if kind in ("collapse 0.9", "collapse 0.7", "collapse 0.5"):
+        assert len(reads) == 2 * chunks
+        assert np.array_equal(k.values, compute_gram(store, OriginSpec.absolute()).values)
+    else:
+        assert len(reads) == chunks
+    assert np.array_equal(k0.values, compute_gram(store, OriginSpec.checkpoint(0)).values)
+
+    external = theta[n // 2] + 0.5 * rng.standard_normal(theta.shape[1])
+    origin_store = TrajectoryStore.from_arrays(external[None, :])
+    cases = [(tau, OriginSpec.checkpoint(tau), None) for tau in (0, 2, n // 2, n - 1)]
+    cases.append((None, OriginSpec.checkpoint(0), origin_store))
+    for tau, origin, ostore in cases:
+        got = compute_gram(store, origin, origin_store=ostore)
+        if tau is None:
+            ref = longdouble_gram(theta, origin=external)
+        else:
+            ref = longdouble_gram(np.delete(theta, tau, axis=0), origin=theta[tau])
+        assert np.max(np.abs(got.values - ref)) <= 1e-9 * float(np.max(np.abs(ref)))
+        cos = compute_cosine_map(got).values
+        assert np.max(np.abs(cos - longdouble_cosine(ref))) <= 1e-14
+
+
+def test_gram_pair_falls_back_quietly_when_the_derivation_overflows():
+    # v_i + v_j overflows although every entry of K0's pass and of K is finite
+    a = 1e154
+    pts = np.array([[a, 0.0, 0.0], [0.01 * a, 1e-3 * a, 0.0], [0.02 * a, 0.0, 1e-3 * a]])
+    store = TrajectoryStore.from_arrays(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, k0 = gram_pair(store)
+    assert np.array_equal(k.values, compute_gram(store, OriginSpec.absolute()).values)
+    assert np.isfinite(k.values).all() and np.isfinite(k0.values).all()
 
 
 def test_gram_pair_single_point_has_no_k0():
@@ -283,7 +388,7 @@ def test_streamed_tree_sum_matches_level_by_level_sum(rng):
         # magnitudes spread over 16 decades make every summation order visible
         parts = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
         want = level_by_level([np.array([v]) for v in parts])
-        [got] = _tree_sum([np.array([v])] for v in parts)
+        got = _tree_sum(np.array([v]) for v in parts)
         assert got[0] == want[0]
 
 
