@@ -3,6 +3,12 @@
 Verbs: ``map``, ``hallmarks``, ``spectra``, ``theory lemma|eos|width``,
 ``train``. Every failure writes one machine-readable JSON line to stderr
 and exits nonzero: 1 usage error, 2 data error, 3 invariant violation.
+
+Each verb is its own process, so this module imports at its top only
+what the parser and the error contract need, and each ``cmd_*`` imports
+the modules of its verb when it runs: ``theory`` never loads the store,
+Gram or training code, and ``map``/``hallmarks``/``spectra`` never load
+the theory or training code.
 """
 
 from __future__ import annotations
@@ -15,37 +21,13 @@ import sys
 import typing
 from pathlib import Path
 
-from . import __version__, fixtures
-from .ckptstore import SelectionSpec, open_store
+from . import __version__
 from .errors import NoMeasuresRequested, NonFiniteIterate, TrajkitError
-from .hallmarks import (
-    AngularMeasureKind,
-    NormMeasureKind,
-    angular_series,
-    mds,
-    norm_series,
-)
-from .heatmap import HeatmapStyle, render_svg
-from .kernel import CHUNK, OriginSpec, compute_cosine_map, compute_gram, gram_pair
-from .report import (
-    AnalysisSummary,
-    alignment_json,
-    eos_json,
-    lemma_report_json,
-    write_matrix_csv,
-    write_series_csv,
-    write_spectrum_csv,
-)
-from .spectral import trajectory_spectra
-from .theory import (
-    QuadraticSpec,
-    WidthSpec,
-    eos_angle_sweep,
-    lemma_bounds,
-    simulate_quadratic,
-    width_alignment,
-)
-from .trajgen import BlobSpec, TrainSpec, hyperparameter_grid, train
+
+if typing.TYPE_CHECKING:
+    from .ckptstore import SelectionSpec
+    from .kernel import OriginSpec
+    from .trajgen import TrainSpec
 
 
 class UsageError(Exception):
@@ -62,6 +44,8 @@ def _emit_error(code: str, detail: str) -> None:
 
 
 def _parse_origin(text: str) -> OriginSpec:
+    from .kernel import OriginSpec
+
     if text == "absolute":
         return OriginSpec.absolute()
     if text.startswith("ckpt:"):
@@ -73,6 +57,8 @@ def _parse_origin(text: str) -> OriginSpec:
 
 
 def _selection(args) -> SelectionSpec:
+    from .ckptstore import SelectionSpec
+
     include = tuple(args.select) if args.select else ("**",)
     exclude = tuple(args.exclude) if args.exclude else ()
     return SelectionSpec(include_globs=include, exclude_globs=exclude)
@@ -93,15 +79,22 @@ def _add_store_flags(p) -> None:
 
 def _ring_slots(args, store) -> int:
     """--threads, lowered to the chunk buffers --mem-budget holds (at least one)."""
+    from .kernel import CHUNK
+
     if args.threads < 1 or args.mem_budget < 0:
         raise UsageError(f"--threads must be >= 1 and --mem-budget >= 0, got "
                          f"{args.threads} and {args.mem_budget}")
     return max(1, min(args.threads, args.mem_budget // (store.n_points * CHUNK * 8)))
 
 
-ANGULAR_NAMES = {m.value: m for m in AngularMeasureKind}
-NORM_NAMES = {m.value: m for m in NormMeasureKind}
-ALL_MEASURES = list(ANGULAR_NAMES) + list(NORM_NAMES)
+# The values of hallmarks.AngularMeasureKind, then of NormMeasureKind. They
+# are spelled out so that building the parser loads no analysis module; a
+# test pins them to the enums.
+ALL_MEASURES = [
+    "consecutive_updates", "lagged_updates", "apex_at_init", "apex_at_origin",
+    "update_vs_position", "update_vs_total_displacement", "progress_vs_total_displacement",
+    "update_vs_displacement_from_init", "param_norm", "dist_from_init", "update_norm",
+]
 
 
 def build_parser() -> _Parser:
@@ -153,6 +146,11 @@ def _out_dir(args) -> Path:
 
 
 def cmd_map(args) -> int:
+    from .ckptstore import open_store
+    from .heatmap import HeatmapStyle, render_svg
+    from .kernel import compute_cosine_map, compute_gram
+    from .report import write_matrix_csv
+
     sel = _selection(args)
     origin = _parse_origin(args.origin)
     with open_store(args.manifest) as store:
@@ -167,11 +165,17 @@ def cmd_map(args) -> int:
 
 
 def cmd_hallmarks(args) -> int:
+    from .ckptstore import open_store
+
     with open_store(args.manifest) as store:
         return _hallmarks(args, store)
 
 
 def _hallmarks(args, store) -> int:
+    from .hallmarks import AngularMeasureKind, NormMeasureKind, angular_series, mds, norm_series
+    from .kernel import compute_cosine_map, gram_pair
+    from .report import AnalysisSummary, write_series_csv
+
     sel = _selection(args)
     requested = args.measure or []
     if "all" in requested:
@@ -191,11 +195,13 @@ def _hallmarks(args, store) -> int:
     summary.omega = mds(compute_cosine_map(gram)).omega
     if gram0 is not None:
         summary.omega0 = mds(compute_cosine_map(gram0)).omega
+    angular = {m.value: m for m in AngularMeasureKind}
+    norm = {m.value: m for m in NormMeasureKind}
     for name in requested:
-        if name in ANGULAR_NAMES:
-            series = angular_series(store, ANGULAR_NAMES[name], k=args.k, sel=sel)
-        elif name in NORM_NAMES:
-            series = norm_series(store, NORM_NAMES[name], k=args.k, sel=sel)
+        if name in angular:
+            series = angular_series(store, angular[name], k=args.k, sel=sel)
+        elif name in norm:
+            series = norm_series(store, norm[name], k=args.k, sel=sel)
         else:
             raise UsageError(f"unknown measure {name!r}")
         path = out / f"{name}.csv"
@@ -207,6 +213,10 @@ def _hallmarks(args, store) -> int:
 
 
 def cmd_spectra(args) -> int:
+    from .ckptstore import open_store
+    from .report import write_spectrum_csv
+    from .spectral import trajectory_spectra
+
     sel = _selection(args)
     with open_store(args.manifest) as store:
         spectra = trajectory_spectra(store, sel, threads=_ring_slots(args, store))
@@ -275,36 +285,40 @@ def _fields(cls, **extra) -> dict:
 
 @_parameter_file_verb
 def cmd_theory(args) -> int:
+    from . import theory
+    from .report import alignment_json, eos_json, lemma_report_json
+
     out = _out_dir(args)
     params = _load_params(args)
     if args.subcommand == "lemma":
-        _checked(params, _fields(QuadraticSpec, steps=int), "--params")
-        steps = params.pop("steps", fixtures.LEMMA_STEPS)
-        spec = dataclasses.replace(fixtures.LEMMA_1D_PLAIN, **params)
+        _checked(params, _fields(theory.QuadraticSpec, steps=int), "--params")
+        steps = params.pop("steps", theory.LEMMA_STEPS)
+        spec = dataclasses.replace(theory.LEMMA_1D_PLAIN, **params)
         out_path = out / "lemma.json"
         try:
-            trace = simulate_quadratic(spec, steps)
+            trace = theory.simulate_quadratic(spec, steps)
         except NonFiniteIterate as exc:
             out_path.write_text(
                 json.dumps({"error": exc.code, "detail": str(exc)}, indent=2) + "\n"
             )
             raise
-        report = lemma_bounds(spec, trace)
+        report = theory.lemma_bounds(spec, trace)
         out_path.write_text(json.dumps(lemma_report_json(report), indent=2) + "\n")
         print(json.dumps({"pairs": len(report.pairs), "all_satisfied": report.all_satisfied}))
     elif args.subcommand == "eos":
-        _checked(params, _fields(QuadraticSpec, steps=int, eta_grid=tuple[float, ...]), "--params")
-        steps = params.pop("steps", fixtures.EOS_STEPS)
-        grid = params.pop("eta_grid", list(fixtures.EOS_GRID))
-        spec = dataclasses.replace(fixtures.EOS_BASE, **params)
-        points = eos_angle_sweep(spec, grid, steps=steps)
+        _checked(params, _fields(theory.QuadraticSpec, steps=int, eta_grid=tuple[float, ...]),
+                 "--params")
+        steps = params.pop("steps", theory.EOS_STEPS)
+        grid = params.pop("eta_grid", list(theory.EOS_GRID))
+        spec = dataclasses.replace(theory.EOS_BASE, **params)
+        points = theory.eos_angle_sweep(spec, grid, steps=steps)
         (out / "eos.json").write_text(json.dumps(eos_json(points), indent=2) + "\n")
         print(json.dumps({"points": len(points)}))
     else:
-        _checked(params, _fields(WidthSpec), "--params")
+        _checked(params, _fields(theory.WidthSpec), "--params")
         if args.seed is not None:
             params["seed"] = args.seed
-        curve = width_alignment(dataclasses.replace(fixtures.WIDTH_FIXTURE, **params))
+        curve = theory.width_alignment(dataclasses.replace(theory.WIDTH_FIXTURE, **params))
         (out / "width.json").write_text(json.dumps(alignment_json(curve), indent=2) + "\n")
         print(json.dumps({"fitted_loglog_slope": curve.fitted_loglog_slope}))
     return 0
@@ -314,12 +328,14 @@ _GRID_ENTRY = {"name": str, "mu": float, "wd": float}
 
 
 def _train_spec_from(params) -> TrainSpec:
+    from .trajgen import TRAIN_FIXTURE, BlobSpec, TrainSpec
+
     _checked(params, _fields(TrainSpec), '"train"')
     if "data" in params:
         params["data"] = BlobSpec(**_checked(params["data"], _fields(BlobSpec), '"data"'))
     if "eta_schedule" in params:
         params["eta_schedule"] = tuple(tuple(e) for e in params["eta_schedule"])
-    return dataclasses.replace(fixtures.TRAIN_FIXTURE, **params)
+    return dataclasses.replace(TRAIN_FIXTURE, **params)
 
 
 def _grid_variants(grid) -> list[tuple[str, float, float]]:
@@ -339,6 +355,8 @@ def _grid_variants(grid) -> list[tuple[str, float, float]]:
 
 @_parameter_file_verb
 def cmd_train(args) -> int:
+    from .trajgen import hyperparameter_grid, train
+
     payload = json.loads(Path(args.spec).read_text()) if args.spec else {}
     _checked(payload, {"train": dict, "grid": list}, "--spec")
     spec = _train_spec_from(payload.get("train", {}))

@@ -1,45 +1,17 @@
-"""Small canonical inputs used by the CLI defaults, tests, and demos."""
+"""Small canonical inputs used by the CLI defaults, tests, and demos.
 
-from __future__ import annotations
+Each is defined next to its type, the quadratic and width fixtures in
+``theory`` and the training ones in ``trajgen``, so that the ``theory``
+verb's defaults load no training code; this module gathers them.
+"""
 
-from .theory import QuadraticSpec, WidthSpec
-from .trajgen import BlobSpec, TrainSpec
-
-# 1-D quadratics whose update pair can be recursed by hand.
-LEMMA_1D_PLAIN = QuadraticSpec(
-    eigenvalues=(2.0,), alpha=0.0, mu=0.0, eta=(0.1,), theta_init=(1.0,)
+from .theory import (  # noqa: F401
+    EOS_BASE,
+    EOS_GRID,
+    EOS_STEPS,
+    LEMMA_1D_MOMENTUM,
+    LEMMA_1D_PLAIN,
+    LEMMA_STEPS,
+    WIDTH_FIXTURE,
 )
-LEMMA_1D_MOMENTUM = QuadraticSpec(
-    eigenvalues=(2.0,), alpha=0.1, mu=0.5, eta=(0.1,), theta_init=(1.0,)
-)
-LEMMA_STEPS = 2
-
-# Two-mode quadratic for the obtuse/acute angle transition: the top mode
-# turns oscillatory and dominant once eta passes 2/(lambda_1+lambda_2).
-EOS_BASE = QuadraticSpec(
-    eigenvalues=(10.0, 1.0), alpha=0.0, mu=0.0, eta=(0.01,), theta_init=(1.0, 1.0)
-)
-EOS_GRID = (0.01, 0.05, 0.10, 0.14, 0.17, 0.19)
-EOS_STEPS = 120
-
-WIDTH_FIXTURE = WidthSpec(widths=(64, 256, 1024, 4096), eta_scale=1.0, steps=1, seed=2024)
-
-# MLP fixture for the momentum/weight-decay ordering reproduction.
-TRAIN_FIXTURE = TrainSpec(
-    layer_sizes=(20, 64, 64, 2),
-    data=BlobSpec(samples_per_class=128, dim=20, separation=3.0, noise_std=1.0, seed=7),
-    eta=0.15,
-    mu=0.9,
-    wd=1e-4,
-    batch_size=32,
-    epochs=60,
-    ckpt_every=1,
-    seed=11,
-)
-
-GRID_VARIANTS = (
-    ("mu0.9_wd1e-4", 0.9, 1e-4),
-    ("mu0_wd1e-4", 0.0, 1e-4),
-    ("mu0.9_wd0", 0.9, 0.0),
-    ("mu0_wd0", 0.0, 0.0),
-)
+from .trajgen import GRID_VARIANTS, TRAIN_FIXTURE  # noqa: F401

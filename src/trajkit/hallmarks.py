@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .ckptstore import ALL, SelectionSpec, TrajectoryStore
 from .errors import DegenerateVector, InsufficientPoints, NonFinitePayload
-from .kernel import EPS_NORM, CosineMap, OriginSpec, relative_trajectory_map
+from .kernel import EPS_NORM, CosineMap, OriginSpec
 
 
 class AngularMeasureKind(enum.Enum):
@@ -70,7 +71,7 @@ def mds_relative(
     store: TrajectoryStore, tau: int, sel: SelectionSpec | None = None, *, threads: int = 1
 ) -> MdsResult:
     """MDS of the relative trajectory map at tau (omit-row applied)."""
-    return mds(relative_trajectory_map(store, tau, sel, threads=threads))
+    return mds(kernel.relative_trajectory_map(store, tau, sel, threads=threads))
 
 
 @dataclass

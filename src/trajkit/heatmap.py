@@ -6,6 +6,7 @@ identical inputs and style.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,13 @@ class HeatmapStyle:
     cell_px: int = 12
 
     def __post_init__(self):
+        # rgb() divides by the span: an infinite or NaN one gives NaN or 0
+        # fractions, which would paint every cell one colour
+        if not math.isfinite(self.v_max - self.v_min):
+            raise InvalidStyle(
+                f"v_min {self.v_min} and v_max {self.v_max} must be finite, "
+                "and so must v_max - v_min"
+            )
         if not self.v_min < self.v_max:
             raise InvalidStyle(f"v_min {self.v_min} must be < v_max {self.v_max}")
         if self.cell_px < 1:

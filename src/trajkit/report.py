@@ -1,7 +1,9 @@
 """CSV/JSON serializers shared by the command-line layer.
 
 Floats are written with 17 significant digits, which round-trips float64
-exactly.
+exactly. The analysis types appear here in annotations only, so this
+module imports none of their modules at run time: the ``theory`` verb
+writes its JSON without loading the store and Gram code.
 """
 
 from __future__ import annotations
@@ -10,14 +12,16 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .hallmarks import ScalarSeries
-from .kernel import CosineMap, GramMatrix
-from .spectral import SpectralSummary
-from .theory import AlignmentCurve, EosPoint, LemmaBoundReport
+
+if TYPE_CHECKING:
+    from .hallmarks import ScalarSeries
+    from .spectral import SpectralSummary
+    from .theory import AlignmentCurve, EosPoint, LemmaBoundReport
 
 
 def fmt(x: float) -> str:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .ckptstore import SelectionSpec, TrajectoryStore
 from .errors import EmptyTrajectory, NegativeGramEigenvalue, NoConvergence, NotSymmetric
-from .kernel import compute_cosine_map, gram_pair
 
 SYMMETRY_TOL = 1e-10
 GRAM_CLAMP = 1e-8
@@ -63,12 +63,12 @@ def trajectory_spectra(
 ) -> dict[MatrixId, SpectralSummary]:
     """Spectra of K, K0, C, C0 for a store (K0/C0 relative to checkpoint 0)."""
     out: dict[MatrixId, SpectralSummary] = {}
-    k, k0 = gram_pair(store, sel, threads=threads)
+    k, k0 = kernel.gram_pair(store, sel, threads=threads)
     for matrix_id, cos_id, gram in ((MatrixId.K, MatrixId.C, k), (MatrixId.K0, MatrixId.C0, k0)):
         if gram is None:
             raise EmptyTrajectory("no points remain after removing the origin row")
         summary = symmetric_eigenvalues(gram.values, matrix_id)
         summary.eigenvalues = _clamp_gram_spectrum(summary.eigenvalues, matrix_id)
         out[matrix_id] = summary
-        out[cos_id] = symmetric_eigenvalues(compute_cosine_map(gram).values, cos_id)
+        out[cos_id] = symmetric_eigenvalues(kernel.compute_cosine_map(gram).values, cos_id)
     return out

@@ -65,6 +65,24 @@ class QuadraticSpec:
         return q @ lam @ q.T
 
 
+# 1-D quadratics whose update pair can be recursed by hand.
+LEMMA_1D_PLAIN = QuadraticSpec(
+    eigenvalues=(2.0,), alpha=0.0, mu=0.0, eta=(0.1,), theta_init=(1.0,)
+)
+LEMMA_1D_MOMENTUM = QuadraticSpec(
+    eigenvalues=(2.0,), alpha=0.1, mu=0.5, eta=(0.1,), theta_init=(1.0,)
+)
+LEMMA_STEPS = 2
+
+# Two-mode quadratic for the obtuse/acute angle transition: the top mode
+# turns oscillatory and dominant once eta passes 2/(lambda_1+lambda_2).
+EOS_BASE = QuadraticSpec(
+    eigenvalues=(10.0, 1.0), alpha=0.0, mu=0.0, eta=(0.01,), theta_init=(1.0, 1.0)
+)
+EOS_GRID = (0.01, 0.05, 0.10, 0.14, 0.17, 0.19)
+EOS_STEPS = 120
+
+
 @dataclass
 class QuadraticTrace:
     thetas: np.ndarray  # (S+1, d)
@@ -224,6 +242,9 @@ class WidthSpec:
             raise ValueError("widths must be strictly increasing")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+
+
+WIDTH_FIXTURE = WidthSpec(widths=(64, 256, 1024, 4096), eta_scale=1.0, steps=1, seed=2024)
 
 
 @dataclass

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hallmarks, kernel
-from .ckptstore import Checkpoint, Dtype, TensorRecord, TrajectoryStore, write_store
+from . import ckptstore, hallmarks, kernel
+from .ckptstore import Checkpoint, Dtype, TensorRecord, TrajectoryStore
 from .errors import NonFiniteLoss
 from .rng import Rng
 
@@ -66,6 +66,27 @@ class TrainSpec:
             raise ValueError("schedule epochs must be strictly increasing")
         if self.loss not in ("softmax_ce", "squared"):
             raise ValueError(f"unknown loss {self.loss!r}")
+
+
+# MLP fixture for the momentum/weight-decay ordering reproduction.
+TRAIN_FIXTURE = TrainSpec(
+    layer_sizes=(20, 64, 64, 2),
+    data=BlobSpec(samples_per_class=128, dim=20, separation=3.0, noise_std=1.0, seed=7),
+    eta=0.15,
+    mu=0.9,
+    wd=1e-4,
+    batch_size=32,
+    epochs=60,
+    ckpt_every=1,
+    seed=11,
+)
+
+GRID_VARIANTS = (
+    ("mu0.9_wd1e-4", 0.9, 1e-4),
+    ("mu0_wd1e-4", 0.0, 1e-4),
+    ("mu0.9_wd0", 0.9, 0.0),
+    ("mu0_wd0", 0.0, 0.0),
+)
 
 
 @dataclass
@@ -207,7 +228,7 @@ def train(spec: TrainSpec, out_dir) -> TrainRunRecord:
         if epoch % spec.ckpt_every == 0 or epoch == spec.epochs:
             checkpoints.append(_checkpoint_from_params(params, epoch, f"epoch{epoch}"))
 
-    manifest_path = write_store(checkpoints, out_dir)
+    manifest_path = ckptstore.write_store(checkpoints, out_dir)
     record = TrainRunRecord(
         losses=losses,
         accuracies=accuracies,

@@ -12,7 +12,7 @@ from trajkit import (
     Dtype,
     TensorRecord,
     TrajectoryStore,
-    cli,
+    ckptstore,
     mds,
     open_store,
     trajectory_map,
@@ -49,6 +49,19 @@ def test_map_writes_csv_and_svg(linear_manifest, tmp_path, capsys):
     rows = (out / "map.csv").read_text().splitlines()
     assert rows[0].split(",") == [f"epoch{i}" for i in range(5)]
     assert all(float(v) == 1.0 for v in rows[1].split(","))
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--vmin=-inf", "--vmax=inf"], ["--vmin=-1e308", "--vmax=1e308"]]
+)
+def test_non_finite_heatmap_bounds_are_data_error(linear_manifest, tmp_path, capsys, bounds):
+    out = tmp_path / "map"
+    rc = main(["map", "--manifest", linear_manifest, *bounds, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "InvalidStyle"
+    assert not (out / "map.csv").exists()
 
 
 def test_map_relative_origin(linear_manifest, tmp_path):
@@ -278,7 +291,7 @@ def test_on_disk_and_in_memory_outputs_are_bit_equal(tmp_path, monkeypatch):
     assert len(want) == 2 + 2 + 12 + 4
     for threads in (2, 3):
         assert outputs(threads) == want
-    monkeypatch.setattr(cli, "open_store", in_memory_store)
+    monkeypatch.setattr(ckptstore, "open_store", in_memory_store)
     for threads in (1, 2, 3):
         assert outputs(threads) == want
 

@@ -36,6 +36,11 @@ def test_invalid_style_rejected():
         HeatmapStyle(cell_px=0)
     with pytest.raises(InvalidStyle):
         HeatmapStyle(colormap=((0.5, (0, 0, 0)), (1.0, (1, 1, 1))))
+    # a span that is not finite would paint every cell one colour
+    inf, nan = float("inf"), float("nan")
+    for v_min, v_max in ((-inf, inf), (-1e308, 1e308), (0.0, inf), (-inf, 0.0), (0.0, nan)):
+        with pytest.raises(InvalidStyle):
+            HeatmapStyle(v_min=v_min, v_max=v_max)
 
 
 def test_one_by_one_svg_single_rect():
