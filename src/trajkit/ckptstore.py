@@ -18,6 +18,7 @@ Binary layout (all integers little-endian):
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import os
@@ -135,32 +136,27 @@ class SelectionSpec:
 
 ALL = SelectionSpec()
 
-_GLOB_CACHE: dict[str, re.Pattern] = {}
 
-
+@functools.cache
 def _glob_regex(pattern: str) -> re.Pattern:
-    rx = _GLOB_CACHE.get(pattern)
-    if rx is None:
-        parts = []
-        i = 0
-        while i < len(pattern):
-            c = pattern[i]
-            if c == "*":
-                if pattern[i : i + 2] == "**":
-                    parts.append(".*")
-                    i += 2
-                else:
-                    parts.append(r"[^.]*")
-                    i += 1
-            elif c == "?":
-                parts.append(".")
-                i += 1
+    parts = []
+    i = 0
+    while i < len(pattern):
+        c = pattern[i]
+        if c == "*":
+            if pattern[i : i + 2] == "**":
+                parts.append(".*")
+                i += 2
             else:
-                parts.append(re.escape(c))
+                parts.append(r"[^.]*")
                 i += 1
-        rx = re.compile("^" + "".join(parts) + "$")
-        _GLOB_CACHE[pattern] = rx
-    return rx
+        elif c == "?":
+            parts.append(".")
+            i += 1
+        else:
+            parts.append(re.escape(c))
+            i += 1
+    return re.compile("^" + "".join(parts) + "$")
 
 
 # --- file IO ---
@@ -352,7 +348,6 @@ class TrajectoryStore:
         self._sources = sources
         self.n_points = len(self.indices)
         self.dim_p = sum(math.prod(dims) for _, _, dims in self.layout)
-        self.has_init = self.n_points > 0 and self.indices[0] == 0
         self._memo: dict = {}
         self._finalizer = weakref.finalize(self, _release, sources or [])
 
@@ -388,8 +383,9 @@ class TrajectoryStore:
         )
 
     @classmethod
-    def from_arrays(cls, points, labels=None, tensor_name: str = "theta") -> "TrajectoryStore":
-        """Build an in-memory store from an (n, p) array of trajectory points."""
+    def from_arrays(cls, points, labels=None) -> "TrajectoryStore":
+        """Build an in-memory store from an (n, p) array of trajectory points,
+        each one tensor named ``theta``."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise InvalidCheckpoint("points must be a 2-D array")
@@ -400,7 +396,7 @@ class TrajectoryStore:
             Checkpoint(
                 index=i,
                 label=labels[i],
-                tensors=[TensorRecord(tensor_name, Dtype.F64, (points.shape[1],), points[i])],
+                tensors=[TensorRecord("theta", Dtype.F64, (points.shape[1],), points[i])],
             )
             for i in range(n)
         ]
@@ -465,23 +461,17 @@ class TrajectoryStore:
         )
 
     def chunk_matrix(
-        self, sel: SelectionSpec | None, start: int, stop: int, *, out: np.ndarray | None = None
+        self, sel: SelectionSpec | None, start: int, stop: int, *, out: np.ndarray
     ) -> np.ndarray:
-        """Columns [start, stop) of matrix(sel); an on-disk store reads only these.
-
-        With ``out``, an (n_points, stop - start) float64 array, the columns
-        are written there; an in-memory store copies them, so its memoised
-        matrix is never handed out for writing.
+        """Columns [start, stop) of matrix(sel), written into ``out``, an
+        (n_points, stop - start) float64 array, and returned; an on-disk
+        store reads only these. An in-memory store copies them, so its
+        memoised matrix is never handed out for writing.
         """
         if self._cached is not None:
-            cols = self.matrix(sel)[:, start:stop]
-            if out is None:
-                return cols
-            np.copyto(out, cols)
+            np.copyto(out, self.matrix(sel)[:, start:stop])
             return out
         reads, converts = _row_plan(self.selected_layout(sel), start, stop)
-        if out is None:
-            out = np.empty((self.n_points, stop - start), dtype=np.float64)
         for i in range(self.n_points):
             self._read_row(i, reads, converts, out[i])
         return out
@@ -587,8 +577,8 @@ def _manifest_entries(manifest_path: Path) -> list[dict]:
     return entries
 
 
-def write_store(checkpoints: list[Checkpoint], out_dir, manifest_name: str = "manifest.json"):
-    """Write checkpoints plus a manifest; returns the manifest path."""
+def write_store(checkpoints: list[Checkpoint], out_dir):
+    """Write checkpoints plus ``manifest.json``; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -597,6 +587,6 @@ def write_store(checkpoints: list[Checkpoint], out_dir, manifest_name: str = "ma
         write_checkpoint(ckpt, out_dir / fname)
         entries.append({"index": ckpt.index, "label": ckpt.label, "path": fname})
     manifest = {"version": 1, "checkpoints": entries}
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path

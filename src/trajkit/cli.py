@@ -130,7 +130,8 @@ def build_parser() -> _Parser:
     for name in ("lemma", "eos", "width"):
         tp = tsub.add_parser(name)
         tp.add_argument("--params", help="JSON parameter file (defaults to the fixture)")
-        tp.add_argument("--seed", type=int)
+        if name == "width":  # the only sweep that draws random numbers
+            tp.add_argument("--seed", type=int)
         tp.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the MLP generator / hyperparameter grid")
@@ -167,23 +168,27 @@ def cmd_map(args) -> int:
 def cmd_hallmarks(args) -> int:
     from .ckptstore import open_store
 
-    with open_store(args.manifest) as store:
-        return _hallmarks(args, store)
-
-
-def _hallmarks(args, store) -> int:
-    from .hallmarks import AngularMeasureKind, NormMeasureKind, angular_series, mds, norm_series
-    from .kernel import compute_cosine_map, gram_pair
-    from .report import AnalysisSummary, write_series_csv
-
-    sel = _selection(args)
+    # checked before the store is opened, so a bad request reads and writes nothing
     requested = args.measure or []
     if "all" in requested:
         requested = ALL_MEASURES
     if not requested:
         raise NoMeasuresRequested("pass --measure NAME (repeatable) or --measure all")
+    for name in requested:
+        if name not in ALL_MEASURES:
+            raise UsageError(f"unknown measure {name!r}")
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
+    with open_store(args.manifest) as store:
+        return _hallmarks(args, requested, store)
+
+
+def _hallmarks(args, requested: list[str], store) -> int:
+    from .hallmarks import AngularMeasureKind, NormMeasureKind, angular_series, mds, norm_series
+    from .kernel import compute_cosine_map, gram_pair
+    from .report import AnalysisSummary, write_series_csv
+
+    sel = _selection(args)
     out = _out_dir(args)
 
     summary = AnalysisSummary(
@@ -200,10 +205,8 @@ def _hallmarks(args, store) -> int:
     for name in requested:
         if name in angular:
             series = angular_series(store, angular[name], k=args.k, sel=sel)
-        elif name in norm:
-            series = norm_series(store, norm[name], k=args.k, sel=sel)
         else:
-            raise UsageError(f"unknown measure {name!r}")
+            series = norm_series(store, norm[name], k=args.k, sel=sel)
         path = out / f"{name}.csv"
         write_series_csv(series, path)
         summary.series_files[name] = str(path)

@@ -43,7 +43,6 @@ class NormMeasureKind(enum.Enum):
 class Units(enum.Enum):
     DEGREES = "degrees"
     L2NORM = "l2norm"
-    DIMENSIONLESS = "dimensionless"
 
 
 @dataclass

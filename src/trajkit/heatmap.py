@@ -7,14 +7,14 @@ identical inputs and style.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStyle
 
 # value fraction -> RGB, interpolated linearly between stops
-DEFAULT_STOPS = (
+STOPS = (
     (0.00, (255, 255, 255)),
     (0.25, (199, 199, 229)),
     (0.50, (140, 140, 203)),
@@ -25,7 +25,6 @@ DEFAULT_STOPS = (
 
 @dataclass
 class HeatmapStyle:
-    colormap: tuple = DEFAULT_STOPS
     v_min: float = -1.0
     v_max: float = 1.0
     cell_px: int = 12
@@ -42,19 +41,15 @@ class HeatmapStyle:
             raise InvalidStyle(f"v_min {self.v_min} must be < v_max {self.v_max}")
         if self.cell_px < 1:
             raise InvalidStyle("cell_px must be >= 1")
-        fracs = [f for f, _ in self.colormap]
-        if len(fracs) < 2 or fracs != sorted(fracs) or fracs[0] != 0.0 or fracs[-1] != 1.0:
-            raise InvalidStyle("colormap stops must span [0, 1] in increasing order")
 
     def rgb(self, value: float) -> tuple[int, int, int]:
         span = self.v_max - self.v_min
         f = min(max((value - self.v_min) / span, 0.0), 1.0)
-        stops = self.colormap
-        for (f0, c0), (f1, c1) in zip(stops[:-1], stops[1:]):
+        for (f0, c0), (f1, c1) in zip(STOPS[:-1], STOPS[1:]):
             if f <= f1:
-                w = 0.0 if f1 == f0 else (f - f0) / (f1 - f0)
+                w = (f - f0) / (f1 - f0)
                 return tuple(int(round(a + w * (b - a))) for a, b in zip(c0, c1))
-        return stops[-1][1]
+        return STOPS[-1][1]
 
 
 def render_svg(matrix: np.ndarray, labels: list[str], style: HeatmapStyle | None = None) -> str:

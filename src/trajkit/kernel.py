@@ -4,8 +4,9 @@ All pairwise inner products accumulate in float64 over fixed 4096-element
 column chunks whose partial results are combined by a pairwise tree in
 chunk order, so the output is bit-identical regardless of how many
 workers computed the partials. A pass reads each chunk once and
-multiplies one basis per chunk: the raw rows for the absolute origin, or
-the rows shifted by the origin. K and K0 come from K0's pass, K derived
+multiplies one of two bases per chunk: the raw rows for the absolute
+origin, or the rows shifted by the trajectory's own checkpoint tau for
+an in-store origin. K and K0 come from K0's pass, K derived
 from it unless that would cancel. The calling thread reads the chunks,
 from any store, into a ring of reused buffers; the shift, done in place,
 and the product run on worker threads while the next chunk is read. Per
@@ -27,7 +28,6 @@ from .errors import (
     DegenerateVector,
     EmptySelection,
     EmptyTrajectory,
-    LayoutMismatch,
     NonFinitePayload,
     OriginOutOfRange,
 )
@@ -119,15 +119,13 @@ def _gram(
     store: TrajectoryStore,
     sel: SelectionSpec | None,
     origin: OriginSpec,
-    origin_store: TrajectoryStore | None,
     threads: int,
 ) -> np.ndarray:
-    """The n x n Gram matrix of one basis, from one read of each column chunk.
+    """The n x n Gram matrix of one of two bases, from one read of each column chunk.
 
-    The basis is the raw rows for the absolute origin, and the rows less
-    the origin for a row ``tau`` of ``origin_store``. For a row ``tau`` of
-    ``store`` it is the rows less row tau, with row tau itself kept, so
-    K_tau is the result without row and column tau. The calling thread
+    The basis is the raw rows for the absolute origin. For the checkpoint
+    origin ``tau`` it is the rows less row tau, with row tau itself kept,
+    so K_tau is the result without row and column tau. The calling thread
     reads the chunks in order into a ring of ``min(threads, chunks)``
     reused n x CHUNK float64 buffers; a pool of one worker fewer shifts
     each one in place and multiplies it while the next is read.
@@ -135,17 +133,7 @@ def _gram(
     p = store.selection_dim(sel)
     n = store.n_points
     tau = origin.tau
-    if tau is None:
-        origin_store = None
-    if origin_store is not None:
-        if not 0 <= tau < origin_store.n_points:
-            raise OriginOutOfRange(f"origin index {tau} not in origin store")
-        if origin_store.selection_dim(sel) != p:
-            raise LayoutMismatch(
-                f"origin store selects {origin_store.selection_dim(sel)} parameters, "
-                f"the store {p}"
-            )
-    elif tau is not None:
+    if tau is not None:
         if not 0 <= tau < n:
             raise OriginOutOfRange(f"origin index {tau} not in store of {n} points")
         if n == 1:
@@ -155,29 +143,20 @@ def _gram(
     slots = max(1, min(threads, len(chunks)))
     width = chunks[0][1] - chunks[0][0]
     bufs = [np.empty(n * width) for _ in range(slots)]
-    # per slot: the origin store's rows of the chunk
-    if origin_store is not None:
-        ext = [np.empty(origin_store.n_points * width) for _ in range(slots)]
 
-    def read(k: int, start: int, stop: int):
-        slot, w = k % slots, stop - start
-        x = store.chunk_matrix(sel, start, stop, out=bufs[slot][: n * w].reshape(n, w))
-        if origin_store is None:
-            return x, None
-        rows = ext[slot][: origin_store.n_points * w].reshape(-1, w)
-        return x, origin_store.chunk_matrix(sel, start, stop, out=rows)[tau]
+    def read(k: int, start: int, stop: int) -> np.ndarray:
+        w = stop - start
+        return store.chunk_matrix(sel, start, stop, out=bufs[k % slots][: n * w].reshape(n, w))
 
-    def product(x: np.ndarray, o: np.ndarray | None) -> np.ndarray:
+    def product(x: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):  # checked once, below
-            if o is not None:
-                x -= o
-            elif tau is not None:
+            if tau is not None:
                 x[:tau] -= x[tau]
                 x[tau + 1 :] -= x[tau]
             return x @ x.T
 
     if slots == 1:
-        g = _tree_sum(product(*read(k, a, b)) for k, (a, b) in enumerate(chunks))
+        g = _tree_sum(product(read(k, a, b)) for k, (a, b) in enumerate(chunks))
     else:
         with ThreadPoolExecutor(max_workers=slots - 1) as ex:
 
@@ -186,7 +165,7 @@ def _gram(
                 for k, (a, b) in enumerate(chunks):
                     if len(pending) == slots:  # chunk k - slots frees slot k % slots
                         yield pending.popleft().result()
-                    pending.append(ex.submit(product, *read(k, a, b)))
+                    pending.append(ex.submit(product, read(k, a, b)))
                 while pending:
                     yield pending.popleft().result()
 
@@ -209,18 +188,17 @@ def compute_gram(
     origin: OriginSpec,
     sel: SelectionSpec | None = None,
     *,
-    origin_store: TrajectoryStore | None = None,
     threads: int = 1,
 ) -> GramMatrix:
-    """Gram matrix of the (optionally origin-shifted) trajectory points.
+    """Gram matrix of the trajectory points from one of two origins.
 
-    With an in-trajectory origin the zero row of the shifted point set is
-    omitted, shrinking n by one. An external origin point is supplied as
-    a one-checkpoint ``origin_store``.
+    From the absolute origin it is the raw points' Gram matrix. From the
+    in-trajectory origin ``tau`` the points are shifted by checkpoint tau
+    and its zero row is omitted, shrinking n by one.
     """
-    g = _gram(store, sel, origin, origin_store, threads)
+    g = _gram(store, sel, origin, threads)
     labels = list(store.labels)
-    if origin.is_absolute or origin_store is not None:
+    if origin.is_absolute:
         return _gram_matrix(g, origin, labels)
     keep = np.arange(store.n_points) != origin.tau
     labels = [lbl for lbl, k in zip(labels, keep) if k]
@@ -246,7 +224,7 @@ def gram_pair(
     """
     if store.n_points == 1:
         return compute_gram(store, OriginSpec.absolute(), sel, threads=threads), None
-    g = _gram(store, sel, OriginSpec.checkpoint(0), None, threads)
+    g = _gram(store, sel, OriginSpec.checkpoint(0), threads)
     labels = list(store.labels)
     k0 = _gram_matrix(g[1:, 1:].copy(), OriginSpec.checkpoint(0), labels[1:])
     v = np.concatenate(([0.0], g[0, 1:]))

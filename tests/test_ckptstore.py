@@ -152,7 +152,6 @@ def test_open_store_happy_path(tmp_path):
     store = open_store(manifest)
     assert store.n_points == 3
     assert store.dim_p == 6
-    assert store.has_init
 
 
 def test_layout_mismatch_names_offender(tmp_path):
@@ -237,6 +236,11 @@ def test_malformed_manifest_document_is_typed(tmp_path, text):
         open_store(manifest)
 
 
+def chunk(store, start, stop):
+    """Columns [start, stop) of the whole store, read into a new buffer."""
+    return store.chunk_matrix(None, start, stop, out=np.empty((store.n_points, stop - start)))
+
+
 def test_file_shrunk_after_open_is_truncated(tmp_path):
     ckpts = [two_tensor_ckpt(i, [i, i], np.full((2, 2), i)) for i in range(2)]
     manifest = write_store(ckpts, tmp_path)
@@ -246,7 +250,7 @@ def test_file_shrunk_after_open_is_truncated(tmp_path):
     with pytest.raises(TruncatedFile):
         lazy.flatten(1)
     with pytest.raises(TruncatedFile):
-        lazy.chunk_matrix(None, 0, 6)
+        chunk(lazy, 0, 6)
 
 
 class _CountingFile:
@@ -375,9 +379,7 @@ def test_lazy_store_matches_cached(tmp_path, rng):
         assert cached.is_cached and not lazy.is_cached
         for i in range(3):
             np.testing.assert_array_equal(cached.flatten(i), lazy.flatten(i))
-        np.testing.assert_array_equal(
-            cached.matrix()[:, 1:3], lazy.chunk_matrix(None, 1, 3)
-        )
+        np.testing.assert_array_equal(cached.matrix()[:, 1:3], chunk(lazy, 1, 3))
 
 
 # --- lazy reads through held descriptors ---
@@ -402,7 +404,7 @@ def test_lazy_store_holds_one_descriptor_per_checkpoint_until_closed(tmp_path):
         expected = lazy.matrix()
     assert open_fds() == baseline
     # a closed store still reads, opening each checkpoint per read
-    np.testing.assert_array_equal(lazy.chunk_matrix(None, 1, 5), expected[:, 1:5])
+    np.testing.assert_array_equal(chunk(lazy, 1, 5), expected[:, 1:5])
     assert open_fds() == baseline
     lazy.close()
     again = open_store(manifest)
@@ -428,9 +430,7 @@ def test_lazy_chunks_straddling_mixed_dtype_tensors_match_cached(tmp_path):
         p = lazy.dim_p
         for start, stop in [(0, p), (0, 4096), (4096, 8192), (8192, p), (2999, 3001),
                             (7999, 8001), (p - 10, p), (3000, 3000)]:
-            np.testing.assert_array_equal(
-                lazy.chunk_matrix(None, start, stop), cached.chunk_matrix(None, start, stop)
-            )
+            np.testing.assert_array_equal(chunk(lazy, start, stop), chunk(cached, start, stop))
         sel = SelectionSpec(include_globs=("a", "c", "f"))
         for i in range(lazy.n_points):
             np.testing.assert_array_equal(lazy.flatten(i, sel), cached.flatten(i, sel))

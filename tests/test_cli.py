@@ -106,19 +106,14 @@ def test_hallmarks_no_measures_is_data_error(linear_manifest, tmp_path, capsys):
 
 
 def test_hallmarks_unknown_measure_is_usage_error(linear_manifest, tmp_path, capsys):
-    rc = main(
-        [
-            "hallmarks",
-            "--manifest",
-            linear_manifest,
-            "--measure",
-            "bogus",
-            "--out",
-            str(tmp_path / "h"),
-        ]
-    )
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+    # a bad name fails before the store is read, so no good name's CSV is written
+    out = tmp_path / "h"
+    for measures in (["bogus"], ["param_norm", "bogus"]):
+        argv = ["hallmarks", "--manifest", linear_manifest, "--out", str(out)]
+        for name in measures:
+            argv += ["--measure", name]
+        assert run_error(argv, capsys) == (1, "UsageError")
+        assert not list(out.glob("*.csv"))
 
 
 def test_spectra_outputs_four_files(linear_manifest, tmp_path):
@@ -213,6 +208,13 @@ def test_theory_width_seed_override(tmp_path):
         assert rc == 0
         outs.append(json.loads((out / "width.json").read_text()))
     assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("verb", ["lemma", "eos"])
+def test_theory_seed_is_width_only(tmp_path, capsys, verb):
+    # the lemma and eos sweeps draw no random numbers: a seed would be ignored
+    argv = ["theory", verb, "--seed", "1", "--out", str(tmp_path / verb)]
+    assert run_error(argv, capsys) == (1, "UsageError")
 
 
 # --- train verb ---

@@ -65,10 +65,8 @@ VERBS = {
         "--k": ints(-1, 6),
     },
     ("spectra",): store_flags,
-    ("theory", "lemma"): {"--params": st.sampled_from(PATHS), "--seed": ints(),
-                          "--out": st.sampled_from(OUTS)},
-    ("theory", "eos"): {"--params": st.sampled_from(PATHS), "--seed": ints(),
-                        "--out": st.sampled_from(OUTS)},
+    ("theory", "lemma"): {"--params": st.sampled_from(PATHS), "--out": st.sampled_from(OUTS)},
+    ("theory", "eos"): {"--params": st.sampled_from(PATHS), "--out": st.sampled_from(OUTS)},
     ("theory", "width"): {"--seed": st.one_of(ints(), st.just(str(2**70))),
                           "--out": st.sampled_from(OUTS)},
     ("train",): {"--out": st.sampled_from(OUTS)},

@@ -25,7 +25,6 @@ from trajkit.errors import (
     DegenerateVector,
     EmptySelection,
     EmptyTrajectory,
-    LayoutMismatch,
     NonFinitePayload,
     OriginOutOfRange,
 )
@@ -127,16 +126,6 @@ def test_omit_row_on_single_point_store():
     store = TrajectoryStore.from_arrays([[1.0, 2.0]])
     with pytest.raises(EmptyTrajectory):
         compute_gram(store, OriginSpec.checkpoint(0))
-
-
-def test_external_origin_via_one_checkpoint_store(rng):
-    pts = rng.standard_normal((4, 30))
-    origin = rng.standard_normal(30)
-    store = TrajectoryStore.from_arrays(pts)
-    origin_store = TrajectoryStore.from_arrays(origin[None, :])
-    gram = compute_gram(store, OriginSpec.checkpoint(0), origin_store=origin_store)
-    assert gram.n == 4  # no omit-row for an external origin
-    assert np.max(np.abs(gram.values - naive_gram(pts, origin=origin))) <= 1e-10
 
 
 # --- layerwise ---
@@ -342,16 +331,9 @@ def test_grams_match_longdouble_oracle(kind, monkeypatch):
         assert len(reads) == chunks
     assert np.array_equal(k0.values, compute_gram(store, OriginSpec.checkpoint(0)).values)
 
-    external = theta[n // 2] + 0.5 * rng.standard_normal(theta.shape[1])
-    origin_store = TrajectoryStore.from_arrays(external[None, :])
-    cases = [(tau, OriginSpec.checkpoint(tau), None) for tau in (0, 2, n // 2, n - 1)]
-    cases.append((None, OriginSpec.checkpoint(0), origin_store))
-    for tau, origin, ostore in cases:
-        got = compute_gram(store, origin, origin_store=ostore)
-        if tau is None:
-            ref = longdouble_gram(theta, origin=external)
-        else:
-            ref = longdouble_gram(np.delete(theta, tau, axis=0), origin=theta[tau])
+    for tau in (0, 2, n // 2, n - 1):
+        got = compute_gram(store, OriginSpec.checkpoint(tau))
+        ref = longdouble_gram(np.delete(theta, tau, axis=0), origin=theta[tau])
         assert np.max(np.abs(got.values - ref)) <= 1e-9 * float(np.max(np.abs(ref)))
         cos = compute_cosine_map(got).values
         assert np.max(np.abs(cos - longdouble_cosine(ref))) <= 1e-14
@@ -417,34 +399,23 @@ def test_grams_bit_identical_at_any_thread_count(wide_pts, tmp_path):
     theta = wide_pts.astype(np.float64)
     lazy = lazy_f32_store(tmp_path / "store", wide_pts)
     cached = TrajectoryStore.from_arrays(theta, labels=[f"c{i}" for i in range(n)])
-    external = theta[n // 2] + 0.5
-    origin_stores = (
-        lazy_f32_store(tmp_path / "origin", external[None, :].astype(np.float32)),
-        TrajectoryStore.from_arrays(external.astype(np.float32).astype(np.float64)[None, :]),
-    )
 
-    def grams(store, origin_store, threads):
+    def grams(store, threads):
         k, k0 = gram_pair(store, threads=threads)
-        out = [k, k0, *(
+        return [k, k0, *(
             compute_gram(store, OriginSpec.checkpoint(tau), threads=threads)
             for tau in (0, 2, n // 2, n - 1)  # 0, 2, mid or n - 1 rows move
         )]
-        out.append(compute_gram(
-            store, OriginSpec.checkpoint(0), origin_store=origin_store, threads=threads
-        ))
-        return out
 
-    want = grams(lazy, origin_stores[0], 1)
+    want = grams(lazy, 1)
     for tau, gram in zip((0, 0, 2, n // 2, n - 1), want[1:6]):
         keep = [i for i in range(n) if i != tau]
         assert gram.point_labels == [f"c{i}" for i in keep]
         expected = naive_gram(theta[keep], origin=theta[tau])
         assert np.max(np.abs(gram.values - expected)) <= 1e-9 * np.max(np.abs(expected))
-    expected = naive_gram(theta, origin=origin_stores[1].flatten(0))
-    assert np.max(np.abs(want[6].values - expected)) <= 1e-9 * np.max(np.abs(expected))
     for threads in (1, 2, 3, 8):
-        for store, origin_store in ((lazy, origin_stores[0]), (cached, origin_stores[1])):
-            for got, ref in zip(grams(store, origin_store, threads), want):
+        for store in (lazy, cached):
+            for got, ref in zip(grams(store, threads), want):
                 assert np.array_equal(got.values, ref.values)
                 assert np.array_equal(got.norms, ref.norms)
                 assert got.point_labels == ref.point_labels
@@ -488,10 +459,3 @@ def test_lazy_gram_pass_holds_at_most_threads_plus_one_chunks(rng, tmp_path, thr
     finally:
         tracemalloc.stop()
     assert peak <= (threads + 1) * n * CHUNK * 8 + 64 * n * n * 8
-
-
-def test_origin_store_of_another_width_is_rejected(rng):
-    store = TrajectoryStore.from_arrays(rng.standard_normal((3, 10)))
-    origin_store = TrajectoryStore.from_arrays(rng.standard_normal((1, 11)))
-    with pytest.raises(LayoutMismatch):
-        compute_gram(store, OriginSpec.checkpoint(0), origin_store=origin_store)

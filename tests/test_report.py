@@ -3,7 +3,7 @@ import pytest
 
 from trajkit.errors import InvalidStyle
 from trajkit.hallmarks import ScalarSeries, Units
-from trajkit.heatmap import HeatmapStyle, render_svg
+from trajkit.heatmap import STOPS, HeatmapStyle, render_svg
 from trajkit.report import (
     fmt,
     read_matrix_csv,
@@ -29,13 +29,18 @@ def test_colormap_midpoint():
     assert HeatmapStyle().rgb(0.0) == (140, 140, 203)
 
 
+def test_each_stop_fraction_maps_to_its_colour():
+    style = HeatmapStyle(v_min=0.0, v_max=1.0)
+    assert [f for f, _ in STOPS] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    for f, colour in STOPS:
+        assert style.rgb(f) == colour
+
+
 def test_invalid_style_rejected():
     with pytest.raises(InvalidStyle):
         HeatmapStyle(v_min=1.0, v_max=1.0)
     with pytest.raises(InvalidStyle):
         HeatmapStyle(cell_px=0)
-    with pytest.raises(InvalidStyle):
-        HeatmapStyle(colormap=((0.5, (0, 0, 0)), (1.0, (1, 1, 1))))
     # a span that is not finite would paint every cell one colour
     inf, nan = float("inf"), float("nan")
     for v_min, v_max in ((-inf, inf), (-1e308, 1e308), (0.0, inf), (-inf, 0.0), (0.0, nan)):
