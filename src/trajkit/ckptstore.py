@@ -165,84 +165,77 @@ def _glob_regex(pattern: str) -> re.Pattern:
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     if not ckpt.tensors:
         raise InvalidCheckpoint("checkpoint has zero tensors")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<II", FORMAT_VERSION, len(ckpt.tensors))
+    heads = []  # packed first: a name or dim too large for its field raises before the file exists
     for t in ckpt.tensors:
         name = t.name.encode("utf-8")
-        blob += struct.pack("<H", len(name))
-        blob += name
-        blob += struct.pack("<BB", int(t.dtype), len(t.dims))
-        blob += struct.pack(f"<{len(t.dims)}Q", *t.dims)
-        blob += t.data.tobytes()
-    Path(path).write_bytes(bytes(blob))
+        rank = len(t.dims)
+        heads.append(struct.pack(f"<H{len(name)}sBB{rank}Q",
+                                 len(name), name, t.dtype, rank, *t.dims))
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(ckpt.tensors)))
+        for head, t in zip(heads, ckpt.tensors):
+            f.write(head)
+            f.write(t.data)
 
 
-class _Reader:
-    """Sequential reads from a checkpoint file; short reads are TruncatedFile."""
+def _read_header(f, path: Path):
+    """(name, dtype, dims, payload offset) per tensor of the checkpoint open
+    as ``f``. A field or payload past the end of the file is TruncatedFile;
+    tensor names must be non-empty and distinct, as in a Checkpoint."""
+    size = os.fstat(f.fileno()).st_size
+    pos = 0
 
-    def __init__(self, path):
-        self.path = Path(path)
-        self.f = open(self.path, "rb")
-        self.size = os.fstat(self.f.fileno()).st_size
-        self.pos = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def _advance(self, n: int) -> None:
-        if self.pos + n > self.size:
-            raise TruncatedFile(f"{self.path}: needed {n} bytes at offset {self.pos}")
-        self.pos += n
-
-    def take(self, n: int) -> bytes:
-        self._advance(n)
-        out = self.f.read(n)
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > size:
+            raise TruncatedFile(f"{path}: needed {n} bytes at offset {pos}")
+        out = f.read(n)
         if len(out) != n:
-            raise TruncatedFile(f"{self.path}: file shrank while it was read")
+            raise TruncatedFile(f"{path}: file shrank while it was read")
+        pos += n
         return out
 
-    def skip(self, n: int) -> None:
-        self._advance(n)
-        self.f.seek(self.pos)
-
-
-def _read_header(reader: _Reader):
-    """(name, dtype, dims, payload offset) per tensor; a short payload is TruncatedFile."""
-    if reader.take(8) != MAGIC:
-        raise BadMagic(f"{reader.path}: not a trajectory checkpoint file")
-    version, count = struct.unpack("<II", reader.take(8))
+    if take(8) != MAGIC:
+        raise BadMagic(f"{path}: not a trajectory checkpoint file")
+    version, count = struct.unpack("<II", take(8))
     if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"{reader.path}: version {version}")
+        raise UnsupportedVersion(f"{path}: version {version}")
     if count == 0:
-        raise InvalidCheckpoint(f"{reader.path}: zero tensors")
-    offsets = []
+        raise InvalidCheckpoint(f"{path}: zero tensors")
+    offsets, names = [], set()
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", reader.take(2))
+        (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = reader.take(name_len).decode("utf-8")
+            name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
-            raise InvalidTensor(f"{reader.path}: tensor name is not UTF-8")
-        dtype_code, rank = struct.unpack("<BB", reader.take(2))
+            raise InvalidTensor(f"{path}: tensor name is not UTF-8")
+        if not name:
+            raise InvalidTensor(f"{path}: tensor name must be non-empty")
+        if name in names:
+            raise InvalidCheckpoint(f"{path}: duplicate tensor name {name!r}")
+        names.add(name)
+        dtype_code, rank = take(2)
         try:
             dtype = Dtype(dtype_code)
         except ValueError:
-            raise InvalidTensor(f"{reader.path}: unknown dtype code {dtype_code}")
-        dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank))
-        offsets.append((name, dtype, tuple(int(d) for d in dims), reader.pos))
-        reader.skip(math.prod(dims) * dtype.np_dtype.itemsize)
+            raise InvalidTensor(f"{path}: unknown dtype code {dtype_code}")
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+        nbytes = math.prod(dims) * dtype.np_dtype.itemsize
+        if pos + nbytes > size:
+            raise TruncatedFile(f"{path}: needed {nbytes} bytes at offset {pos}")
+        offsets.append((name, dtype, dims, pos))
+        pos += nbytes
+        f.seek(pos)
     return offsets
 
 
 def read_checkpoint(path, *, index: int = 0, label: str = "") -> Checkpoint:
-    with _Reader(path) as reader:
-        tensors = []
-        for name, dtype, dims, offset in _read_header(reader):
+    path = Path(path)
+    tensors = []
+    with open(path, "rb") as f:
+        for name, dtype, dims, offset in _read_header(f, path):
             data = np.empty(math.prod(dims), dtype=dtype.np_dtype)
-            _pread_into(reader.f.fileno(), memoryview(data).cast("B"), offset, reader.path)
+            _pread_into(f.fileno(), memoryview(data).cast("B"), offset, path)
             tensors.append(TensorRecord(name, dtype, dims, data))
     return Checkpoint(index=index, label=label, tensors=tensors)
 
@@ -530,9 +523,9 @@ def open_store(manifest_path) -> TrajectoryStore:
                 raise DuplicateIndex(f"manifest index {idx} appears twice")
             seen.add(idx)
             path = (manifest_path.parent / entry["path"]).resolve()
-            with _Reader(path) as reader:
-                offsets = _read_header(reader)
-                fd = os.dup(reader.f.fileno()) if len(sources) < budget else None
+            with open(path, "rb") as f:
+                offsets = _read_header(f, path)
+                fd = os.dup(f.fileno()) if len(sources) < budget else None
             sources.append(_Source(path, offsets, fd))
             if fd is not None:
                 _HELD.add(fd)
@@ -578,7 +571,12 @@ def _manifest_entries(manifest_path: Path) -> list[dict]:
 
 
 def write_store(checkpoints: list[Checkpoint], out_dir):
-    """Write checkpoints plus ``manifest.json``; returns the manifest path."""
+    """Write checkpoints plus ``manifest.json``; returns the manifest path.
+
+    Checkpoints that would not open as one store (none, a repeated index,
+    differing layouts) raise before anything is written.
+    """
+    TrajectoryStore.from_checkpoints(checkpoints)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

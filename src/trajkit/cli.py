@@ -154,10 +154,11 @@ def cmd_map(args) -> int:
 
     sel = _selection(args)
     origin = _parse_origin(args.origin)
+    # checked before the store is opened, so a bad style reads and writes nothing
+    style = HeatmapStyle(v_min=args.vmin, v_max=args.vmax, cell_px=args.cell_px)
     with open_store(args.manifest) as store:
         gram = compute_gram(store, origin, sel, threads=_ring_slots(args, store))
     cosmap = compute_cosine_map(gram)
-    style = HeatmapStyle(v_min=args.vmin, v_max=args.vmax, cell_px=args.cell_px)
     out = _out_dir(args)
     write_matrix_csv(cosmap.values, cosmap.point_labels, out / "map.csv")
     (out / "map.svg").write_text(render_svg(cosmap.values, cosmap.point_labels, style))
@@ -289,7 +290,7 @@ def _fields(cls, **extra) -> dict:
 @_parameter_file_verb
 def cmd_theory(args) -> int:
     from . import theory
-    from .report import alignment_json, eos_json, lemma_report_json
+    from .report import alignment_json
 
     out = _out_dir(args)
     params = _load_params(args)
@@ -306,7 +307,8 @@ def cmd_theory(args) -> int:
             )
             raise
         report = theory.lemma_bounds(spec, trace)
-        out_path.write_text(json.dumps(lemma_report_json(report), indent=2) + "\n")
+        doc = {"all_satisfied": report.all_satisfied, **dataclasses.asdict(report)}
+        out_path.write_text(json.dumps(doc, indent=2) + "\n")
         print(json.dumps({"pairs": len(report.pairs), "all_satisfied": report.all_satisfied}))
     elif args.subcommand == "eos":
         _checked(params, _fields(theory.QuadraticSpec, steps=int, eta_grid=tuple[float, ...]),
@@ -315,7 +317,8 @@ def cmd_theory(args) -> int:
         grid = params.pop("eta_grid", list(theory.EOS_GRID))
         spec = dataclasses.replace(theory.EOS_BASE, **params)
         points = theory.eos_angle_sweep(spec, grid, steps=steps)
-        (out / "eos.json").write_text(json.dumps(eos_json(points), indent=2) + "\n")
+        doc = {"points": [dataclasses.asdict(p) for p in points]}
+        (out / "eos.json").write_text(json.dumps(doc, indent=2) + "\n")
         print(json.dumps({"points": len(points)}))
     else:
         _checked(params, _fields(theory.WidthSpec), "--params")

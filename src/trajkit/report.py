@@ -21,19 +21,22 @@ from . import __version__
 if TYPE_CHECKING:
     from .hallmarks import ScalarSeries
     from .spectral import SpectralSummary
-    from .theory import AlignmentCurve, EosPoint, LemmaBoundReport
+    from .theory import AlignmentCurve
 
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_matrix_csv(matrix: np.ndarray, labels: list[str], path) -> None:
+def _write_csv(path, header: list, rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(labels)
-        for row in np.asarray(matrix):
-            writer.writerow([fmt(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_matrix_csv(matrix: np.ndarray, labels: list[str], path) -> None:
+    _write_csv(path, labels, ([fmt(v) for v in row] for row in np.asarray(matrix)))
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -45,19 +48,13 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_series_csv(series: ScalarSeries, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "value", "units"])
-        for t, value in series.points:
-            writer.writerow([t, fmt(value), series.units.value])
+    units = series.units.value
+    _write_csv(path, ["t", "value", "units"], ([t, fmt(v), units] for t, v in series.points))
 
 
 def write_spectrum_csv(summary: SpectralSummary, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"eigenvalue_{summary.matrix_id.value}"])
-        for v in summary.eigenvalues:
-            writer.writerow([fmt(v)])
+    _write_csv(path, [f"eigenvalue_{summary.matrix_id.value}"],
+               ([fmt(v)] for v in summary.eigenvalues))
 
 
 @dataclass
@@ -73,34 +70,6 @@ class AnalysisSummary:
 
     def write(self, path) -> None:
         Path(path).write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
-
-
-def lemma_report_json(report: LemmaBoundReport) -> dict:
-    return {
-        "all_satisfied": report.all_satisfied,
-        "pairs": [
-            {
-                "t": p.t,
-                "observed": p.observed,
-                "z_lower": p.z_lower,
-                "z_upper": p.z_upper,
-                "paper_lower": p.paper_lower,
-                "paper_upper": p.paper_upper,
-                "z_satisfied": p.z_satisfied,
-                "paper_matches_z": p.paper_matches_z,
-            }
-            for p in report.pairs
-        ],
-    }
-
-
-def eos_json(points: list[EosPoint]) -> dict:
-    return {
-        "points": [
-            {"eta": p.eta, "mean_angle_deg": p.mean_angle_deg, "error": p.error}
-            for p in points
-        ]
-    }
 
 
 def alignment_json(curve: AlignmentCurve) -> dict:

@@ -236,18 +236,8 @@ def train(spec: TrainSpec, out_dir) -> TrainRunRecord:
         wall_clock_s=time.monotonic() - t0,
         checkpoints=checkpoints,
     )
-    (out_dir / "record.json").write_text(
-        json.dumps(
-            {
-                "losses": record.losses,
-                "accuracies": record.accuracies,
-                "manifest_path": record.manifest_path,
-                "wall_clock_s": record.wall_clock_s,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    doc = {k: v for k, v in vars(record).items() if k != "checkpoints"}
+    (out_dir / "record.json").write_text(json.dumps(doc, indent=2) + "\n")
     return record
 
 

@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from trajkit.errors import (
     BadMagic,
     DuplicateIndex,
     EmptySelection,
+    EmptyTrajectory,
     InvalidCheckpoint,
     InvalidManifest,
     InvalidTensor,
@@ -130,6 +132,32 @@ def test_round_trip_property(seed):
         got = read_checkpoint(path, index=ckpt.index, label=ckpt.label)
     assert got.index == ckpt.index and got.label == ckpt.label
     assert got.tensors == ckpt.tensors
+
+
+def layout_bytes(tensors) -> bytes:
+    """The module docstring's binary layout, assembled by hand from
+    (name, dtype code, dims, payload bytes) per tensor."""
+    out = b"TRAJCKPT" + struct.pack("<II", 1, len(tensors))
+    for name, code, dims, payload in tensors:
+        raw = name.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw + struct.pack("<BB", code, len(dims))
+        out += b"".join(struct.pack("<Q", d) for d in dims) + payload
+    return out
+
+
+def test_written_bytes_follow_the_documented_layout(tmp_path):
+    tensors, expected = [], []
+    for dtype, fmt in ((Dtype.F32, "f"), (Dtype.F64, "d"), (Dtype.F16, "e")):
+        for dims in ((), (3,), (2, 3)):
+            name = f"schicht.{dtype.name}.{len(dims)}.gewicht\u00e4\u20ac"
+            values = [0.5 * (k + 1) * (-1) ** k for k in range(int(np.prod(dims)))]
+            tensors.append(TensorRecord(name, dtype, dims, np.array(values)))
+            payload = struct.pack(f"<{len(values)}{fmt}", *values)
+            expected.append((name, int(dtype), dims, payload))
+    path = tmp_path / "c.trajckpt"
+    write_checkpoint(Checkpoint(0, "c", tensors), path)
+    assert path.read_bytes() == layout_bytes(expected)
+    assert read_checkpoint(path).tensors == tensors
 
 
 # --- store / manifest ---
@@ -314,6 +342,45 @@ def test_lazy_open_of_short_payload_is_truncated(tmp_path):
         read_checkpoint(path)
 
 
+F64_ONE = struct.pack("<d", 1.0)
+# checkpoints that write_checkpoint refuses to write, with the error each raises on read
+BAD_NAMES = {
+    "empty-name": ([("", 1, (1,), F64_ONE)], InvalidTensor),
+    "repeated-name": ([("w", 1, (1,), F64_ONE), ("b", 1, (1,), F64_ONE), ("w", 1, (1,), F64_ONE)],
+                      InvalidCheckpoint),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NAMES))
+def test_both_readers_reject_bad_tensor_names(tmp_path, capsys, case):
+    tensors, error = BAD_NAMES[case]
+    (tmp_path / "c0").write_bytes(layout_bytes(tensors))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"version": 1, "checkpoints": [{"index": 0, "label": "e0", "path": "c0"}]}))
+    with pytest.raises(error):
+        read_checkpoint(tmp_path / "c0")
+    with pytest.raises(error):
+        open_store(manifest)
+    assert main(["map", "--manifest", str(manifest), "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == error.__name__
+
+
+@pytest.mark.parametrize("case", ["repeated-index", "empty", "layout-mismatch"])
+def test_write_store_refuses_a_store_open_store_would_reject(tmp_path, case):
+    a = two_tensor_ckpt(0, [0, 0], np.zeros((2, 2)))
+    ckpts, error = {
+        "repeated-index": ([a, two_tensor_ckpt(0, [1, 1], np.ones((2, 2)))], DuplicateIndex),
+        "empty": ([], EmptyTrajectory),
+        "layout-mismatch": ([a, Checkpoint(1, "e1", [a.tensors[0]])], LayoutMismatch),
+    }[case]
+    out = tmp_path / "store"
+    with pytest.raises(error):
+        write_store(ckpts, out)
+    assert not out.exists()
+
+
 # --- flatten / selection ---
 
 
@@ -392,6 +459,22 @@ def open_fds() -> int:
 needs_proc_fd = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd"
 )
+
+
+@needs_proc_fd
+@pytest.mark.parametrize("case", ["bad-magic", "truncated", "repeated-name"])
+def test_failed_read_checkpoint_releases_its_descriptor(tmp_path, case):
+    path = tmp_path / "c"
+    good = layout_bytes([("w", 1, (2,), F64_ONE * 2)])
+    path.write_bytes({
+        "bad-magic": b"NOTACKPT" + good[8:],
+        "truncated": good[:-3],
+        "repeated-name": layout_bytes(BAD_NAMES["repeated-name"][0]),
+    }[case])
+    baseline = os.listdir("/proc/self/fd")
+    with pytest.raises((BadMagic, TruncatedFile, InvalidCheckpoint)):
+        read_checkpoint(path)
+    assert os.listdir("/proc/self/fd") == baseline
 
 
 @needs_proc_fd

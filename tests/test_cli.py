@@ -64,6 +64,18 @@ def test_non_finite_heatmap_bounds_are_data_error(linear_manifest, tmp_path, cap
     assert not (out / "map.csv").exists()
 
 
+def test_bad_heatmap_style_fails_before_the_store_opens(
+    linear_manifest, tmp_path, capsys, monkeypatch
+):
+    def no_open(manifest_path):
+        raise AssertionError(f"opened {manifest_path}")
+
+    monkeypatch.setattr(ckptstore, "open_store", no_open)
+    argv = ["map", "--manifest", linear_manifest, "--vmin", "1", "--vmax", "0"]
+    assert run_error([*argv, "--out", str(tmp_path / "m")], capsys) == (2, "InvalidStyle")
+    assert not (tmp_path / "m").exists()
+
+
 def test_map_relative_origin(linear_manifest, tmp_path):
     out = tmp_path / "rel"
     rc = main(
