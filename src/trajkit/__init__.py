@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "kernel": (
         "CosineMap", "GramMatrix", "OriginSpec", "compute_cosine_map", "compute_gram",
-        "gram_pair", "layerwise_maps", "relative_trajectory_map", "trajectory_map",
+        "gram_pair", "trajectory_map",
     ),
     "spectral": ("MatrixId", "SpectralSummary", "symmetric_eigenvalues", "trajectory_spectra"),
     "theory": (

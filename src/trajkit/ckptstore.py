@@ -77,10 +77,17 @@ class TensorRecord:
     def __post_init__(self):
         self.dtype = Dtype(self.dtype)
         self.dims = tuple(int(d) for d in self.dims)
-        if not self.name:
-            raise InvalidTensor("tensor name must be non-empty")
-        if any(d < 0 for d in self.dims):
-            raise InvalidTensor(f"tensor {self.name!r}: negative dim in {self.dims}")
+        # the header's fields bound these: name_len u16, rank u8, each dim u64
+        try:
+            name_bytes = len(self.name.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise InvalidTensor(f"tensor name {self.name!r} is not UTF-8") from None
+        if not 0 < name_bytes <= 0xFFFF:
+            raise InvalidTensor(f"tensor name is {name_bytes} UTF-8 bytes, not 1 to 65535")
+        if len(self.dims) > 0xFF:
+            raise InvalidTensor(f"tensor {self.name!r}: rank {len(self.dims)} is over 255")
+        if any(not 0 <= d < 1 << 64 for d in self.dims):
+            raise InvalidTensor(f"tensor {self.name!r}: a dim in {self.dims} is not in [0, 2^64)")
         self.data = np.ascontiguousarray(self.data, dtype=self.dtype.np_dtype).reshape(-1)
         if self.data.size != self.n_elements:
             raise InvalidTensor(
@@ -165,7 +172,7 @@ def _glob_regex(pattern: str) -> re.Pattern:
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     if not ckpt.tensors:
         raise InvalidCheckpoint("checkpoint has zero tensors")
-    heads = []  # packed first: a name or dim too large for its field raises before the file exists
+    heads = []  # packed first: a record changed after its checks fails before the file exists
     for t in ckpt.tensors:
         name = t.name.encode("utf-8")
         rank = len(t.dims)

@@ -325,8 +325,9 @@ def cmd_theory(args) -> int:
         if args.seed is not None:
             params["seed"] = args.seed
         curve = theory.width_alignment(dataclasses.replace(theory.WIDTH_FIXTURE, **params))
-        (out / "width.json").write_text(json.dumps(alignment_json(curve), indent=2) + "\n")
-        print(json.dumps({"fitted_loglog_slope": curve.fitted_loglog_slope}))
+        doc = alignment_json(curve)
+        (out / "width.json").write_text(json.dumps(doc, indent=2) + "\n")
+        print(json.dumps({"fitted_loglog_slope": doc["fitted_loglog_slope"]}))
     return 0
 
 

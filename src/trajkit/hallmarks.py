@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from . import angles, kernel
 from .ckptstore import ALL, SelectionSpec, TrajectoryStore
 from .errors import DegenerateVector, InsufficientPoints, NonFinitePayload
-from .kernel import EPS_NORM, CosineMap, OriginSpec
+from .kernel import CosineMap, OriginSpec
 
 
 class AngularMeasureKind(enum.Enum):
@@ -70,7 +70,8 @@ def mds_relative(
     store: TrajectoryStore, tau: int, sel: SelectionSpec | None = None, *, threads: int = 1
 ) -> MdsResult:
     """MDS of the relative trajectory map at tau (omit-row applied)."""
-    return mds(kernel.relative_trajectory_map(store, tau, sel, threads=threads))
+    gram = kernel.compute_gram(store, OriginSpec.checkpoint(tau), sel, threads=threads)
+    return mds(kernel.compute_cosine_map(gram))
 
 
 @dataclass
@@ -224,16 +225,6 @@ _MIN_POINTS = {
 }
 
 
-def angle_degrees(ab: float, aa: float, bb: float) -> float:
-    """Angle between a and b in degrees, from a.b, a.a and b.b."""
-    na = math.sqrt(aa)
-    nb = math.sqrt(bb)
-    if na <= EPS_NORM or nb <= EPS_NORM:
-        raise DegenerateVector("zero vector in angle computation")
-    c = ab / (na * nb)
-    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
-
-
 def angular_series(
     store: TrajectoryStore,
     measure: AngularMeasureKind,
@@ -253,11 +244,9 @@ def angular_series(
     points = []
     for t, ab, aa, bb in _angle_terms(tab, measure, k, store.n_points - 1):
         try:
-            points.append((t, angle_degrees(ab, aa, bb)))
-        except DegenerateVector:
-            raise DegenerateVector(
-                f"{measure.value}: zero vector at t={t} (converged or repeated checkpoint)"
-            )
+            points.append((t, angles.angle_degrees(ab, aa, bb)))
+        except DegenerateVector as exc:
+            raise DegenerateVector(f"{measure.value} at t={t}: {exc}") from None
     return ScalarSeries(measure_id=measure.value, k=k, points=points, units=Units.DEGREES)
 
 

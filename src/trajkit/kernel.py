@@ -23,17 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import angles
 from .ckptstore import SelectionSpec, TrajectoryStore
-from .errors import (
-    DegenerateVector,
-    EmptySelection,
-    EmptyTrajectory,
-    NonFinitePayload,
-    OriginOutOfRange,
-)
+from .errors import DegenerateVector, EmptyTrajectory, NonFinitePayload, OriginOutOfRange
 
 CHUNK = 4096
-EPS_NORM = 1e-30
 # gram_pair derives K from K0's pass while every (|theta_0| + |theta_i -
 # theta_0|)^2 / K_ii stays within this; the derived cosines' error measured
 # 3-7e-17 times that ratio, so at most about 1e-14 here
@@ -242,11 +236,12 @@ def gram_pair(
 
 
 def compute_cosine_map(gram: GramMatrix) -> CosineMap:
-    bad = np.nonzero(gram.norms <= EPS_NORM)[0]
+    """K_ij / (|i| |j|), clamped to [-1, 1], with the ``angles`` degeneracy rule."""
+    bad = np.nonzero(np.diagonal(gram.values) < angles.TINY)[0]
     if bad.size:
         i = int(bad[0])
         raise DegenerateVector(
-            f"point {gram.point_labels[i]!r} has zero norm relative to the origin"
+            f"point {gram.point_labels[i]!r} relative to the origin {angles.DEGENERATE}"
         )
     values = gram.values / np.outer(gram.norms, gram.norms)
     np.clip(values, -1.0, 1.0, out=values)
@@ -259,29 +254,3 @@ def trajectory_map(
 ) -> CosineMap:
     """Cosine map viewed from the absolute origin (the TM)."""
     return compute_cosine_map(compute_gram(store, OriginSpec.absolute(), sel, threads=threads))
-
-
-def relative_trajectory_map(
-    store: TrajectoryStore, tau: int, sel: SelectionSpec | None = None, *, threads: int = 1
-) -> CosineMap:
-    """Cosine map relative to in-trajectory point tau (the RTM), omit-row applied."""
-    return compute_cosine_map(
-        compute_gram(store, OriginSpec.checkpoint(tau), sel, threads=threads)
-    )
-
-
-def layerwise_maps(
-    store: TrajectoryStore,
-    group_spec: list[tuple[str, SelectionSpec]],
-    *,
-    threads: int = 1,
-) -> list[tuple[str, CosineMap]]:
-    """One trajectory map per named tensor group."""
-    out = []
-    for name, sel in group_spec:
-        try:
-            store.selected_layout(sel)
-        except EmptySelection:
-            raise EmptySelection(f"group {name!r} selects no tensors")
-        out.append((name, trajectory_map(store, sel, threads=threads)))
-    return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -39,14 +40,6 @@ def write_matrix_csv(matrix: np.ndarray, labels: list[str], path) -> None:
     _write_csv(path, labels, ([fmt(v) for v in row] for row in np.asarray(matrix)))
 
 
-def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    labels = rows[0]
-    values = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
-    return values, labels
-
-
 def write_series_csv(series: ScalarSeries, path) -> None:
     units = series.units.value
     _write_csv(path, ["t", "value", "units"], ([t, fmt(v), units] for t, v in series.points))
@@ -73,9 +66,11 @@ class AnalysisSummary:
 
 
 def alignment_json(curve: AlignmentCurve) -> dict:
+    """The curve as JSON; an undefined (NaN) slope is null, as JSON has no NaN."""
+    slope = curve.fitted_loglog_slope
     return {
         "points": [
             {"width": w, "cos": c, "one_minus_cos": om} for w, c, om in curve.points
         ],
-        "fitted_loglog_slope": curve.fitted_loglog_slope,
+        "fitted_loglog_slope": None if math.isnan(slope) else slope,
     }

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import angles
 from .errors import BoundViolation, DegenerateVector, NonFiniteIterate
 from .rng import Rng
 
@@ -209,19 +210,19 @@ def eos_angle_sweep(
             out.append(EosPoint(eta=float(eta), mean_angle_deg=None, error=str(exc)))
             continue
         # Each update is scaled by a power of two that brings its largest
-        # entry into [0.5, 1): the cosines are bit-identical, and the squares
+        # entry into [0.5, 1): the angles are bit-identical, and the squares
         # of a fast-diverging but still finite run no longer overflow.
         _, exponents = np.frexp(np.abs(trace.deltas).max(axis=1))
         d = np.ldexp(trace.deltas, -exponents[:, None])
-        norms = np.linalg.norm(d, axis=1)
-        inner = np.einsum("ij,ij->i", d[:-1], d[1:])
-        cos = np.full(d.shape[0] - 1, np.nan)
-        ok = (norms[:-1] > 0) & (norms[1:] > 0)
-        cos[ok] = inner[ok] / (norms[:-1][ok] * norms[1:][ok])
-        angles = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
-        half = angles[angles.shape[0] // 2 :]
-        half = half[np.isfinite(half)]
-        mean = float(np.mean(half)) if half.size else None
+        squares = np.einsum("ij,ij->i", d, d).tolist()
+        inner = np.einsum("ij,ij->i", d[:-1], d[1:]).tolist()
+        half = []
+        for t in range(len(inner) // 2, len(inner)):
+            try:
+                half.append(angles.angle_degrees(inner[t], squares[t], squares[t + 1]))
+            except DegenerateVector:  # a zero update has no angle: skip the step
+                pass
+        mean = float(np.mean(half)) if half else None
         out.append(EosPoint(eta=float(eta), mean_angle_deg=mean))
     return out
 
@@ -250,16 +251,7 @@ WIDTH_FIXTURE = WidthSpec(widths=(64, 256, 1024, 4096), eta_scale=1.0, steps=1, 
 @dataclass
 class AlignmentCurve:
     points: list[tuple[int, float, float]]  # (width, cos, 1 - cos)
-    fitted_loglog_slope: float
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    daa = float(np.dot(a, a))
-    dbb = float(np.dot(b, b))
-    dab = float(np.dot(a, b))
-    if daa <= 0.0 or dbb <= 0.0:
-        raise DegenerateVector("zero matrix in cosine computation")
-    return max(-1.0, min(1.0, dab / math.sqrt(daa * dbb)))
+    fitted_loglog_slope: float  # NaN when fewer than two widths have 1 - cos > 0
 
 
 def width_alignment(spec: WidthSpec) -> AlignmentCurve:
@@ -281,7 +273,8 @@ def width_alignment(spec: WidthSpec) -> AlignmentCurve:
             x0 = rng.gaussian(n)
             dh = rng.rademacher(n)
             w -= lr * np.outer(dh, x0)
-        cos = _cosine(w.ravel(), w0.ravel())
+        a, b = w.ravel(), w0.ravel()
+        cos = angles.cosine(float(np.dot(a, b)), float(np.dot(a, a)), float(np.dot(b, b)))
         points.append((n, cos, 1.0 - cos))
 
     xs = [math.log(n) for n, _, one_minus in points if one_minus > 0]

@@ -105,6 +105,36 @@ def test_length_mismatch_rejected():
         TensorRecord("w", Dtype.F64, (3,), np.array([1.0, 2.0]))
 
 
+# fields the header's u16 name length, u8 rank and u64 dims cannot hold
+UNWRITABLE = {
+    "name-over-65535-bytes": lambda: TensorRecord("\u00e9" * 32768, Dtype.F64, (1,), [1.0]),
+    "name-without-utf-8": lambda: TensorRecord("\ud800", Dtype.F64, (1,), [1.0]),
+    "rank-over-255": lambda: TensorRecord("x", Dtype.F64, (1,) * 256, [1.0]),
+    "dim-of-2^64": lambda: TensorRecord("x", Dtype.F64, (0, 1 << 64), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_fields_are_invalid_tensors(tmp_path, case):
+    make = UNWRITABLE[case]
+    with pytest.raises(InvalidTensor):
+        make()
+    with pytest.raises(InvalidTensor):
+        write_checkpoint(Checkpoint(0, "e0", [make()]), tmp_path / "c0")
+    with pytest.raises(InvalidTensor):
+        write_store([Checkpoint(0, "e0", [make()])], tmp_path / "store")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_header_fields_round_trip(tmp_path):
+    ckpt = Checkpoint(0, "e0", [
+        TensorRecord("\u00e9" * 32767 + "x", Dtype.F64, (1,) * 255, [2.0]),  # 65535 bytes
+        TensorRecord("z", Dtype.F32, (0, (1 << 64) - 1), []),
+    ])
+    write_checkpoint(ckpt, tmp_path / "c0")
+    assert read_checkpoint(tmp_path / "c0").tensors == ckpt.tensors
+
+
 def test_f16_upconverts_exactly(tmp_path):
     values = np.array([1.0, -2.5], dtype=np.float16)
     ckpt = Checkpoint(0, "h", [TensorRecord("h", Dtype.F16, (2,), values)])

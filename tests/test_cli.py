@@ -199,6 +199,26 @@ def test_theory_width_zero_update(tmp_path):
     assert all(p["cos"] == 1.0 for p in payload["points"])
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and Infinity, as a strict parser does."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("params", [{"widths": [64]}, {"widths": [8, 16], "eta_scale": 0.0}],
+                         ids=["one-width", "zero-update"])
+def test_theory_width_without_a_slope_writes_null(tmp_path, capsys, params):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "width"
+    assert main(["theory", "width", "--params", str(path), "--out", str(out)]) == 0
+    assert strict_json(capsys.readouterr().out) == {"fitted_loglog_slope": None}
+    assert strict_json((out / "width.json").read_text())["fitted_loglog_slope"] is None
+
+
 def test_theory_width_seed_override(tmp_path):
     params = tmp_path / "w.json"
     params.write_text(json.dumps({"widths": [16, 32]}))

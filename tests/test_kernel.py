@@ -13,10 +13,8 @@ from trajkit import (
     compute_cosine_map,
     compute_gram,
     gram_pair,
-    layerwise_maps,
     mds,
     open_store,
-    relative_trajectory_map,
     trajectory_map,
     write_store,
 )
@@ -98,20 +96,21 @@ def test_trajectory_map_is_composition(rng):
 
 def test_relative_map_collinear():
     store = TrajectoryStore.from_arrays([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    cm = relative_trajectory_map(store, 0)
+    cm = compute_cosine_map(compute_gram(store, OriginSpec.checkpoint(0)))
     assert cm.n == 2
     np.testing.assert_array_equal(cm.values, np.ones((2, 2)))
 
 
 def test_relative_map_orthogonal_displacements():
     store = TrajectoryStore.from_arrays([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    cm = relative_trajectory_map(store, 0)
+    cm = compute_cosine_map(compute_gram(store, OriginSpec.checkpoint(0)))
     assert cm.values[0, 1] == 0.0
 
 
 def test_relative_map_matches_subtracted_oracle(rng):
     pts = rng.standard_normal((6, 50))
-    cm = relative_trajectory_map(TrajectoryStore.from_arrays(pts), 0)
+    store = TrajectoryStore.from_arrays(pts)
+    cm = compute_cosine_map(compute_gram(store, OriginSpec.checkpoint(0)))
     expected = naive_cosine(pts[1:], origin=pts[0])
     assert np.max(np.abs(cm.values - expected)) <= 1e-12
 
@@ -119,7 +118,7 @@ def test_relative_map_matches_subtracted_oracle(rng):
 def test_relative_origin_out_of_range():
     store = TrajectoryStore.from_arrays([[1.0], [2.0]])
     with pytest.raises(OriginOutOfRange):
-        relative_trajectory_map(store, 5)
+        compute_gram(store, OriginSpec.checkpoint(5))
 
 
 def test_omit_row_on_single_point_store():
@@ -153,14 +152,14 @@ def test_layerwise_partition(rng):
         ("a", SelectionSpec(include_globs=("a",))),
         ("b", SelectionSpec(include_globs=("b",))),
     ]
-    maps = layerwise_maps(store, groups)
+    maps = [(name, trajectory_map(store, sel)) for name, sel in groups]
     assert [name for name, _ in maps] == ["a", "b"]
     assert store.selection_dim(groups[0][1]) + store.selection_dim(groups[1][1]) == store.dim_p
 
 
 def test_layerwise_identity_partition(rng):
     store = two_group_store(rng.standard_normal((3, 4)), rng.standard_normal((3, 6)))
-    [(_, cm)] = layerwise_maps(store, [("all", SelectionSpec())])
+    cm = trajectory_map(store, SelectionSpec())
     np.testing.assert_array_equal(cm.values, trajectory_map(store).values)
 
 
@@ -170,24 +169,15 @@ def test_layerwise_mixed_geometry():
     angles = np.deg2rad([0.0, 90.0, 180.0, 270.0])
     b = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     store = two_group_store(a, b)
-    maps = dict(
-        layerwise_maps(
-            store,
-            [
-                ("a", SelectionSpec(include_globs=("a",))),
-                ("b", SelectionSpec(include_globs=("b",))),
-            ],
-        )
-    )
+    maps = {name: trajectory_map(store, SelectionSpec(include_globs=(name,))) for name in "ab"}
     np.testing.assert_allclose(maps["a"].values, np.ones((4, 4)), atol=1e-12)
     np.testing.assert_allclose(np.abs(np.diagonal(maps["b"].values, 1)), 0.0, atol=1e-15)
 
 
 def test_layerwise_empty_group():
     store = two_group_store([[1.0]], [[1.0]])
-    with pytest.raises(EmptySelection) as exc:
-        layerwise_maps(store, [("nope", SelectionSpec(include_globs=("zzz",)))])
-    assert "nope" in str(exc.value)
+    with pytest.raises(EmptySelection):
+        trajectory_map(store, SelectionSpec(include_globs=("zzz",)))
 
 
 # --- invariants ---
