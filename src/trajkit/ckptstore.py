@@ -46,6 +46,9 @@ from .errors import (
 
 MAGIC = b"TRAJCKPT"
 FORMAT_VERSION = 1
+# columns a lazy flatten stages per read (16 of the Gram pass's chunks), so
+# its staging arrays hold at most this many payload values, not a whole row
+_FLATTEN_BLOCK = 16 * 4096
 
 
 class Dtype(enum.IntEnum):
@@ -444,7 +447,9 @@ class TrajectoryStore:
         if out is None:
             out = np.empty(self.selection_dim(sel), dtype=np.float64)
         if self._cached is None:
-            self._read_row(i, *_row_plan(chosen, 0, out.size), out)
+            for start in range(0, out.size, _FLATTEN_BLOCK):
+                stop = min(start + _FLATTEN_BLOCK, out.size)
+                self._read_row(i, *_row_plan(chosen, start, stop), out[start:stop])
             return out
         col = 0
         for ti, _ in chosen:

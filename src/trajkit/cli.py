@@ -72,8 +72,10 @@ def _add_store_flags(p) -> None:
     p.add_argument(
         "--mem-budget", type=int, default=2 << 30, metavar="BYTES",
         help="bounds the Gram pass's ring of n x 4096 float64 chunk buffers: at most "
-        "BYTES // (n * 4096 * 8) of them, and at most --threads, but always one. "
-        "The hallmark series' few p-length vectors are outside it. Default 2 GiB",
+        "BYTES // (n * 4096 * 8) of them, and at most --threads (--threads - 1 in "
+        "hallmarks above one thread), but always one. Outside it, the hallmark series "
+        "keep 9 p-length float64 vectors at --k 1 and 2k + 9 above, and a lazy read "
+        "stages at most 65536 payload values per checkpoint. Default 2 GiB",
     )
 
 
@@ -185,31 +187,57 @@ def cmd_hallmarks(args) -> int:
 
 
 def _hallmarks(args, requested: list[str], store) -> int:
-    from .hallmarks import AngularMeasureKind, NormMeasureKind, angular_series, mds, norm_series
+    """The Gram pass for omega and omega0 and the series' stream are two
+    reads of the store. At --threads 1 they run in turn; above it, one
+    worker streams the series while the calling thread runs the Gram pass
+    on the other threads. Either way every value comes from the same call,
+    errors rank Gram pass, cosine maps, then series in requested order, and
+    nothing is written until every value is computed."""
+    from .hallmarks import (
+        AngularMeasureKind, NormMeasureKind, angular_series, mds, norm_series, require_points,
+    )
     from .kernel import compute_cosine_map, gram_pair
     from .report import AnalysisSummary, write_series_csv
 
     sel = _selection(args)
-    out = _out_dir(args)
-
     summary = AnalysisSummary(
         manifest_path=str(args.manifest),
         n=store.n_points,
         p=store.selection_dim(sel),
     )
-    gram, gram0 = gram_pair(store, sel, threads=_ring_slots(args, store))
+    slots = _ring_slots(args, store)
+    kinds = {m.value: m for m in (*AngularMeasureKind, *NormMeasureKind)}
+    measures = [kinds[name] for name in requested]
+    for measure in measures:  # before any payload is read
+        require_points(measure, args.k, store.n_points)
+
+    def all_series():
+        return [
+            (angular_series if isinstance(m, AngularMeasureKind) else norm_series)(
+                store, m, k=args.k, sel=sel
+            )
+            for m in measures
+        ]
+
+    if args.threads == 1:
+        gram, gram0 = gram_pair(store, sel, threads=slots)
+        series = all_series
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # leaving the block joins the worker, also when the Gram pass raises
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            stream = pool.submit(all_series)
+            gram, gram0 = gram_pair(store, sel, threads=min(args.threads - 1, slots))
+        series = stream.result
     summary.omega = mds(compute_cosine_map(gram)).omega
     if gram0 is not None:
         summary.omega0 = mds(compute_cosine_map(gram0)).omega
-    angular = {m.value: m for m in AngularMeasureKind}
-    norm = {m.value: m for m in NormMeasureKind}
-    for name in requested:
-        if name in angular:
-            series = angular_series(store, angular[name], k=args.k, sel=sel)
-        else:
-            series = norm_series(store, norm[name], k=args.k, sel=sel)
+    results = series()
+    out = _out_dir(args)
+    for name, result in zip(requested, results):
         path = out / f"{name}.csv"
-        write_series_csv(series, path)
+        write_series_csv(result, path)
         summary.series_files[name] = str(path)
     summary.write(out / "summary.json")
     print(json.dumps({"omega": summary.omega, "omega0": summary.omega0, "out": str(out)}))

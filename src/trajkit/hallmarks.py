@@ -215,14 +215,34 @@ def _angle_terms(tab: _StepProducts, measure: AngularMeasureKind, k: int, last: 
 
 _MIN_POINTS = {
     AngularMeasureKind.CONSECUTIVE_UPDATES: 3,
-    AngularMeasureKind.LAGGED_UPDATES: 3,
     AngularMeasureKind.APEX_AT_INIT: 2,
     AngularMeasureKind.APEX_AT_ORIGIN: 1,
     AngularMeasureKind.UPDATE_VS_POSITION: 2,
     AngularMeasureKind.UPDATE_VS_TOTAL_DISPLACEMENT: 2,
     AngularMeasureKind.PROGRESS_VS_TOTAL_DISPLACEMENT: 2,
     AngularMeasureKind.UPDATE_VS_DISPLACEMENT_FROM_INIT: 3,
+    NormMeasureKind.PARAM_NORM: 1,
+    NormMeasureKind.DIST_FROM_INIT: 2,
 }
+
+
+def require_points(
+    measure: AngularMeasureKind | NormMeasureKind, k: int, n_points: int
+) -> None:
+    """The one minimum-points rule: raises InsufficientPoints unless a store
+    of ``n_points`` checkpoints gives ``measure`` at lag k its series."""
+    if k < 1:
+        raise ValueError("lag k must be >= 1")
+    if measure is AngularMeasureKind.LAGGED_UPDATES:
+        need = 2 * k + 1
+    elif measure is NormMeasureKind.UPDATE_NORM:
+        need = k + 1
+    else:
+        need = _MIN_POINTS[measure]
+    if n_points < need:
+        raise InsufficientPoints(
+            f"{measure.value} with k={k} needs >= {need} checkpoints, store has {n_points}"
+        )
 
 
 def angular_series(
@@ -231,15 +251,7 @@ def angular_series(
     k: int = 1,
     sel: SelectionSpec | None = None,
 ) -> ScalarSeries:
-    if k < 1:
-        raise ValueError("lag k must be >= 1")
-    need = _MIN_POINTS[measure]
-    if measure is AngularMeasureKind.LAGGED_UPDATES:
-        need = 2 * k + 1
-    if store.n_points < need:
-        raise InsufficientPoints(
-            f"{measure.value} needs >= {need} checkpoints, store has {store.n_points}"
-        )
+    require_points(measure, k, store.n_points)
     tab = _step_products(store, k, sel)
     points = []
     for t, ab, aa, bb in _angle_terms(tab, measure, k, store.n_points - 1):
@@ -256,18 +268,13 @@ def norm_series(
     k: int = 1,
     sel: SelectionSpec | None = None,
 ) -> ScalarSeries:
-    if k < 1:
-        raise ValueError("lag k must be >= 1")
+    require_points(measure, k, store.n_points)
     last = store.n_points - 1
     if measure is NormMeasureKind.PARAM_NORM:
         squares, steps = "theta_theta", range(last + 1)
     elif measure is NormMeasureKind.DIST_FROM_INIT:
-        if store.n_points < 2:
-            raise InsufficientPoints("dist_from_init needs >= 2 checkpoints")
         squares, steps = "disp_disp", range(last + 1)
     elif measure is NormMeasureKind.UPDATE_NORM:
-        if store.n_points < k + 1:
-            raise InsufficientPoints(f"update_norm with k={k} needs >= {k + 1} checkpoints")
         squares, steps = "lag_lag", range(last - k + 1)
     else:  # pragma: no cover
         raise ValueError(measure)

@@ -254,6 +254,26 @@ class AlignmentCurve:
     fitted_loglog_slope: float  # NaN when fewer than two widths have 1 - cos > 0
 
 
+_DOT_SLICE = 4096
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b in an order fixed by the length alone: np.dot over 4096-element
+    slices, which BLAS runs on one thread, and their partials summed exactly
+    by math.fsum. A single np.dot over the whole vectors sums in an order
+    that depends on how many threads BLAS splits it over. NaN when the
+    products overflow float64."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the result
+        partials = [
+            float(np.dot(a[i : i + _DOT_SLICE], b[i : i + _DOT_SLICE]))
+            for i in range(0, a.size, _DOT_SLICE)
+        ]
+    try:
+        return math.fsum(partials)
+    except (OverflowError, ValueError):  # finite partials overflow, or inf - inf
+        return math.nan
+
+
 def width_alignment(spec: WidthSpec) -> AlignmentCurve:
     """Run the rank-1 feature-update experiment across widths.
 
@@ -274,7 +294,10 @@ def width_alignment(spec: WidthSpec) -> AlignmentCurve:
             dh = rng.rademacher(n)
             w -= lr * np.outer(dh, x0)
         a, b = w.ravel(), w0.ravel()
-        cos = angles.cosine(float(np.dot(a, b)), float(np.dot(a, a)), float(np.dot(b, b)))
+        aa, bb = _dot(a, a), _dot(b, b)
+        if not (math.isfinite(aa) and math.isfinite(bb)):  # then a . b is finite too
+            raise NonFiniteIterate(f"width {n}: the squares of vec(W) overflow float64")
+        cos = angles.cosine(_dot(a, b), aa, bb)
         points.append((n, cos, 1.0 - cos))
 
     xs = [math.log(n) for n, _, one_minus in points if one_minus > 0]

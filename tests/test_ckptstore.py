@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -551,6 +552,42 @@ def test_lazy_chunks_straddling_mixed_dtype_tensors_match_cached(tmp_path):
         for threads in (1, 2, 3):
             got = compute_gram(lazy, OriginSpec.absolute(), threads=threads).values
             assert np.array_equal(got, expected)
+
+
+def test_lazy_flatten_blocks_straddling_mixed_dtype_tensors_match_cached(tmp_path):
+    # 65 536-column flatten blocks whose edges fall inside the f16 and f32 tensors
+    rng = np.random.default_rng(11)
+    shapes = [("a", Dtype.F16, (70000,)), ("b", Dtype.F32, (60000, 1)), ("c", Dtype.F64, (10,))]
+    ckpts = [
+        Checkpoint(i, f"c{i}", [
+            TensorRecord(name, dtype, dims, rng.standard_normal(int(np.prod(dims))))
+            for name, dtype, dims in shapes
+        ])
+        for i in range(3)
+    ]
+    cached = TrajectoryStore.from_checkpoints(ckpts)
+    with open_store(write_store(ckpts, tmp_path)) as lazy:
+        for sel in (None, SelectionSpec(include_globs=("b", "c"))):
+            for i in range(3):
+                assert lazy.flatten(i, sel).tobytes() == cached.flatten(i, sel).tobytes()
+
+
+def test_lazy_flatten_stages_a_bounded_block(tmp_path):
+    p = 10 * 65536
+    ckpts = [Checkpoint(i, f"c{i}", [TensorRecord("w", Dtype.F32, (p,), np.full(p, i + 0.5))])
+             for i in range(2)]
+    with open_store(write_store(ckpts, tmp_path)) as lazy:
+        buf = np.empty(p)
+        lazy.flatten(0, out=buf)  # first-use allocations are not the read's
+        tracemalloc.start()
+        try:
+            lazy.flatten(1, out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (buf == 1.5).all()
+    # a whole row of f32 staging would be 2.6 MB
+    assert peak < 1 << 20
 
 
 def test_store_past_the_descriptor_limit_reads_per_checkpoint(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -468,3 +470,156 @@ def test_duplicate_grid_name_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps({"train": {"epochs": 1}, "grid": [entry, entry]}))
     argv = ["train", "--spec", str(path), "--out", str(tmp_path / "t")]
     assert run_error(argv, capsys) == (1, "UsageError")
+
+
+# --- hallmarks: the Gram pass and the series stream side by side ---
+
+
+def points_store(points, path, dtype=Dtype.F64, sizes=None) -> str:
+    """An on-disk store of the rows of ``points``, cut into tensors of ``sizes``."""
+    points = np.asarray(points, dtype=np.float64)
+    sizes = sizes or [points.shape[1]]
+    bounds = np.cumsum([0, *sizes])
+    ckpts = [
+        Checkpoint(i, f"e{i}", [TensorRecord(f"t{j}", dtype, (sizes[j],), row[a:b])
+                                for j, (a, b) in enumerate(zip(bounds, bounds[1:]))])
+        for i, row in enumerate(points)
+    ]
+    return str(write_store(ckpts, path))
+
+
+@pytest.mark.parametrize(
+    "n, argv",
+    [(2, ["--measure", "param_norm", "--measure", "consecutive_updates"]),
+     (6, ["--k", "3", "--measure", "lagged_updates"]),
+     (3, ["--k", "3", "--measure", "apex_at_origin", "--measure", "update_norm"])],
+    ids=["consecutive-on-2", "lagged-k3-on-6", "update-norm-k3-on-3"],
+)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_hallmarks_too_few_points_fail_before_any_payload_read(
+    tmp_path, capsys, monkeypatch, n, argv, threads
+):
+    manifest = points_store(np.arange(1.0, 1.0 + 3 * n).reshape(n, 3), tmp_path / "store")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a payload was read")
+
+    monkeypatch.setattr(TrajectoryStore, "flatten", refuse)
+    monkeypatch.setattr(TrajectoryStore, "chunk_matrix", refuse)
+    out = tmp_path / "h"
+    argv = ["hallmarks", "--manifest", manifest, *argv, "--threads", threads, "--out", str(out)]
+    assert run_error(argv, capsys) == (2, "InsufficientPoints")
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_hallmarks_failing_series_leaves_no_output(tmp_path, capsys, threads):
+    # checkpoint 3 repeats checkpoint 2: update 2 is zero, so consecutive_updates
+    # fails after param_norm has its whole series
+    points = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 3.0], [3.0, 3.0], [4.0, 2.0]])
+    manifest = points_store(points, tmp_path / "store")
+    out = tmp_path / "h"
+    argv = ["hallmarks", "--manifest", manifest, "--measure", "param_norm",
+            "--measure", "consecutive_updates", "--threads", threads, "--out", str(out)]
+    assert run_error(argv, capsys) == (2, "DegenerateVector")
+    assert not list(out.glob("*"))
+
+
+def straddling_f32_store(path, n=9) -> str:
+    """A random walk in float32 with p = 12 500 > 10 000, whose tensors
+    straddle the 4096-column chunks."""
+    rng = np.random.default_rng(7)
+    points = np.cumsum(rng.standard_normal((n, 12500)), axis=0) + rng.standard_normal(12500)
+    return points_store(points, path, Dtype.F32, sizes=[3000, 5000, 4500])
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_hallmarks_outputs_identical_across_threads_and_reruns(tmp_path, k):
+    manifest = straddling_f32_store(tmp_path / "store")
+
+    def outputs(threads: str, run: int) -> dict[str, bytes]:
+        out = tmp_path / "out"  # summary.json names its series files
+        argv = ["hallmarks", "--manifest", manifest, "--measure", "all", "--k", k,
+                "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        for f in out.iterdir():
+            f.unlink()
+        return files
+
+    want = outputs("1", 0)
+    assert len(want) == 12  # 11 series CSVs + summary.json
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the passes share the store: switch threads often
+    try:
+        for threads in ("1", "2", "3", "8"):
+            for run in (1, 2):
+                assert outputs(threads, run) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "threads, budget_slots, gram_slots, pools",
+    [(1, 8, 1, 0), (1, 0, 1, 0), (2, 8, 1, 1), (3, 8, 2, 1), (8, 8, 7, 1), (8, 3, 3, 1),
+     (8, 0, 1, 1), (2, 0, 1, 1)],
+)
+def test_hallmarks_gives_the_gram_pass_the_other_threads(
+    tmp_path, monkeypatch, threads, budget_slots, gram_slots, pools
+):
+    from concurrent import futures
+
+    from trajkit import kernel
+
+    manifest = straddling_f32_store(tmp_path / "store", n=5)
+    slots, started = [], []
+    gram_pair = kernel.gram_pair
+
+    def recorded(store, sel=None, *, threads):
+        slots.append(threads)
+        return gram_pair(store, sel, threads=threads)
+
+    class Pool(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "gram_pair", recorded)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+    budget = budget_slots * 5 * 4096 * 8
+    argv = ["hallmarks", "--manifest", manifest, "--measure", "all", "--threads", str(threads),
+            "--mem-budget", str(budget), "--out", str(tmp_path / "h")]
+    assert main(argv) == 0
+    assert slots == [gram_slots]
+    assert started == [1] * pools  # the series' one worker; the Gram pass's pool is kernel's
+
+
+def test_hallmarks_error_is_the_gram_pass_at_every_thread_count(tmp_path, capsys):
+    # both passes meet the NaN; the Gram pass's error is the one reported
+    points = np.outer(np.arange(1.0, 7.0), [1.0, 2.0, -1.0])
+    points[3, 1] = np.nan
+    manifest = points_store(points, tmp_path / "store")
+    baseline = threading.active_count()
+    lines = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / threads
+        argv = ["hallmarks", "--manifest", manifest, "--measure", "all",
+                "--threads", threads, "--out", str(out)]
+        assert main(argv) == 2
+        lines.append(capsys.readouterr().err)
+        assert not list(out.glob("*"))
+        assert threading.active_count() == baseline
+    assert lines[0] == lines[1] == lines[2]
+    error = json.loads(lines[0])
+    assert error["error"] == "NonFinitePayload" and "Gram entry" in error["detail"]
+
+
+def test_theory_width_overflow_is_data_error(tmp_path, capsys):
+    # squares of vec(W) that overflow float64 are an error, not cos = 1
+    for scale in (1e153, 1e200):
+        params = tmp_path / "w.json"
+        params.write_text(json.dumps({"widths": [64, 256], "init_std_scale": scale}))
+        out = tmp_path / "width"
+        argv = ["theory", "width", "--params", str(params), "--out", str(out)]
+        assert run_error(argv, capsys) == (2, "NonFiniteIterate")
+        assert not (out / "width.json").exists()

@@ -20,6 +20,7 @@ from trajkit import (
     write_store,
 )
 from trajkit.errors import DegenerateVector, InsufficientPoints, NonFinitePayload
+from trajkit.hallmarks import require_points
 
 from conftest import random_store
 
@@ -119,6 +120,30 @@ def test_insufficient_points():
     store = TrajectoryStore.from_arrays([[1.0], [2.0]])
     with pytest.raises(InsufficientPoints):
         angular_series(store, AngularMeasureKind.CONSECUTIVE_UPDATES)
+
+
+# the fewest checkpoints for which a measure's series has a point, at lag k
+FEWEST_POINTS = {
+    "consecutive_updates": lambda k: 3, "lagged_updates": lambda k: 2 * k + 1,
+    "apex_at_init": lambda k: 2, "apex_at_origin": lambda k: 1,
+    "update_vs_position": lambda k: 2, "update_vs_total_displacement": lambda k: 2,
+    "progress_vs_total_displacement": lambda k: 2, "update_vs_displacement_from_init": lambda k: 3,
+    "param_norm": lambda k: 1, "dist_from_init": lambda k: 2, "update_norm": lambda k: k + 1,
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("measure", [*AngularMeasureKind, *NormMeasureKind], ids=str)
+def test_one_points_rule_for_every_series(rng, measure, k):
+    series = angular_series if isinstance(measure, AngularMeasureKind) else norm_series
+    need = FEWEST_POINTS[measure.value](k)
+    require_points(measure, k, need)
+    assert series(random_store(rng, need, 4), measure, k=k).points
+    with pytest.raises(InsufficientPoints):
+        require_points(measure, k, need - 1)
+    if need > 1:
+        with pytest.raises(InsufficientPoints):
+            series(random_store(rng, need - 1, 4), measure, k=k)
 
 
 # --- norm series ---

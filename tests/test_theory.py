@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajkit
 from trajkit import (
     QuadraticSpec,
     WidthSpec,
@@ -214,3 +219,21 @@ def test_width_fixture_slope():
     gaps = [one_minus for _, _, one_minus in curve.points]
     assert gaps == sorted(gaps, reverse=True)
     assert -1.3 <= curve.fitted_loglog_slope <= -0.7
+
+
+def test_width_json_does_not_depend_on_blas_threads(tmp_path):
+    # vec(W) of widths 128 and 256 holds 16 384 and 65 536 values, past the
+    # length from which OpenBLAS splits one dot over its threads
+    params = tmp_path / "w.json"
+    params.write_text('{"widths": [128, 256]}')
+    src = str(Path(trajkit.__file__).parents[1])
+    files = []
+    for blas_threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / blas_threads
+        argv = ["theory", "width", "--params", str(params), "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "trajkit.cli", *argv], env=env, check=True,
+                       capture_output=True, timeout=120)
+        files.append((out / "width.json").read_bytes())
+    assert files[0] == files[1]
