@@ -40,7 +40,7 @@ def main():
     ):
         store = TrajectoryStore.from_arrays(points)
         cm = trajectory_map(store)
-        omega = mds(cm).omega
+        omega = mds(cm)
         svg_path = OUT / f"{name}.svg"
         svg_path.write_text(render_svg(cm.values, cm.point_labels))
         print(f"{name:>7}: omega = {omega:.6f}  ->  {svg_path}")

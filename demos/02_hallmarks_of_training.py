@@ -14,14 +14,15 @@ from trajkit import (
     AngularMeasureKind,
     NormMeasureKind,
     angular_series,
+    compute_cosine_map,
+    compute_gram,
     mds,
-    mds_relative,
     norm_series,
     open_store,
     train,
     trajectory_map,
 )
-from trajkit.fixtures import TRAIN_FIXTURE
+from trajkit.trajgen import TRAIN_FIXTURE
 
 
 def show(series, head=5):
@@ -35,8 +36,9 @@ def main():
         record = train(spec, tmp)
         print(f"trained {spec.epochs} epochs, final accuracy {record.accuracies[-1]:.3f}")
         with open_store(record.manifest_path) as store:
-            print(f"omega  (absolute origin) = {mds(trajectory_map(store)).omega:.4f}")
-            print(f"omega0 (relative to init) = {mds_relative(store, 0).omega:.4f}")
+            omega0 = mds(compute_cosine_map(compute_gram(store, 0)))
+            print(f"omega  (absolute origin) = {mds(trajectory_map(store)):.4f}")
+            print(f"omega0 (relative to init) = {omega0:.4f}")
             print("angular hallmarks:")
             for kind in (
                 AngularMeasureKind.CONSECUTIVE_UPDATES,

@@ -10,7 +10,7 @@ between consecutive updates flips from acute to obtuse.
 """
 
 from trajkit import QuadraticSpec, eos_angle_sweep, lemma_bounds, simulate_quadratic
-from trajkit.fixtures import EOS_BASE, EOS_GRID, EOS_STEPS
+from trajkit.theory import EOS_BASE, EOS_GRID, EOS_STEPS
 
 
 def main():

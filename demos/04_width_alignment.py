@@ -7,7 +7,7 @@ slope should therefore sit near -1.
 """
 
 from trajkit import width_alignment
-from trajkit.fixtures import WIDTH_FIXTURE
+from trajkit.theory import WIDTH_FIXTURE
 
 
 def main():

@@ -9,15 +9,15 @@ moves most ballistically (highest omega).
 import tempfile
 
 from trajkit import hyperparameter_grid
-from trajkit.fixtures import GRID_VARIANTS, TRAIN_FIXTURE
+from trajkit.trajgen import GRID_VARIANTS, TRAIN_FIXTURE
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         results = hyperparameter_grid(TRAIN_FIXTURE, list(GRID_VARIANTS), tmp)
     print("variant          omega")
-    for name, res in sorted(results, key=lambda item: item[1].omega):
-        print(f"{name:<15} {res.omega:.6f}")
+    for name, omega in sorted(results, key=lambda item: item[1]):
+        print(f"{name:<15} {omega:.6f}")
 
 
 if __name__ == "__main__":

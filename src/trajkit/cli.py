@@ -26,7 +26,6 @@ from .errors import NoMeasuresRequested, NonFiniteIterate, TrajkitError
 
 if typing.TYPE_CHECKING:
     from .ckptstore import SelectionSpec
-    from .kernel import OriginSpec
     from .trajgen import TrainSpec
 
 
@@ -43,14 +42,13 @@ def _emit_error(code: str, detail: str) -> None:
     sys.stderr.write(json.dumps({"error": code, "detail": detail}) + "\n")
 
 
-def _parse_origin(text: str) -> OriginSpec:
-    from .kernel import OriginSpec
-
+def _parse_origin(text: str) -> int | None:
+    """None for the absolute origin, else the checkpoint index."""
     if text == "absolute":
-        return OriginSpec.absolute()
+        return None
     if text.startswith("ckpt:"):
         try:
-            return OriginSpec.checkpoint(int(text[5:]))
+            return int(text[5:])
         except ValueError:
             pass
     raise UsageError(f"--origin must be 'absolute' or 'ckpt:IDX', got {text!r}")
@@ -64,13 +62,27 @@ def _selection(args) -> SelectionSpec:
     return SelectionSpec(include_globs=include, exclude_globs=exclude)
 
 
+def _at_least(low: int):
+    """An argparse type for an integer of at least ``low``, so that a bad
+    count fails with the arguments, before any store is opened."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def _add_store_flags(p) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--select", action="append", metavar="GLOB")
     p.add_argument("--exclude", action="append", metavar="GLOB")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument(
-        "--mem-budget", type=int, default=2 << 30, metavar="BYTES",
+        "--mem-budget", type=_at_least(0), default=2 << 30, metavar="BYTES",
         help="bounds the Gram pass's ring of n x 4096 float64 chunk buffers: at most "
         "BYTES // (n * 4096 * 8) of them, and at most --threads (--threads - 1 in "
         "hallmarks above one thread), but always one. Outside it, the hallmark series "
@@ -83,9 +95,6 @@ def _ring_slots(args, store) -> int:
     """--threads, lowered to the chunk buffers --mem-budget holds (at least one)."""
     from .kernel import CHUNK
 
-    if args.threads < 1 or args.mem_budget < 0:
-        raise UsageError(f"--threads must be >= 1 and --mem-budget >= 0, got "
-                         f"{args.threads} and {args.mem_budget}")
     return max(1, min(args.threads, args.mem_budget // (store.n_points * CHUNK * 8)))
 
 
@@ -143,15 +152,21 @@ def build_parser() -> _Parser:
 
 
 def _out_dir(args) -> Path:
+    """--out, created by the verb when it writes its first file, so that a
+    run that fails before then leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _write_json(args, name: str, doc) -> None:
+    (_out_dir(args) / name).write_text(json.dumps(doc, indent=2) + "\n")
+
+
 def cmd_map(args) -> int:
     from .ckptstore import open_store
     from .heatmap import HeatmapStyle, render_svg
-    from .kernel import compute_cosine_map, compute_gram
+    from .kernel import compute_cosine_map, compute_gram, origin_name
     from .report import write_matrix_csv
 
     sel = _selection(args)
@@ -164,7 +179,7 @@ def cmd_map(args) -> int:
     out = _out_dir(args)
     write_matrix_csv(cosmap.values, cosmap.point_labels, out / "map.csv")
     (out / "map.svg").write_text(render_svg(cosmap.values, cosmap.point_labels, style))
-    print(json.dumps({"n": cosmap.n, "origin": origin.describe(), "out": str(out)}))
+    print(json.dumps({"n": cosmap.n, "origin": origin_name(origin), "out": str(out)}))
     return 0
 
 
@@ -230,9 +245,9 @@ def _hallmarks(args, requested: list[str], store) -> int:
             stream = pool.submit(all_series)
             gram, gram0 = gram_pair(store, sel, threads=min(args.threads - 1, slots))
         series = stream.result
-    summary.omega = mds(compute_cosine_map(gram)).omega
+    summary.omega = mds(compute_cosine_map(gram))
     if gram0 is not None:
-        summary.omega0 = mds(compute_cosine_map(gram0)).omega
+        summary.omega0 = mds(compute_cosine_map(gram0))
     results = series()
     out = _out_dir(args)
     for name, result in zip(requested, results):
@@ -320,24 +335,19 @@ def cmd_theory(args) -> int:
     from . import theory
     from .report import alignment_json
 
-    out = _out_dir(args)
     params = _load_params(args)
     if args.subcommand == "lemma":
         _checked(params, _fields(theory.QuadraticSpec, steps=int), "--params")
         steps = params.pop("steps", theory.LEMMA_STEPS)
         spec = dataclasses.replace(theory.LEMMA_1D_PLAIN, **params)
-        out_path = out / "lemma.json"
         try:
             trace = theory.simulate_quadratic(spec, steps)
         except NonFiniteIterate as exc:
-            out_path.write_text(
-                json.dumps({"error": exc.code, "detail": str(exc)}, indent=2) + "\n"
-            )
+            _write_json(args, "lemma.json", {"error": exc.code, "detail": str(exc)})
             raise
         report = theory.lemma_bounds(spec, trace)
         doc = {"all_satisfied": report.all_satisfied, **dataclasses.asdict(report)}
-        out_path.write_text(json.dumps(doc, indent=2) + "\n")
-        print(json.dumps({"pairs": len(report.pairs), "all_satisfied": report.all_satisfied}))
+        line = {"pairs": len(report.pairs), "all_satisfied": report.all_satisfied}
     elif args.subcommand == "eos":
         _checked(params, _fields(theory.QuadraticSpec, steps=int, eta_grid=tuple[float, ...]),
                  "--params")
@@ -346,16 +356,16 @@ def cmd_theory(args) -> int:
         spec = dataclasses.replace(theory.EOS_BASE, **params)
         points = theory.eos_angle_sweep(spec, grid, steps=steps)
         doc = {"points": [dataclasses.asdict(p) for p in points]}
-        (out / "eos.json").write_text(json.dumps(doc, indent=2) + "\n")
-        print(json.dumps({"points": len(points)}))
+        line = {"points": len(points)}
     else:
         _checked(params, _fields(theory.WidthSpec), "--params")
         if args.seed is not None:
             params["seed"] = args.seed
         curve = theory.width_alignment(dataclasses.replace(theory.WIDTH_FIXTURE, **params))
         doc = alignment_json(curve)
-        (out / "width.json").write_text(json.dumps(doc, indent=2) + "\n")
-        print(json.dumps({"fitted_loglog_slope": doc["fitted_loglog_slope"]}))
+        line = {"fitted_loglog_slope": doc["fitted_loglog_slope"]}
+    _write_json(args, f"{args.subcommand}.json", doc)
+    print(json.dumps(line))
     return 0
 
 
@@ -395,15 +405,14 @@ def cmd_train(args) -> int:
     payload = json.loads(Path(args.spec).read_text()) if args.spec else {}
     _checked(payload, {"train": dict, "grid": list}, "--spec")
     spec = _train_spec_from(payload.get("train", {}))
-    out = _out_dir(args)
     grid = payload.get("grid")
     if grid:
-        results = hyperparameter_grid(spec, _grid_variants(grid), out)
-        report = {name: r.omega for name, r in results}
-        (out / "grid.json").write_text(json.dumps(report, indent=2) + "\n")
+        # each variant's store creates --out; grid.json lands beside them
+        report = dict(hyperparameter_grid(spec, _grid_variants(grid), args.out))
+        _write_json(args, "grid.json", report)
         print(json.dumps(report))
     else:
-        record = train(spec, out)
+        record = train(spec, args.out)
         print(
             json.dumps(
                 {"final_loss": record.losses[-1] if record.losses else None,

@@ -1,17 +1,8 @@
-"""Small canonical inputs used by the CLI defaults, tests, and demos.
+"""``trajgen.GRID_VARIANTS`` under the name ``bench/workloads.py`` imports.
 
-Each is defined next to its type, the quadratic and width fixtures in
-``theory`` and the training ones in ``trajgen``, so that the ``theory``
-verb's defaults load no training code; this module gathers them.
+Every fixture lives next to its type, the quadratic and width fixtures in
+``theory`` and the training ones in ``trajgen``, and is imported from
+there; this module keeps only the one name the benchmark imports from it.
 """
 
-from .theory import (  # noqa: F401
-    EOS_BASE,
-    EOS_GRID,
-    EOS_STEPS,
-    LEMMA_1D_MOMENTUM,
-    LEMMA_1D_PLAIN,
-    LEMMA_STEPS,
-    WIDTH_FIXTURE,
-)
-from .trajgen import GRID_VARIANTS, TRAIN_FIXTURE  # noqa: F401
+from .trajgen import GRID_VARIANTS  # noqa: F401

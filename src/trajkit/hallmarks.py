@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import angles, kernel
+from . import angles
 from .ckptstore import ALL, SelectionSpec, TrajectoryStore
 from .errors import DegenerateVector, InsufficientPoints, NonFinitePayload
-from .kernel import CosineMap, OriginSpec
+from .kernel import CosineMap
 
 
 class AngularMeasureKind(enum.Enum):
@@ -53,25 +53,13 @@ class ScalarSeries:
     units: Units
 
 
-@dataclass
-class MdsResult:
-    omega: float
-    origin: OriginSpec
-    n: int
+def mds(cosmap: CosineMap) -> float:
+    """omega = (1/n^2) * sum of all cosine-map entries, diagonal included.
 
-
-def mds(cosmap: CosineMap) -> MdsResult:
-    """omega = (1/n^2) * sum of all cosine-map entries, diagonal included."""
-    omega = float(np.mean(cosmap.values))
-    return MdsResult(omega=omega, origin=cosmap.origin, n=cosmap.n)
-
-
-def mds_relative(
-    store: TrajectoryStore, tau: int, sel: SelectionSpec | None = None, *, threads: int = 1
-) -> MdsResult:
-    """MDS of the relative trajectory map at tau (omit-row applied)."""
-    gram = kernel.compute_gram(store, OriginSpec.checkpoint(tau), sel, threads=threads)
-    return mds(kernel.compute_cosine_map(gram))
+    The relative MDS at checkpoint tau is
+    ``mds(compute_cosine_map(compute_gram(store, tau)))``.
+    """
+    return float(np.mean(cosmap.values))
 
 
 @dataclass

@@ -34,33 +34,15 @@ CHUNK = 4096
 CANCEL_BOUND = 128.0
 
 
-@dataclass(frozen=True)
-class OriginSpec:
-    """Absolute origin (kind None) or a checkpoint index used as origin."""
-
-    tau: int | None = None
-
-    @classmethod
-    def absolute(cls) -> "OriginSpec":
-        return cls(None)
-
-    @classmethod
-    def checkpoint(cls, tau: int) -> "OriginSpec":
-        return cls(int(tau))
-
-    @property
-    def is_absolute(self) -> bool:
-        return self.tau is None
-
-    def describe(self) -> str:
-        return "absolute" if self.is_absolute else f"ckpt:{self.tau}"
+def origin_name(origin: int | None) -> str:
+    """``"absolute"`` for the absolute origin (None), else ``"ckpt:tau"``."""
+    return "absolute" if origin is None else f"ckpt:{origin}"
 
 
 @dataclass
 class GramMatrix:
     values: np.ndarray
     norms: np.ndarray
-    origin: OriginSpec
     point_labels: list[str]
 
     @property
@@ -71,7 +53,6 @@ class GramMatrix:
 @dataclass
 class CosineMap:
     values: np.ndarray
-    origin: OriginSpec
     point_labels: list[str]
 
     @property
@@ -104,29 +85,29 @@ def _mirror_upper(m: np.ndarray) -> None:
     m[(iu[1], iu[0])] = m[iu]
 
 
-def _gram_matrix(values: np.ndarray, origin: OriginSpec, labels: list[str]) -> GramMatrix:
+def _gram_matrix(values: np.ndarray, labels: list[str]) -> GramMatrix:
     norms = np.sqrt(np.maximum(np.diagonal(values), 0.0))
-    return GramMatrix(values=values, norms=norms, origin=origin, point_labels=labels)
+    return GramMatrix(values=values, norms=norms, point_labels=labels)
 
 
 def _gram(
     store: TrajectoryStore,
     sel: SelectionSpec | None,
-    origin: OriginSpec,
+    tau: int | None,
     threads: int,
 ) -> np.ndarray:
     """The n x n Gram matrix of one of two bases, from one read of each column chunk.
 
-    The basis is the raw rows for the absolute origin. For the checkpoint
-    origin ``tau`` it is the rows less row tau, with row tau itself kept,
-    so K_tau is the result without row and column tau. The calling thread
-    reads the chunks in order into a ring of ``min(threads, chunks)``
-    reused n x CHUNK float64 buffers; a pool of one worker fewer shifts
-    each one in place and multiplies it while the next is read.
+    The basis is the raw rows for the absolute origin, ``tau`` None. For
+    the checkpoint origin ``tau`` it is the rows less row tau, with row
+    tau itself kept, so K_tau is the result without row and column tau.
+    The calling thread reads the chunks in order into a ring of
+    ``min(threads, chunks)`` reused n x CHUNK float64 buffers; a pool of
+    one worker fewer shifts each one in place and multiplies it while the
+    next is read.
     """
     p = store.selection_dim(sel)
     n = store.n_points
-    tau = origin.tau
     if tau is not None:
         if not 0 <= tau < n:
             raise OriginOutOfRange(f"origin index {tau} not in store of {n} points")
@@ -171,7 +152,7 @@ def _gram(
     if bad.size:
         i, j = (store.labels[int(v)] for v in bad[0])
         raise NonFinitePayload(
-            f"Gram entry ({i!r}, {j!r}) relative to {origin.describe()} is not finite: "
+            f"Gram entry ({i!r}, {j!r}) relative to {origin_name(tau)} is not finite: "
             "a checkpoint holds NaN or Inf, or its products overflow float64"
         )
     return g
@@ -179,24 +160,24 @@ def _gram(
 
 def compute_gram(
     store: TrajectoryStore,
-    origin: OriginSpec,
+    origin: int | None,
     sel: SelectionSpec | None = None,
     *,
     threads: int = 1,
 ) -> GramMatrix:
     """Gram matrix of the trajectory points from one of two origins.
 
-    From the absolute origin it is the raw points' Gram matrix. From the
-    in-trajectory origin ``tau`` the points are shifted by checkpoint tau
-    and its zero row is omitted, shrinking n by one.
+    From the absolute origin (None) it is the raw points' Gram matrix.
+    From the in-trajectory origin ``tau`` the points are shifted by
+    checkpoint tau and its zero row is omitted, shrinking n by one.
     """
     g = _gram(store, sel, origin, threads)
     labels = list(store.labels)
-    if origin.is_absolute:
-        return _gram_matrix(g, origin, labels)
-    keep = np.arange(store.n_points) != origin.tau
+    if origin is None:
+        return _gram_matrix(g, labels)
+    keep = np.arange(store.n_points) != origin
     labels = [lbl for lbl, k in zip(labels, keep) if k]
-    return _gram_matrix(g[np.ix_(keep, keep)], origin, labels)
+    return _gram_matrix(g[np.ix_(keep, keep)], labels)
 
 
 def gram_pair(
@@ -206,21 +187,20 @@ def gram_pair(
 
     The pass is K0's: the Gram G of the basis [theta_0, theta_1 - theta_0,
     ...], of which K0 is G without row and column 0, bit-identical to
-    ``compute_gram(store, OriginSpec.checkpoint(0))``. K is derived as
-    K_ij = G_00 + (v_i + v_j) + R_ij, with v row 0 of G less v_0 and R G
-    less row and column 0, an order that keeps it symmetric bit for bit.
-    The sum cancels when a point's norm falls far below theta_0's: when
-    some (|theta_0| + |theta_i - theta_0|)^2 exceeds ``CANCEL_BOUND``
-    times the derived K_ii, or K overflows, K comes from a second pass
-    over the raw rows, bit-identical to ``compute_gram(store,
-    OriginSpec.absolute())``. K0 is None for a one-point store, which has
-    no points left once the origin is omitted.
+    ``compute_gram(store, 0)``. K is derived as K_ij = G_00 + (v_i + v_j)
+    + R_ij, with v row 0 of G less v_0 and R G less row and column 0, an
+    order that keeps it symmetric bit for bit. The sum cancels when a
+    point's norm falls far below theta_0's: when some (|theta_0| +
+    |theta_i - theta_0|)^2 exceeds ``CANCEL_BOUND`` times the derived
+    K_ii, or K overflows, K comes from a second pass over the raw rows,
+    bit-identical to ``compute_gram(store, None)``. K0 is None for a
+    one-point store, which has no points left once the origin is omitted.
     """
     if store.n_points == 1:
-        return compute_gram(store, OriginSpec.absolute(), sel, threads=threads), None
-    g = _gram(store, sel, OriginSpec.checkpoint(0), threads)
+        return compute_gram(store, None, sel, threads=threads), None
+    g = _gram(store, sel, 0, threads)
     labels = list(store.labels)
-    k0 = _gram_matrix(g[1:, 1:].copy(), OriginSpec.checkpoint(0), labels[1:])
+    k0 = _gram_matrix(g[1:, 1:].copy(), labels[1:])
     v = np.concatenate(([0.0], g[0, 1:]))
     with np.errstate(invalid="ignore", over="ignore"):  # a K that overflows falls back
         k = np.add.outer(v, v)
@@ -231,8 +211,8 @@ def gram_pair(
         reach = (np.sqrt(g[0, 0]) + k0.norms) ** 2
         derived = np.isfinite(k).all() and (reach <= CANCEL_BOUND * np.diagonal(k)[1:]).all()
     if not derived:
-        return compute_gram(store, OriginSpec.absolute(), sel, threads=threads), k0
-    return _gram_matrix(k, OriginSpec.absolute(), labels), k0
+        return compute_gram(store, None, sel, threads=threads), k0
+    return _gram_matrix(k, labels), k0
 
 
 def compute_cosine_map(gram: GramMatrix) -> CosineMap:
@@ -246,11 +226,11 @@ def compute_cosine_map(gram: GramMatrix) -> CosineMap:
     values = gram.values / np.outer(gram.norms, gram.norms)
     np.clip(values, -1.0, 1.0, out=values)
     np.fill_diagonal(values, 1.0)
-    return CosineMap(values=values, origin=gram.origin, point_labels=list(gram.point_labels))
+    return CosineMap(values=values, point_labels=list(gram.point_labels))
 
 
 def trajectory_map(
     store: TrajectoryStore, sel: SelectionSpec | None = None, *, threads: int = 1
 ) -> CosineMap:
     """Cosine map viewed from the absolute origin (the TM)."""
-    return compute_cosine_map(compute_gram(store, OriginSpec.absolute(), sel, threads=threads))
+    return compute_cosine_map(compute_gram(store, None, sel, threads=threads))

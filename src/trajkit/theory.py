@@ -191,7 +191,7 @@ class EosPoint:
 
 
 def eos_angle_sweep(
-    base: QuadraticSpec, eta_grid, steps: int = 120
+    base: QuadraticSpec, eta_grid, steps: int = EOS_STEPS
 ) -> list[EosPoint]:
     """Mean consecutive-update angle over the last half of steps, per eta.
 
@@ -245,7 +245,7 @@ class WidthSpec:
             raise ValueError("steps must be >= 1")
 
 
-WIDTH_FIXTURE = WidthSpec(widths=(64, 256, 1024, 4096), eta_scale=1.0, steps=1, seed=2024)
+WIDTH_FIXTURE = WidthSpec()
 
 
 @dataclass

@@ -243,7 +243,7 @@ def train(spec: TrainSpec, out_dir) -> TrainRunRecord:
 
 def hyperparameter_grid(
     base: TrainSpec, variants: list[tuple[str, float, float]], out_dir
-) -> list[tuple[str, hallmarks.MdsResult]]:
+) -> list[tuple[str, float]]:
     """Train (name, mu, wd) variants of ``base`` and report omega for each."""
     if not variants:
         raise ValueError("variants list is empty")

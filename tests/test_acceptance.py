@@ -24,7 +24,6 @@ from trajkit import (
     AngularMeasureKind,
     MatrixId,
     NormMeasureKind,
-    OriginSpec,
     QuadraticSpec,
     TrajectoryStore,
     angular_series,
@@ -45,17 +44,16 @@ from trajkit import (
     write_checkpoint,
 )
 from trajkit.errors import NonFiniteIterate
-from trajkit.fixtures import (
+from trajkit.theory import (
     EOS_BASE,
     EOS_GRID,
     EOS_STEPS,
-    GRID_VARIANTS,
     LEMMA_1D_MOMENTUM,
     LEMMA_1D_PLAIN,
     LEMMA_STEPS,
-    TRAIN_FIXTURE,
     WIDTH_FIXTURE,
 )
+from trajkit.trajgen import GRID_VARIANTS, TRAIN_FIXTURE
 
 from conftest import random_checkpoint
 
@@ -84,10 +82,10 @@ def test_criterion_1_mds_extremes():
         for n in (4, 8, 100):
             angles = 2.0 * np.pi * np.arange(n) / n
             pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            omega = mds(trajectory_map(TrajectoryStore.from_arrays(pts))).omega
+            omega = mds(trajectory_map(TrajectoryStore.from_arrays(pts)))
             assert abs(omega) <= 1e-12, f"circle n={n}: omega={omega}"
         linear = np.outer(np.arange(1.0, 7.0), [3.0, -1.0, 2.0])
-        omega = mds(trajectory_map(TrajectoryStore.from_arrays(linear))).omega
+        omega = mds(trajectory_map(TrajectoryStore.from_arrays(linear)))
         assert abs(omega - 1.0) <= 1e-12
         assert time.monotonic() - c.t0 < 1.0
 
@@ -100,14 +98,14 @@ def test_criterion_2_kernel_oracle_equivalence():
             p = int(rng.integers(1, 2001))
             pts = rng.standard_normal((n, p))
             store = TrajectoryStore.from_arrays(pts)
-            gram = compute_gram(store, OriginSpec.absolute())
+            gram = compute_gram(store, None)
             assert np.max(np.abs(gram.values - naive_gram(pts))) <= 1e-10
             cos = compute_cosine_map(gram)
             assert np.max(np.abs(cos.values - naive_cosine(pts))) <= 1e-10
         pts = rng.standard_normal((6, 3 * 4096 + 100))
         store = TrajectoryStore.from_arrays(pts)
-        g1 = compute_gram(store, OriginSpec.absolute(), threads=1)
-        g8 = compute_gram(store, OriginSpec.absolute(), threads=8)
+        g1 = compute_gram(store, None, threads=1)
+        g8 = compute_gram(store, None, threads=8)
         assert np.array_equal(g1.values, g8.values)
         assert np.array_equal(
             compute_cosine_map(g1).values, compute_cosine_map(g8).values
@@ -224,7 +222,7 @@ def test_criterion_7_width_alignment():
 def test_criterion_8_hyperparameter_ordering(tmp_path):
     with _Criterion(8, "momentum/weight-decay omega ordering") as c:
         results = hyperparameter_grid(TRAIN_FIXTURE, list(GRID_VARIANTS), tmp_path)
-        omegas = {name: res.omega for name, res in results}
+        omegas = dict(results)
         assert omegas["mu0.9_wd1e-4"] == min(omegas.values()), omegas
         assert omegas["mu0_wd0"] == max(omegas.values()), omegas
         assert time.monotonic() - c.t0 < 180.0

@@ -41,7 +41,7 @@ from trajkit.errors import (
 import trajkit
 from trajkit import ckptstore
 from trajkit.cli import main
-from trajkit.kernel import OriginSpec, compute_gram
+from trajkit.kernel import compute_gram
 from conftest import in_memory_store, mixed_dtype_store, random_checkpoint
 
 
@@ -548,9 +548,9 @@ def test_lazy_chunks_straddling_mixed_dtype_tensors_match_cached(tmp_path):
         sel = SelectionSpec(include_globs=("a", "c", "f"))
         for i in range(lazy.n_points):
             np.testing.assert_array_equal(lazy.flatten(i, sel), cached.flatten(i, sel))
-        expected = compute_gram(cached, OriginSpec.absolute()).values
+        expected = compute_gram(cached, None).values
         for threads in (1, 2, 3):
-            got = compute_gram(lazy, OriginSpec.absolute(), threads=threads).values
+            got = compute_gram(lazy, None, threads=threads).values
             assert np.array_equal(got, expected)
 
 

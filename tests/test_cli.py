@@ -12,9 +12,11 @@ from conftest import in_memory_store, mixed_dtype_store
 from trajkit import (
     Checkpoint,
     Dtype,
+    GramMatrix,
     TensorRecord,
     TrajectoryStore,
     ckptstore,
+    kernel,
     mds,
     open_store,
     trajectory_map,
@@ -306,7 +308,7 @@ def test_train_grid(tmp_path, capsys):
     for name, omega in report.items():
         with open_store(out / name / "manifest.json") as store:
             for threads in (1, 2, 3):
-                assert mds(trajectory_map(store, threads=threads)).omega == omega
+                assert mds(trajectory_map(store, threads=threads)) == omega
 
 
 def test_on_disk_and_in_memory_outputs_are_bit_equal(tmp_path, monkeypatch):
@@ -421,9 +423,54 @@ def test_analysis_verbs_close_their_stores(linear_manifest, tmp_path, capsys, mo
     "flag", [["--threads", "0"], ["--threads", "-3"], ["--mem-budget", "-1"]]
 )
 @pytest.mark.parametrize("verb", [["map"], ["hallmarks", "--measure", "all"], ["spectra"]])
-def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, verb, flag):
+def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch, verb, flag):
+    # checked with the arguments: a missing manifest is not what fails,
+    # and the store is never opened
     argv = [*verb, "--manifest", linear_manifest, *flag, "--out", str(tmp_path / "o")]
     assert run_error(argv, capsys) == (1, "UsageError")
+    argv[argv.index(linear_manifest)] = str(tmp_path / "missing.json")
+    assert run_error(argv, capsys) == (1, "UsageError")
+
+    def no_open(manifest_path):
+        raise AssertionError(f"opened {manifest_path}")
+
+    monkeypatch.setattr(ckptstore, "open_store", no_open)
+    assert run_error(argv, capsys) == (1, "UsageError")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, params, expected",
+    [
+        (["theory", "eos"], None, (2, "IoError")),  # the --params file is missing
+        (["theory", "width"], "", (1, "UsageError")),
+        (["theory", "lemma"], {"bogus": 1}, (1, "UsageError")),
+        (["train"], {"grid": [{"name": "a"}]}, (1, "UsageError")),
+        (["train"], {"train": {"layer_sizes": [3, 4, 2]}}, (1, "UsageError")),
+        (["train"], {"train": {"eta": 1e6, "epochs": 3}}, (2, "NonFiniteLoss")),
+    ],
+    ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "train-layers",
+         "train-diverges"],
+)
+def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, expected):
+    path = tmp_path / "params.json"
+    if params is not None:
+        path.write_text(params if isinstance(params, str) else json.dumps(params))
+    flag = "--spec" if argv == ["train"] else "--params"
+    out = tmp_path / "out"
+    assert run_error([*argv, flag, str(path), "--out", str(out)], capsys) == expected
+    assert not out.exists()
+
+
+def test_indefinite_gram_is_invariant_violation(linear_manifest, tmp_path, capsys, monkeypatch):
+    # eigenvalues 3 and -1: far below the clamp floor of -3e-8
+    k = GramMatrix(values=np.array([[1.0, 2.0], [2.0, 1.0]]), norms=np.ones(2),
+                   point_labels=["a", "b"])
+    monkeypatch.setattr(kernel, "gram_pair", lambda store, sel=None, *, threads=1: (k, k))
+    out = tmp_path / "s"
+    argv = ["spectra", "--manifest", linear_manifest, "--out", str(out)]
+    assert run_error(argv, capsys) == (3, "NegativeGramEigenvalue")
+    assert not list(out.glob("*.csv"))
 
 
 def test_hallmarks_bad_lag_is_usage_error(linear_manifest, tmp_path, capsys):

@@ -12,8 +12,9 @@ from trajkit import (
     TensorRecord,
     TrajectoryStore,
     angular_series,
+    compute_cosine_map,
+    compute_gram,
     mds,
-    mds_relative,
     norm_series,
     open_store,
     trajectory_map,
@@ -32,29 +33,29 @@ def circle_store(n):
 
 def test_mds_linear_path_is_one():
     pts = np.outer(np.arange(1, 6, dtype=np.float64), [2.0, 1.0])
-    assert mds(trajectory_map(TrajectoryStore.from_arrays(pts))).omega == 1.0
+    assert mds(trajectory_map(TrajectoryStore.from_arrays(pts))) == 1.0
 
 
 def test_mds_circular_orbit_is_zero():
-    assert abs(mds(trajectory_map(circle_store(4))).omega) <= 1e-12
+    assert abs(mds(trajectory_map(circle_store(4)))) <= 1e-12
 
 
 def test_mds_matches_double_loop(rng):
     cm = trajectory_map(random_store(rng, 6, 40))
     brute = sum(cm.values[i, j] for i in range(6) for j in range(6)) / 36.0
-    assert abs(mds(cm).omega - brute) <= 1e-15
+    assert abs(mds(cm) - brute) <= 1e-15
 
 
 def test_mds_relative_collinear():
     store = TrajectoryStore.from_arrays([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert mds_relative(store, 0).omega == 1.0
+    assert mds(compute_cosine_map(compute_gram(store, 0))) == 1.0
 
 
 def test_mds_relative_antipodal():
     store = TrajectoryStore.from_arrays([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    res = mds_relative(store, 0)
-    assert res.n == 2
-    assert abs(res.omega) <= 1e-15
+    cm = compute_cosine_map(compute_gram(store, 0))
+    assert cm.n == 2
+    assert abs(mds(cm)) <= 1e-15
 
 
 def test_mds_relative_matches_oracle(rng):
@@ -63,7 +64,7 @@ def test_mds_relative_matches_oracle(rng):
     rel = pts[1:] - pts[0]
     unit = rel / np.linalg.norm(rel, axis=1, keepdims=True)
     expected = float(np.sum(np.mean(unit, axis=0) ** 2))
-    assert abs(mds_relative(store, 0).omega - expected) <= 1e-12
+    assert abs(mds(compute_cosine_map(compute_gram(store, 0))) - expected) <= 1e-12
 
 
 # --- angular series ---
@@ -191,20 +192,21 @@ def test_norm_measures_match_oracle(rng, measure):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(2, 20))
 def test_omega_in_unit_interval(seed, n, p):
     pts = np.random.default_rng(seed).standard_normal((n, p))
-    omega = mds(trajectory_map(TrajectoryStore.from_arrays(pts))).omega
+    omega = mds(trajectory_map(TrajectoryStore.from_arrays(pts)))
     assert -1e-12 <= omega <= 1.0 + 1e-12
 
 
 def test_single_point_omega_is_one(rng):
-    assert mds(trajectory_map(random_store(rng, 1, 9))).omega == 1.0
+    assert mds(trajectory_map(random_store(rng, 1, 9))) == 1.0
 
 
 def test_scale_invariance_of_hallmarks(rng):
     pts = rng.standard_normal((6, 20))
     c = 3.7
     base, scaled = TrajectoryStore.from_arrays(pts), TrajectoryStore.from_arrays(c * pts)
-    assert abs(mds(trajectory_map(base)).omega - mds(trajectory_map(scaled)).omega) <= 1e-12
-    assert abs(mds_relative(base, 0).omega - mds_relative(scaled, 0).omega) <= 1e-12
+    assert abs(mds(trajectory_map(base)) - mds(trajectory_map(scaled))) <= 1e-12
+    relative = [mds(compute_cosine_map(compute_gram(s, 0))) for s in (base, scaled)]
+    assert abs(relative[0] - relative[1]) <= 1e-12
     for measure in AngularMeasureKind:
         a = angular_series(base, measure)
         b = angular_series(scaled, measure)
@@ -218,7 +220,7 @@ def test_scale_invariance_of_hallmarks(rng):
 
 def test_omega_equals_unit_mean_identity(rng):
     pts = rng.standard_normal((7, 33))
-    omega = mds(trajectory_map(TrajectoryStore.from_arrays(pts))).omega
+    omega = mds(trajectory_map(TrajectoryStore.from_arrays(pts)))
     unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     identity = float(np.sum(np.mean(unit, axis=0) ** 2))
     assert abs(omega - identity) <= 1e-12
@@ -234,8 +236,8 @@ def test_duplicating_last_point_when_aligned_never_decreases_omega(seed, n):
     m = unit.mean(axis=0)
     if float(unit[-1] @ m) < float(m @ m):
         return
-    before = mds(trajectory_map(TrajectoryStore.from_arrays(pts))).omega
-    after = mds(trajectory_map(TrajectoryStore.from_arrays(np.vstack([pts, pts[-1]])))).omega
+    before = mds(trajectory_map(TrajectoryStore.from_arrays(pts)))
+    after = mds(trajectory_map(TrajectoryStore.from_arrays(np.vstack([pts, pts[-1]]))))
     assert after >= before - 1e-12
 
 
@@ -245,8 +247,8 @@ def test_duplicating_anti_aligned_point_can_decrease_omega():
     # direction (0.25 -> 0.04).
     u = np.array([1.0, 0.0])
     pts = np.array([-u, -u, -u, u])
-    before = mds(trajectory_map(TrajectoryStore.from_arrays(pts))).omega
-    after = mds(trajectory_map(TrajectoryStore.from_arrays(np.vstack([pts, u])))).omega
+    before = mds(trajectory_map(TrajectoryStore.from_arrays(pts)))
+    after = mds(trajectory_map(TrajectoryStore.from_arrays(np.vstack([pts, u]))))
     assert abs(before - 0.25) <= 1e-12
     assert abs(after - 0.04) <= 1e-12
 

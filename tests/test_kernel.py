@@ -7,7 +7,6 @@ import pytest
 
 from oracles import longdouble_gram, naive_cosine, naive_gram
 from trajkit import (
-    OriginSpec,
     SelectionSpec,
     TrajectoryStore,
     compute_cosine_map,
@@ -33,13 +32,13 @@ from conftest import random_store
 
 def test_orthonormal_pair():
     store = TrajectoryStore.from_arrays([[1.0, 0.0], [0.0, 1.0]])
-    gram = compute_gram(store, OriginSpec.absolute())
+    gram = compute_gram(store, None)
     np.testing.assert_array_equal(gram.values, np.eye(2))
     np.testing.assert_array_equal(gram.norms, [1.0, 1.0])
 
 
 def test_single_point():
-    gram = compute_gram(TrajectoryStore.from_arrays([[3.0, 4.0]]), OriginSpec.absolute())
+    gram = compute_gram(TrajectoryStore.from_arrays([[3.0, 4.0]]), None)
     np.testing.assert_array_equal(gram.values, [[25.0]])
     assert gram.norms[0] == 5.0
 
@@ -48,7 +47,7 @@ def test_gram_matches_naive_oracle(rng):
     for _ in range(10):
         pts = rng.standard_normal((4, 1000))
         store = TrajectoryStore.from_arrays(pts)
-        gram = compute_gram(store, OriginSpec.absolute())
+        gram = compute_gram(store, None)
         assert np.max(np.abs(gram.values - naive_gram(pts))) <= 1e-10
 
 
@@ -90,27 +89,27 @@ def test_trajectory_map_circular_orbit():
 
 def test_trajectory_map_is_composition(rng):
     store = random_store(rng, 6, 40)
-    via_compose = compute_cosine_map(compute_gram(store, OriginSpec.absolute()))
+    via_compose = compute_cosine_map(compute_gram(store, None))
     np.testing.assert_array_equal(trajectory_map(store).values, via_compose.values)
 
 
 def test_relative_map_collinear():
     store = TrajectoryStore.from_arrays([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    cm = compute_cosine_map(compute_gram(store, OriginSpec.checkpoint(0)))
+    cm = compute_cosine_map(compute_gram(store, 0))
     assert cm.n == 2
     np.testing.assert_array_equal(cm.values, np.ones((2, 2)))
 
 
 def test_relative_map_orthogonal_displacements():
     store = TrajectoryStore.from_arrays([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    cm = compute_cosine_map(compute_gram(store, OriginSpec.checkpoint(0)))
+    cm = compute_cosine_map(compute_gram(store, 0))
     assert cm.values[0, 1] == 0.0
 
 
 def test_relative_map_matches_subtracted_oracle(rng):
     pts = rng.standard_normal((6, 50))
     store = TrajectoryStore.from_arrays(pts)
-    cm = compute_cosine_map(compute_gram(store, OriginSpec.checkpoint(0)))
+    cm = compute_cosine_map(compute_gram(store, 0))
     expected = naive_cosine(pts[1:], origin=pts[0])
     assert np.max(np.abs(cm.values - expected)) <= 1e-12
 
@@ -118,13 +117,13 @@ def test_relative_map_matches_subtracted_oracle(rng):
 def test_relative_origin_out_of_range():
     store = TrajectoryStore.from_arrays([[1.0], [2.0]])
     with pytest.raises(OriginOutOfRange):
-        compute_gram(store, OriginSpec.checkpoint(5))
+        compute_gram(store, 5)
 
 
 def test_omit_row_on_single_point_store():
     store = TrajectoryStore.from_arrays([[1.0, 2.0]])
     with pytest.raises(EmptyTrajectory):
-        compute_gram(store, OriginSpec.checkpoint(0))
+        compute_gram(store, 0)
 
 
 # --- layerwise ---
@@ -185,7 +184,7 @@ def test_layerwise_empty_group():
 
 def test_symmetry_bitwise(rng):
     store = random_store(rng, 7, 513)
-    gram = compute_gram(store, OriginSpec.absolute())
+    gram = compute_gram(store, None)
     assert np.array_equal(gram.values, gram.values.T)
     cm = compute_cosine_map(gram)
     assert np.array_equal(cm.values, cm.values.T)
@@ -201,8 +200,8 @@ def test_cosine_scale_invariance(rng):
 def test_worker_count_determinism(rng):
     pts = rng.standard_normal((6, 3 * 4096 + 17))
     store = TrajectoryStore.from_arrays(pts)
-    g1 = compute_gram(store, OriginSpec.absolute(), threads=1)
-    g8 = compute_gram(store, OriginSpec.absolute(), threads=8)
+    g1 = compute_gram(store, None, threads=1)
+    g8 = compute_gram(store, None, threads=8)
     assert np.array_equal(g1.values, g8.values)
     assert np.array_equal(g1.norms, g8.norms)
 
@@ -211,14 +210,14 @@ def test_gram_psd(rng):
     from trajkit.spectral import symmetric_eigenvalues
 
     store = random_store(rng, 6, 100)
-    gram = compute_gram(store, OriginSpec.absolute())
+    gram = compute_gram(store, None)
     eigs = symmetric_eigenvalues(gram.values).eigenvalues
     assert eigs[-1] >= -1e-8 * eigs[0]
 
 
 def test_diag_matches_norms(rng):
     store = random_store(rng, 5, 200)
-    gram = compute_gram(store, OriginSpec.absolute())
+    gram = compute_gram(store, None)
     np.testing.assert_allclose(np.diagonal(gram.values), gram.norms**2, rtol=1e-12)
 
 
@@ -241,7 +240,7 @@ def test_gram_pair_is_bit_identical_to_separate_grams(rng, tmp_path, threads):
     for store in (TrajectoryStore.from_arrays(pts), lazy_f32_store(tmp_path, pts)):
         theta = np.vstack([store.flatten(i) for i in range(7)])
         k, k0 = gram_pair(store, threads=threads)
-        single = compute_gram(store, OriginSpec.checkpoint(0), threads=1)
+        single = compute_gram(store, 0, threads=1)
         assert np.array_equal(k0.values, single.values)
         assert np.array_equal(k0.norms, single.norms)
         assert k0.point_labels == single.point_labels
@@ -311,18 +310,18 @@ def test_grams_match_longdouble_oracle(kind, monkeypatch):
         cmap = compute_cosine_map(got)
         ref_cos = longdouble_cosine(ref)
         assert np.max(np.abs(cmap.values - ref_cos)) <= 1e-14
-        assert abs(mds(cmap).omega - float(np.mean(ref_cos))) <= 1e-14
+        assert abs(mds(cmap) - float(np.mean(ref_cos))) <= 1e-14
     # the derivation of K cancels once a point's norm collapses far below
     # theta_0's; those trajectories take a second pass over the raw rows
     if kind in ("collapse 0.9", "collapse 0.7", "collapse 0.5"):
         assert len(reads) == 2 * chunks
-        assert np.array_equal(k.values, compute_gram(store, OriginSpec.absolute()).values)
+        assert np.array_equal(k.values, compute_gram(store, None).values)
     else:
         assert len(reads) == chunks
-    assert np.array_equal(k0.values, compute_gram(store, OriginSpec.checkpoint(0)).values)
+    assert np.array_equal(k0.values, compute_gram(store, 0).values)
 
     for tau in (0, 2, n // 2, n - 1):
-        got = compute_gram(store, OriginSpec.checkpoint(tau))
+        got = compute_gram(store, tau)
         ref = longdouble_gram(np.delete(theta, tau, axis=0), origin=theta[tau])
         assert np.max(np.abs(got.values - ref)) <= 1e-9 * float(np.max(np.abs(ref)))
         cos = compute_cosine_map(got).values
@@ -337,7 +336,7 @@ def test_gram_pair_falls_back_quietly_when_the_derivation_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         k, k0 = gram_pair(store)
-    assert np.array_equal(k.values, compute_gram(store, OriginSpec.absolute()).values)
+    assert np.array_equal(k.values, compute_gram(store, None).values)
     assert np.isfinite(k.values).all() and np.isfinite(k0.values).all()
 
 
@@ -370,7 +369,7 @@ def test_non_finite_payload_raises(bad):
     pts[2, 3] = bad
     store = TrajectoryStore.from_arrays(pts)
     with pytest.raises(NonFinitePayload):
-        compute_gram(store, OriginSpec.absolute())
+        compute_gram(store, None)
     with pytest.raises(NonFinitePayload):
         gram_pair(store)
 
@@ -393,7 +392,7 @@ def test_grams_bit_identical_at_any_thread_count(wide_pts, tmp_path):
     def grams(store, threads):
         k, k0 = gram_pair(store, threads=threads)
         return [k, k0, *(
-            compute_gram(store, OriginSpec.checkpoint(tau), threads=threads)
+            compute_gram(store, tau, threads=threads)
             for tau in (0, 2, n // 2, n - 1)  # 0, 2, mid or n - 1 rows move
         )]
 
@@ -432,7 +431,7 @@ def test_cached_matrix_is_never_written(wide_pts):
     before = store.matrix().tobytes()
     gram_pair(store, threads=2)
     for tau in (0, 4, 8):
-        compute_gram(store, OriginSpec.checkpoint(tau), threads=3)
+        compute_gram(store, tau, threads=3)
     assert store.matrix().tobytes() == before
 
 

@@ -23,9 +23,9 @@ EXPORTED = {
     "ckptstore": ["ALL", "Checkpoint", "Dtype", "SelectionSpec", "TensorRecord",
                   "TrajectoryStore", "open_store", "read_checkpoint", "write_checkpoint",
                   "write_store"],
-    "hallmarks": ["AngularMeasureKind", "MdsResult", "NormMeasureKind", "ScalarSeries",
-                  "angular_series", "mds", "mds_relative", "norm_series"],
-    "kernel": ["CosineMap", "GramMatrix", "OriginSpec", "compute_cosine_map", "compute_gram",
+    "hallmarks": ["AngularMeasureKind", "NormMeasureKind", "ScalarSeries",
+                  "angular_series", "mds", "norm_series"],
+    "kernel": ["CosineMap", "GramMatrix", "compute_cosine_map", "compute_gram",
                "gram_pair", "trajectory_map"],
     "spectral": ["MatrixId", "SpectralSummary", "symmetric_eigenvalues", "trajectory_spectra"],
     "theory": ["AlignmentCurve", "LemmaBoundReport", "QuadraticSpec", "QuadraticTrace",

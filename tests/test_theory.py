@@ -18,7 +18,7 @@ from trajkit import (
     width_alignment,
 )
 from trajkit.errors import NonFiniteIterate
-from trajkit.fixtures import (
+from trajkit.theory import (
     EOS_BASE,
     EOS_GRID,
     EOS_STEPS,
