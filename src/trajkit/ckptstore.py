@@ -255,7 +255,7 @@ def read_checkpoint(path, *, index: int = 0, label: str = "") -> Checkpoint:
 
 @dataclass
 class _Source:
-    """Lazy handle on one checkpoint file: payload offsets by tensor order.
+    """Lazy handle on one checkpoint file: payload byte offsets by tensor order.
 
     ``fd`` is a read-only descriptor held while the store is open, or None
     once the store is closed or past the process's descriptor budget; such
@@ -263,7 +263,7 @@ class _Source:
     """
 
     path: Path
-    offsets: list[tuple[str, Dtype, tuple[int, ...], int]]
+    offsets: list[int]
     fd: int | None = None
 
 
@@ -350,7 +350,6 @@ class TrajectoryStore:
         self._cached = cached
         self._sources = sources
         self.n_points = len(self.indices)
-        self.dim_p = sum(math.prod(dims) for _, _, dims in self.layout)
         self._memo: dict = {}
         self._finalizer = weakref.finalize(self, _release, sources or [])
 
@@ -386,22 +385,19 @@ class TrajectoryStore:
         )
 
     @classmethod
-    def from_arrays(cls, points, labels=None) -> "TrajectoryStore":
+    def from_arrays(cls, points) -> "TrajectoryStore":
         """Build an in-memory store from an (n, p) array of trajectory points,
-        each one tensor named ``theta``."""
+        each one tensor named ``theta`` and labelled by its row number."""
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise InvalidCheckpoint("points must be a 2-D array")
-        n = points.shape[0]
-        if labels is None:
-            labels = [str(i) for i in range(n)]
         ckpts = [
             Checkpoint(
                 index=i,
-                label=labels[i],
+                label=str(i),
                 tensors=[TensorRecord("theta", Dtype.F64, (points.shape[1],), points[i])],
             )
-            for i in range(n)
+            for i in range(points.shape[0])
         ]
         return cls.from_checkpoints(ckpts)
 
@@ -489,7 +485,7 @@ class TrajectoryStore:
             fd = os.open(src.path, os.O_RDONLY)
         try:
             for ti, skip, view in reads:
-                _pread_into(fd, view, src.offsets[ti][3] + skip, src.path)
+                _pread_into(fd, view, src.offsets[ti] + skip, src.path)
         finally:
             if fd != src.fd:
                 os.close(fd)
@@ -536,12 +532,12 @@ def open_store(manifest_path) -> TrajectoryStore:
             seen.add(idx)
             path = (manifest_path.parent / entry["path"]).resolve()
             with open(path, "rb") as f:
-                offsets = _read_header(f, path)
+                header = _read_header(f, path)
                 fd = os.dup(f.fileno()) if len(sources) < budget else None
-            sources.append(_Source(path, offsets, fd))
+            sources.append(_Source(path, [offset for *_, offset in header], fd))
             if fd is not None:
                 _HELD.add(fd)
-            this_layout = tuple((n, d, dims) for n, d, dims, _ in offsets)
+            this_layout = tuple((n, d, dims) for n, d, dims, _ in header)
             if layout is None:
                 layout = this_layout
             else:

@@ -86,8 +86,8 @@ def _add_store_flags(p) -> None:
         help="bounds the Gram pass's ring of n x 4096 float64 chunk buffers: at most "
         "BYTES // (n * 4096 * 8) of them, and at most --threads (--threads - 1 in "
         "hallmarks above one thread), but always one. Outside it, the hallmark series "
-        "keep 9 p-length float64 vectors at --k 1 and 2k + 9 above, and a lazy read "
-        "stages at most 65536 payload values per checkpoint. Default 2 GiB",
+        "keep 9 p-length float64 vectors at --k 1 and at most 2 min(k, n - 1) + 9 above, "
+        "and a lazy read stages at most 65536 payload values per checkpoint. Default 2 GiB",
     )
 
 
@@ -118,7 +118,6 @@ def build_parser() -> _Parser:
     p.add_argument("--origin", default="absolute")
     p.add_argument("--vmin", type=float, default=-1.0)
     p.add_argument("--vmax", type=float, default=1.0)
-    p.add_argument("--cell-px", type=int, default=12)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("hallmarks", help="quantitative hallmark series + MDS summary")
@@ -129,7 +128,7 @@ def build_parser() -> _Parser:
         metavar="NAME",
         help=f"repeatable; one of {', '.join(ALL_MEASURES)} or 'all'",
     )
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_at_least(1), default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("spectra", help="eigenvalues of K, K0, C, C0")
@@ -172,7 +171,7 @@ def cmd_map(args) -> int:
     sel = _selection(args)
     origin = _parse_origin(args.origin)
     # checked before the store is opened, so a bad style reads and writes nothing
-    style = HeatmapStyle(v_min=args.vmin, v_max=args.vmax, cell_px=args.cell_px)
+    style = HeatmapStyle(v_min=args.vmin, v_max=args.vmax)
     with open_store(args.manifest) as store:
         gram = compute_gram(store, origin, sel, threads=_ring_slots(args, store))
     cosmap = compute_cosine_map(gram)
@@ -195,8 +194,6 @@ def cmd_hallmarks(args) -> int:
     for name in requested:
         if name not in ALL_MEASURES:
             raise UsageError(f"unknown measure {name!r}")
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     with open_store(args.manifest) as store:
         return _hallmarks(args, requested, store)
 

@@ -48,7 +48,6 @@ class Units(enum.Enum):
 @dataclass
 class ScalarSeries:
     measure_id: str
-    k: int
     points: list[tuple[int, float]]
     units: Units
 
@@ -90,12 +89,14 @@ def _stream_products(
     store: TrajectoryStore, sel: SelectionSpec | None, k: int
 ) -> _StepProducts:
     """One pass that reads each checkpoint once, in order after theta_0 and
-    theta_T (D needs both). It holds theta_0, theta_T, D, d_1, the last k
-    checkpoints, the last k lagged updates and the current step's vectors,
-    each in a buffer allocated once and reused from step to step.
+    theta_T (D needs both). It holds theta_0, theta_T, D, d_1, the last w
+    checkpoints, the last w lagged updates and the current step's vectors,
+    each in a buffer allocated once and reused from step to step, where
+    w = min(k, n - 1): a lag past the store's end is never formed.
     """
     n = store.n_points
     last = n - 1
+    w = min(k, last)
     cols = {name: [None] * n for name in _StepProducts.__dataclass_fields__}
 
     def dot(name: str, t: int, a: np.ndarray, b: np.ndarray) -> None:
@@ -113,13 +114,13 @@ def _stream_products(
     first = store.flatten(0, sel)
     final = store.flatten(last, sel) if last else first
     total = final - first
-    # step s writes slot s % len(ring), so theta_s outlives the k-window,
+    # step s writes slot s % len(ring), so theta_s outlives the w-window,
     # u_s the next step and v_s the next k steps
-    thetas, upds = ring(k + 1), ring(2)
-    lag_bufs = ring(k + 1) if k > 1 else []
+    thetas, upds = ring(w + 1), ring(2)
+    lag_bufs = ring(w + 1) if 1 < k <= last else []
     disp1, disp_buf = ring(2)
-    window: deque = deque(maxlen=k)  # theta_{s-k} .. theta_{s-1}
-    lags: deque = deque(maxlen=k)  # v_{s-2k} .. v_{s-k-1}
+    window: deque = deque(maxlen=w)  # theta_{s-w} .. theta_{s-1}
+    lags: deque = deque(maxlen=w)  # v_{s-2k} .. v_{s-k-1}
     prev_upd = None
     for s in range(n):
         if s == 0:
@@ -127,7 +128,7 @@ def _stream_products(
         elif s == last:
             theta = final
         else:
-            theta = store.flatten(s, sel, out=thetas[s % (k + 1)])
+            theta = store.flatten(s, sel, out=thetas[s % len(thetas)])
         dot("theta_theta", s, theta, theta)
         dot("theta_init", s, theta, first)
         if s >= 1:
@@ -147,7 +148,7 @@ def _stream_products(
             dot("disp_first", s, disp, disp1)
             dot("disp_total", s, disp, total)
         if k > 1 and s >= k:
-            lag = np.subtract(theta, window[0], out=lag_bufs[s % (k + 1)])
+            lag = np.subtract(theta, window[0], out=lag_bufs[s % len(lag_bufs)])
             dot("lag_lag", s - k, lag, lag)
             if len(lags) == k:
                 dot("lag_prev", s - k, lag, lags[0])
@@ -247,7 +248,7 @@ def angular_series(
             points.append((t, angles.angle_degrees(ab, aa, bb)))
         except DegenerateVector as exc:
             raise DegenerateVector(f"{measure.value} at t={t}: {exc}") from None
-    return ScalarSeries(measure_id=measure.value, k=k, points=points, units=Units.DEGREES)
+    return ScalarSeries(measure_id=measure.value, points=points, units=Units.DEGREES)
 
 
 def norm_series(
@@ -268,4 +269,4 @@ def norm_series(
         raise ValueError(measure)
     column = getattr(_step_products(store, k, sel), squares)
     points = [(t, math.sqrt(column[t])) for t in steps]
-    return ScalarSeries(measure_id=measure.value, k=k, points=points, units=Units.L2NORM)
+    return ScalarSeries(measure_id=measure.value, points=points, units=Units.L2NORM)

@@ -21,13 +21,14 @@ STOPS = (
     (0.75, (81, 81, 177)),
     (1.00, (23, 23, 151)),
 )
+CELL_PX = 12
+FONT_PX = 10
 
 
 @dataclass
 class HeatmapStyle:
     v_min: float = -1.0
     v_max: float = 1.0
-    cell_px: int = 12
 
     def __post_init__(self):
         # rgb() divides by the span: an infinite or NaN one gives NaN or 0
@@ -39,8 +40,6 @@ class HeatmapStyle:
             )
         if not self.v_min < self.v_max:
             raise InvalidStyle(f"v_min {self.v_min} must be < v_max {self.v_max}")
-        if self.cell_px < 1:
-            raise InvalidStyle("cell_px must be >= 1")
 
     def rgb(self, value: float) -> tuple[int, int, int]:
         span = self.v_max - self.v_min
@@ -57,8 +56,7 @@ def render_svg(matrix: np.ndarray, labels: list[str], style: HeatmapStyle | None
     style = style or HeatmapStyle()
     m = np.asarray(matrix, dtype=np.float64)
     n = m.shape[0]
-    cp = style.cell_px
-    font = max(min(cp - 2, 10), 4)
+    cp, font = CELL_PX, FONT_PX
     margin = 6 * font  # label gutter left and top
     size = margin + n * cp
     parts = [

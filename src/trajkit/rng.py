@@ -153,13 +153,11 @@ class Rng:
     """xoshiro256** stream seeded through SplitMix64."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
         self._state = np.array(splitmix64_stream(seed, 4), dtype=np.uint64)
 
     @classmethod
     def from_state(cls, state) -> "Rng":
         rng = cls.__new__(cls)
-        rng.seed = None
         rng._state = np.array(state, dtype=np.uint64)
         if rng._state.shape != (4,):
             raise ValueError("state must have 4 words")

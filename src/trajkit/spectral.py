@@ -1,8 +1,8 @@
 """Spectra of the small trajectory matrices K, K0, C and C0.
 
 The n x n Gram and cosine matrices (n is the number of checkpoints) go
-to LAPACK's symmetric eigenvalue routine through ``np.linalg.eigvalsh``.
-Eigenvectors are not computed.
+to LAPACK's symmetric eigenvalue routine through ``np.linalg.eigvalsh``,
+which reads their lower triangle. Eigenvectors are not computed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import numpy as np
 
 from . import kernel
 from .ckptstore import SelectionSpec, TrajectoryStore
-from .errors import EmptyTrajectory, NegativeGramEigenvalue, NoConvergence, NotSymmetric
+from .errors import (
+    EmptyTrajectory, NegativeGramEigenvalue, NoConvergence, NonFinitePayload, NotSymmetric,
+)
 
 SYMMETRY_TOL = 1e-10
 GRAM_CLAMP = 1e-8
@@ -40,11 +42,12 @@ def symmetric_eigenvalues(m: np.ndarray, matrix_id: MatrixId = MatrixId.K) -> Sp
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within 1e-10 per entry")
-    sym = 0.5 * (m + m.T)
     try:
-        eigs = np.linalg.eigvalsh(sym)[::-1].copy()
+        eigs = np.linalg.eigvalsh(m)[::-1].copy()
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"{matrix_id.value}: eigenvalues did not converge ({exc})")
+    if not np.isfinite(eigs).all():
+        raise NonFinitePayload(f"{matrix_id.value}: an eigenvalue overflows float64")
     return SpectralSummary(matrix_id=matrix_id, eigenvalues=eigs, n=m.shape[0])
 
 

@@ -169,6 +169,8 @@ def jacobi_eigs(m: np.ndarray, max_sweeps: int = 100, tol: float = 1e-12) -> np.
     fro = np.linalg.norm(a)
     if fro == 0.0:
         return np.zeros(n)
+    if not np.isfinite(fro):  # every matrix would pass the stopping test
+        raise ArithmeticError("||A||_F overflows float64: scale A by a power of two")
 
     def off_norm() -> float:
         d = a.copy()

@@ -210,7 +210,7 @@ def test_open_store_happy_path(tmp_path):
     manifest = write_store(ckpts, tmp_path)
     store = open_store(manifest)
     assert store.n_points == 3
-    assert store.dim_p == 6
+    assert store.selection_dim() == 6
 
 
 def test_layout_mismatch_names_offender(tmp_path):
@@ -443,10 +443,10 @@ def test_glob_dot_semantics():
     assert SelectionSpec(include_globs=("t?",)).matches("t1")
 
 
-def test_flatten_length_matches_dim_p(rng):
+def test_flatten_length_matches_selection_dim(rng):
     ckpts = [random_checkpoint(rng, index=i) for i in range(1)]
     store = TrajectoryStore.from_checkpoints(ckpts)
-    assert store.flatten(0).shape[0] == store.dim_p
+    assert store.flatten(0).shape[0] == store.selection_dim()
 
 
 def test_lazy_store_matches_cached(tmp_path, rng):
@@ -541,7 +541,7 @@ def test_lazy_chunks_straddling_mixed_dtype_tensors_match_cached(tmp_path):
     manifest = mixed_dtype_store(tmp_path)
     cached = in_memory_store(manifest)
     with open_store(manifest) as lazy:
-        p = lazy.dim_p
+        p = lazy.selection_dim()
         for start, stop in [(0, p), (0, 4096), (4096, 8192), (8192, p), (2999, 3001),
                             (7999, 8001), (p - 10, p), (3000, 3000)]:
             np.testing.assert_array_equal(chunk(lazy, start, stop), chunk(cached, start, stop))

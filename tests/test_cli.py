@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,14 +422,19 @@ def test_analysis_verbs_close_their_stores(linear_manifest, tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize(
-    "flag", [["--threads", "0"], ["--threads", "-3"], ["--mem-budget", "-1"]]
+    "flag", [["--threads", "0"], ["--threads", "-3"], ["--mem-budget", "-1"], ["--k", "0"]]
 )
 @pytest.mark.parametrize("verb", [["map"], ["hallmarks", "--measure", "all"], ["spectra"]])
 def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch, verb, flag):
     # checked with the arguments: a missing manifest is not what fails,
     # and the store is never opened
     argv = [*verb, "--manifest", linear_manifest, *flag, "--out", str(tmp_path / "o")]
-    assert run_error(argv, capsys) == (1, "UsageError")
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "UsageError"
+    if flag[0] != "--k" or verb[0] == "hallmarks":  # only hallmarks takes --k
+        assert err["detail"].startswith(f"argument {flag[0]}: must be >= ")
     argv[argv.index(linear_manifest)] = str(tmp_path / "missing.json")
     assert run_error(argv, capsys) == (1, "UsageError")
 
@@ -522,6 +529,12 @@ def test_duplicate_grid_name_is_usage_error(tmp_path, capsys):
 # --- hallmarks: the Gram pass and the series stream side by side ---
 
 
+def child_env(**extra) -> dict:
+    """The environment of a child interpreter that imports this trajkit."""
+    path = [str(Path(ckptstore.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
+
+
 def points_store(points, path, dtype=Dtype.F64, sizes=None) -> str:
     """An on-disk store of the rows of ``points``, cut into tensors of ``sizes``."""
     points = np.asarray(points, dtype=np.float64)
@@ -570,6 +583,28 @@ def test_hallmarks_failing_series_leaves_no_output(tmp_path, capsys, threads):
             "--measure", "consecutive_updates", "--threads", threads, "--out", str(out)]
     assert run_error(argv, capsys) == (2, "DegenerateVector")
     assert not list(out.glob("*"))
+
+
+def test_hallmarks_lag_past_the_store_allocates_nothing_for_it(tmp_path):
+    # at k = 10^12 a ring sized by k would exhaust any memory; the child's
+    # address space is capped, so such a ring fails fast instead
+    rng = np.random.default_rng(5)
+    manifest = points_store(rng.standard_normal((6, 1000)), tmp_path / "store", Dtype.F32)
+    child = ("import resource, sys; from trajkit.cli import main; "
+             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+             "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard); "
+             "resource.setrlimit(resource.RLIMIT_AS, (cap, hard)); "
+             "sys.exit(main(sys.argv[1:]))")
+    csv = []
+    for k in ("1", "1000000000000"):
+        out = tmp_path / k
+        argv = ["hallmarks", "--manifest", manifest, "--measure", "param_norm", "--k", k,
+                "--out", str(out)]
+        done = subprocess.run([sys.executable, "-c", child, *argv], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        csv.append((out / "param_norm.csv").read_bytes())
+    assert csv[0] == csv[1]
 
 
 def straddling_f32_store(path, n=9) -> str:
@@ -670,3 +705,37 @@ def test_theory_width_overflow_is_data_error(tmp_path, capsys):
         argv = ["theory", "width", "--params", str(params), "--out", str(out)]
         assert run_error(argv, capsys) == (2, "NonFiniteIterate")
         assert not (out / "width.json").exists()
+
+
+def test_map_spectra_and_train_do_not_depend_on_blas_threads(tmp_path):
+    # p = 9 000 > 2 x 4096, past the length from which OpenBLAS splits one
+    # dot over its threads; the series are left out, as their step products
+    # are full-vector dots
+    rng = np.random.default_rng(11)
+    points = np.cumsum(rng.standard_normal((32, 9000)), axis=0)
+    manifest = points_store(points, tmp_path / "store", Dtype.F32, sizes=[5000, 4000])
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"train": {"epochs": 2}}')
+    runs = {
+        "map": ["map", "--manifest", manifest],
+        "map_tau": ["map", "--manifest", manifest, "--origin", "ckpt:3"],
+        "spectra": ["spectra", "--manifest", manifest],
+        "train": ["train", "--spec", str(spec)],
+    }
+    child = ("import json, sys; from trajkit.cli import main; "
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    outputs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / blas_threads
+        argvs = [[*argv, "--out", str(out / name)] for name, argv in runs.items()]
+        done = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)],
+                              env=child_env(OPENBLAS_NUM_THREADS=blas_threads),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        # record.json holds the run's wall clock and paths besides its losses
+        record = json.loads((out / "train" / "record.json").read_text())
+        files = {f.relative_to(out): f.read_bytes() for f in out.rglob("*")
+                 if f.is_file() and f.name != "record.json"}
+        outputs.append((files, record["losses"], record["accuracies"]))
+    assert len(outputs[0][0]) == 2 + 2 + 4 + 3 + 1  # the 2-epoch store: 3 checkpoints
+    assert outputs[0] == outputs[1]

@@ -57,7 +57,6 @@ VERBS = {
                               st.text(max_size=5)),
         "--vmin": floats,
         "--vmax": floats,
-        "--cell-px": ints(-2, 40),
     },
     ("hallmarks",): {
         **store_flags,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from trajkit import (
     write_store,
 )
 from trajkit.errors import DegenerateVector, InsufficientPoints, NonFinitePayload
-from trajkit.hallmarks import require_points
+from trajkit.hallmarks import _stream_products, require_points
 
 from conftest import random_store
 
@@ -305,6 +307,23 @@ def test_step_products_streamed_once_per_lag(rng, monkeypatch):
     assert sorted(reads) == list(range(6))
     norm_series(store, NormMeasureKind.UPDATE_NORM, k=2)
     assert len(reads) == 12
+
+
+def test_stream_buffers_are_sized_by_the_store(rng):
+    # a store of n points forms no lag past n - 1, so a larger k allocates
+    # no more p-length buffers than k = n - 1 does: 2 min(k, n - 1) + 9
+    n, p, k = 6, 1000, 1000
+    store = random_store(rng, n, p)
+    tracemalloc.start()
+    try:
+        _stream_products(store, None, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the product lists and the deques take less than one buffer more
+    assert peak < (2 * min(k, n - 1) + 9 + 1) * p * 8
+    for measure in (NormMeasureKind.PARAM_NORM, NormMeasureKind.DIST_FROM_INIT):
+        assert norm_series(store, measure, k=k).points == norm_series(store, measure).points
 
 
 def test_non_finite_checkpoint_raises_in_series():

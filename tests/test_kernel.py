@@ -153,7 +153,7 @@ def test_layerwise_partition(rng):
     ]
     maps = [(name, trajectory_map(store, sel)) for name, sel in groups]
     assert [name for name, _ in maps] == ["a", "b"]
-    assert store.selection_dim(groups[0][1]) + store.selection_dim(groups[1][1]) == store.dim_p
+    assert sum(store.selection_dim(sel) for _, sel in groups) == store.selection_dim()
 
 
 def test_layerwise_identity_partition(rng):
@@ -387,7 +387,10 @@ def test_grams_bit_identical_at_any_thread_count(wide_pts, tmp_path):
     n = wide_pts.shape[0]
     theta = wide_pts.astype(np.float64)
     lazy = lazy_f32_store(tmp_path / "store", wide_pts)
-    cached = TrajectoryStore.from_arrays(theta, labels=[f"c{i}" for i in range(n)])
+    cached = TrajectoryStore.from_checkpoints([
+        Checkpoint(i, f"c{i}", [TensorRecord("theta", Dtype.F64, (theta.shape[1],), row)])
+        for i, row in enumerate(theta)
+    ])
 
     def grams(store, threads):
         k, k0 = gram_pair(store, threads=threads)

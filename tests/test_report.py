@@ -40,8 +40,6 @@ def test_each_stop_fraction_maps_to_its_colour():
 def test_invalid_style_rejected():
     with pytest.raises(InvalidStyle):
         HeatmapStyle(v_min=1.0, v_max=1.0)
-    with pytest.raises(InvalidStyle):
-        HeatmapStyle(cell_px=0)
     # a span that is not finite would paint every cell one colour
     inf, nan = float("inf"), float("nan")
     for v_min, v_max in ((-inf, inf), (-1e308, 1e308), (0.0, inf), (-inf, 0.0), (0.0, nan)):
@@ -87,7 +85,6 @@ def test_matrix_csv_round_trip_exact(tmp_path):
 def test_series_csv_layout(tmp_path):
     series = ScalarSeries(
         measure_id="param_norm",
-        k=1,
         points=[(0, 1.5), (1, 2.25)],
         units=Units.L2NORM,
     )

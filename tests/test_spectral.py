@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,3 +166,48 @@ def test_relative_spectra_have_n_minus_one_rows(rng):
     assert spectra[MatrixId.K0].n == 4
     assert spectra[MatrixId.C0].n == 4
     assert spectra[MatrixId.K].n == 5
+
+
+# --- entries near the float64 limit ---
+
+
+def limit_store(rows, path) -> str:
+    return str(write_store(
+        [Checkpoint(i, f"c{i}", [TensorRecord("w", Dtype.F64, (2,), row)])
+         for i, row in enumerate(rows)],
+        path,
+    ))
+
+
+def run_spectra(manifest, out, capsys, warning_filter):
+    """(exit code, stderr lines, warnings) of one spectra run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter, RuntimeWarning)
+        rc = main(["spectra", "--manifest", manifest, "--out", str(out)])
+    return rc, capsys.readouterr().err.splitlines(), [str(w.message) for w in caught]
+
+
+def test_spectra_of_a_gram_near_the_float64_limit(tmp_path, capsys):
+    # two checkpoints at 60 degrees with |theta|^2 = 1e308: K's entries are
+    # finite, and so are its eigenvalues 1.5e308 and 5e307 and K0's 1e308
+    s = 1e154
+    manifest = limit_store([[s, 0.0], [0.5 * s, math.sqrt(3) / 2 * s]], tmp_path / "store")
+    out = tmp_path / "s"
+    assert run_spectra(manifest, out, capsys, "always") == (0, [], [])
+    for name, want in (("K", [1.5e308, 5e307]), ("K0", [1e308])):
+        got = np.loadtxt(out / f"{name}.csv", skiprows=1, ndmin=1)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("warning_filter", ["always", "error"])
+def test_an_eigenvalue_past_float64_is_non_finite_payload(tmp_path, capsys, warning_filter):
+    # four near-parallel checkpoints with |theta|^2 just below 1e308: every
+    # entry of K is finite, its top eigenvalue (about 4e308) is not
+    s = 1e154 / math.sqrt(1 + 1e-5)
+    rows = [[s, 0.0], [s, 1e-3 * s], [s, 2e-3 * s], [s, 3e-3 * s]]
+    manifest = limit_store(rows, tmp_path / "store")
+    rc, err, caught = run_spectra(manifest, tmp_path / "s", capsys, warning_filter)
+    assert (rc, len(err), caught) == (2, 1, [])
+    assert json.loads(err[0]) == {"error": "NonFinitePayload",
+                                  "detail": "K: an eigenvalue overflows float64"}
+    assert not (tmp_path / "s").exists()
