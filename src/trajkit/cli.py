@@ -22,7 +22,7 @@ import typing
 from pathlib import Path
 
 from . import __version__
-from .errors import NoMeasuresRequested, NonFiniteIterate, TrajkitError
+from .errors import NoMeasuresRequested, NonFiniteIterate, OriginOutOfRange, TrajkitError
 
 if typing.TYPE_CHECKING:
     from .ckptstore import SelectionSpec
@@ -43,7 +43,7 @@ def _emit_error(code: str, detail: str) -> None:
 
 
 def _parse_origin(text: str) -> int | None:
-    """None for the absolute origin, else the checkpoint index."""
+    """None for the absolute origin, else the manifest index IDX."""
     if text == "absolute":
         return None
     if text.startswith("ckpt:"):
@@ -125,6 +125,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--measure",
         action="append",
+        choices=[*ALL_MEASURES, "all"],
         metavar="NAME",
         help=f"repeatable; one of {', '.join(ALL_MEASURES)} or 'all'",
     )
@@ -173,7 +174,10 @@ def cmd_map(args) -> int:
     # checked before the store is opened, so a bad style reads and writes nothing
     style = HeatmapStyle(v_min=args.vmin, v_max=args.vmax)
     with open_store(args.manifest) as store:
-        gram = compute_gram(store, origin, sel, threads=_ring_slots(args, store))
+        if origin is not None and origin not in store.indices:
+            raise OriginOutOfRange(f"origin index {origin} not in store of {store.n_points} points")
+        row = None if origin is None else store.indices.index(origin)
+        gram = compute_gram(store, row, sel, threads=_ring_slots(args, store))
     cosmap = compute_cosine_map(gram)
     out = _out_dir(args)
     write_matrix_csv(cosmap.values, cosmap.point_labels, out / "map.csv")
@@ -191,9 +195,6 @@ def cmd_hallmarks(args) -> int:
         requested = ALL_MEASURES
     if not requested:
         raise NoMeasuresRequested("pass --measure NAME (repeatable) or --measure all")
-    for name in requested:
-        if name not in ALL_MEASURES:
-            raise UsageError(f"unknown measure {name!r}")
     with open_store(args.manifest) as store:
         return _hallmarks(args, requested, store)
 
@@ -209,14 +210,10 @@ def _hallmarks(args, requested: list[str], store) -> int:
         AngularMeasureKind, NormMeasureKind, angular_series, mds, norm_series, require_points,
     )
     from .kernel import compute_cosine_map, gram_pair
-    from .report import AnalysisSummary, write_series_csv
+    from .report import write_series_csv
 
     sel = _selection(args)
-    summary = AnalysisSummary(
-        manifest_path=str(args.manifest),
-        n=store.n_points,
-        p=store.selection_dim(sel),
-    )
+    p = store.selection_dim(sel)
     slots = _ring_slots(args, store)
     kinds = {m.value: m for m in (*AngularMeasureKind, *NormMeasureKind)}
     measures = [kinds[name] for name in requested]
@@ -242,17 +239,18 @@ def _hallmarks(args, requested: list[str], store) -> int:
             stream = pool.submit(all_series)
             gram, gram0 = gram_pair(store, sel, threads=min(args.threads - 1, slots))
         series = stream.result
-    summary.omega = mds(compute_cosine_map(gram))
-    if gram0 is not None:
-        summary.omega0 = mds(compute_cosine_map(gram0))
+    omega = mds(compute_cosine_map(gram))
+    omega0 = None if gram0 is None else mds(compute_cosine_map(gram0))
     results = series()
     out = _out_dir(args)
+    files = {}
     for name, result in zip(requested, results):
-        path = out / f"{name}.csv"
-        write_series_csv(result, path)
-        summary.series_files[name] = str(path)
-    summary.write(out / "summary.json")
-    print(json.dumps({"omega": summary.omega, "omega0": summary.omega0, "out": str(out)}))
+        files[name] = str(out / f"{name}.csv")
+        write_series_csv(result, files[name])
+    summary = {"manifest_path": str(args.manifest), "n": store.n_points, "p": p, "omega": omega,
+               "omega0": omega0, "series_files": files, "tool_version": __version__}
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    print(json.dumps({"omega": omega, "omega0": omega0, "out": str(out)}))
     return 0
 
 
@@ -402,10 +400,9 @@ def cmd_train(args) -> int:
     payload = json.loads(Path(args.spec).read_text()) if args.spec else {}
     _checked(payload, {"train": dict, "grid": list}, "--spec")
     spec = _train_spec_from(payload.get("train", {}))
-    grid = payload.get("grid")
-    if grid:
+    if "grid" in payload:
         # each variant's store creates --out; grid.json lands beside them
-        report = dict(hyperparameter_grid(spec, _grid_variants(grid), args.out))
+        report = dict(hyperparameter_grid(spec, _grid_variants(payload["grid"]), args.out))
         _write_json(args, "grid.json", report)
         print(json.dumps(report))
     else:

@@ -23,7 +23,7 @@ from .kernel import CosineMap
 
 
 class AngularMeasureKind(enum.Enum):
-    # angle(second arg is the reference vector); see _angle_terms for ranges
+    # angle(second arg is the reference vector); see _rows for the steps
     CONSECUTIVE_UPDATES = "consecutive_updates"
     LAGGED_UPDATES = "lagged_updates"
     APEX_AT_INIT = "apex_at_init"
@@ -61,43 +61,41 @@ def mds(cosmap: CosineMap) -> float:
     return float(np.mean(cosmap.values))
 
 
-@dataclass
-class _StepProducts:
-    """Every inner product the hallmark series use, indexed by step t.
-
-    With d_t = theta_t - theta_0, D = theta_T - theta_0, u_t = theta_{t+1}
-    - theta_t and v_t = theta_{t+k} - theta_t, each entry is one
-    float64 dot product of those vectors (None where undefined).
-    """
-
-    theta_theta: list  # theta_t . theta_t
-    theta_init: list  # theta_t . theta_0
-    disp_disp: list  # d_t . d_t
-    disp_first: list  # d_t . d_1
-    disp_total: list  # d_t . D
-    upd_upd: list  # u_t . u_t
-    upd_prev: list  # u_t . u_{t-1}
-    upd_theta: list  # u_t . theta_t
-    upd_total: list  # u_t . D
-    upd_disp: list  # u_t . d_t
-    lag_lag: list  # v_t . v_t (the u_t column when k = 1)
-    lag_prev: list  # v_t . v_{t-k} (the upd_prev column when k = 1)
+# The step table: one column per inner product the hallmark series use,
+# each a list of one float64 dot product per step t (None where undefined),
+# with d_t = theta_t - theta_0, D = theta_T - theta_0, u_t = theta_{t+1} -
+# theta_t and v_t = theta_{t+k} - theta_t.
+_COLUMNS = (
+    "theta_theta",  # theta_t . theta_t
+    "theta_init",  # theta_t . theta_0
+    "disp_disp",  # d_t . d_t
+    "disp_first",  # d_t . d_1
+    "disp_total",  # d_t . D
+    "upd_upd",  # u_t . u_t
+    "upd_prev",  # u_t . u_{t-1}
+    "upd_theta",  # u_t . theta_t
+    "upd_total",  # u_t . D
+    "upd_disp",  # u_t . d_t
+    "lag_lag",  # v_t . v_t (the upd_upd column when k = 1)
+    "lag_prev",  # v_t . v_{t-k} (the upd_prev column when k = 1)
+)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # dot() checks every product
 def _stream_products(
     store: TrajectoryStore, sel: SelectionSpec | None, k: int
-) -> _StepProducts:
-    """One pass that reads each checkpoint once, in order after theta_0 and
-    theta_T (D needs both). It holds theta_0, theta_T, D, d_1, the last w
-    checkpoints, the last w lagged updates and the current step's vectors,
-    each in a buffer allocated once and reused from step to step, where
-    w = min(k, n - 1): a lag past the store's end is never formed.
+) -> dict[str, list]:
+    """The step table, from one pass that reads each checkpoint once, in
+    order after theta_0 and theta_T (D needs both). It holds theta_0,
+    theta_T, D, d_1, the last w checkpoints, the last w lagged updates and
+    the current step's vectors, each in a buffer allocated once and reused
+    from step to step, where w = min(k, n - 1): a lag past the store's end
+    is never formed.
     """
     n = store.n_points
     last = n - 1
     w = min(k, last)
-    cols = {name: [None] * n for name in _StepProducts.__dataclass_fields__}
+    cols = {name: [None] * n for name in _COLUMNS}
 
     def dot(name: str, t: int, a: np.ndarray, b: np.ndarray) -> None:
         value = float(np.dot(a, b))
@@ -156,63 +154,45 @@ def _stream_products(
         window.append(theta)
     if k == 1:
         cols["lag_lag"], cols["lag_prev"] = cols["upd_upd"], cols["upd_prev"]
-    return _StepProducts(**cols)
+    return cols
 
 
 def _step_products(
     store: TrajectoryStore, k: int = 1, sel: SelectionSpec | None = None
-) -> _StepProducts:
-    """The store's step products for lag k, streamed once per selection and k."""
+) -> dict[str, list]:
+    """The store's step table for lag k, streamed once per selection and k."""
     return store.memo(("step_products", sel or ALL, k), lambda: _stream_products(store, sel, k))
 
 
-def _angle_terms(tab: _StepProducts, measure: AngularMeasureKind, k: int, last: int):
-    """(t, a.b, a.a, b.b) for every defined step of the measure."""
-    M = AngularMeasureKind
-    if measure is M.CONSECUTIVE_UPDATES:
-        return [(t, tab.upd_prev[t], tab.upd_upd[t], tab.upd_upd[t - 1]) for t in range(1, last)]
-    if measure is M.LAGGED_UPDATES:
-        return [
-            (t, tab.lag_prev[t], tab.lag_lag[t], tab.lag_lag[t - k])
-            for t in range(k, last - k + 1)
-        ]
-    if measure is M.APEX_AT_INIT:
-        return [
-            (t, tab.disp_first[t], tab.disp_disp[t], tab.disp_disp[1])
-            for t in range(1, last + 1)
-        ]
-    if measure is M.APEX_AT_ORIGIN:
-        return [
-            (t, tab.theta_init[t], tab.theta_theta[t], tab.theta_theta[0])
-            for t in range(0, last + 1)
-        ]
-    if measure is M.UPDATE_VS_POSITION:
-        return [(t, tab.upd_theta[t], tab.upd_upd[t], tab.theta_theta[t]) for t in range(0, last)]
-    if measure is M.UPDATE_VS_TOTAL_DISPLACEMENT:
-        return [
-            (t, tab.upd_total[t], tab.upd_upd[t], tab.disp_disp[last]) for t in range(0, last)
-        ]
-    if measure is M.PROGRESS_VS_TOTAL_DISPLACEMENT:
-        return [
-            (t, tab.disp_total[t], tab.disp_disp[t], tab.disp_disp[last])
-            for t in range(1, last + 1)
-        ]
-    if measure is M.UPDATE_VS_DISPLACEMENT_FROM_INIT:
-        return [(t, tab.upd_disp[t], tab.upd_upd[t], tab.disp_disp[t]) for t in range(1, last)]
-    raise ValueError(measure)  # pragma: no cover
-
-
-_MIN_POINTS = {
-    AngularMeasureKind.CONSECUTIVE_UPDATES: 3,
-    AngularMeasureKind.APEX_AT_INIT: 2,
-    AngularMeasureKind.APEX_AT_ORIGIN: 1,
-    AngularMeasureKind.UPDATE_VS_POSITION: 2,
-    AngularMeasureKind.UPDATE_VS_TOTAL_DISPLACEMENT: 2,
-    AngularMeasureKind.PROGRESS_VS_TOTAL_DISPLACEMENT: 2,
-    AngularMeasureKind.UPDATE_VS_DISPLACEMENT_FROM_INIT: 3,
-    NormMeasureKind.PARAM_NORM: 1,
-    NormMeasureKind.DIST_FROM_INIT: 2,
-}
+def _rows(k: int) -> dict:
+    """Each measure's row at lag k: its first step, how many steps short of
+    the last step T its series ends, and its terms at step t, read from the
+    step table c ([-1] is step T): an angle's (a.b, a.a, b.b), a norm's
+    square. A fourth entry is the fewest checkpoints, where that is not
+    first + short + 1."""
+    M, N = AngularMeasureKind, NormMeasureKind
+    return {
+        M.CONSECUTIVE_UPDATES: (
+            1, 1, lambda c, t: (c["upd_prev"][t], c["upd_upd"][t], c["upd_upd"][t - 1])),
+        M.LAGGED_UPDATES: (
+            k, k, lambda c, t: (c["lag_prev"][t], c["lag_lag"][t], c["lag_lag"][t - k])),
+        M.APEX_AT_INIT: (
+            1, 0, lambda c, t: (c["disp_first"][t], c["disp_disp"][t], c["disp_disp"][1])),
+        M.APEX_AT_ORIGIN: (
+            0, 0, lambda c, t: (c["theta_init"][t], c["theta_theta"][t], c["theta_theta"][0])),
+        M.UPDATE_VS_POSITION: (
+            0, 1, lambda c, t: (c["upd_theta"][t], c["upd_upd"][t], c["theta_theta"][t])),
+        M.UPDATE_VS_TOTAL_DISPLACEMENT: (
+            0, 1, lambda c, t: (c["upd_total"][t], c["upd_upd"][t], c["disp_disp"][-1])),
+        M.PROGRESS_VS_TOTAL_DISPLACEMENT: (
+            1, 0, lambda c, t: (c["disp_total"][t], c["disp_disp"][t], c["disp_disp"][-1])),
+        M.UPDATE_VS_DISPLACEMENT_FROM_INIT: (
+            1, 1, lambda c, t: (c["upd_disp"][t], c["upd_upd"][t], c["disp_disp"][t])),
+        N.PARAM_NORM: (0, 0, lambda c, t: c["theta_theta"][t]),
+        # one checkpoint is no distance from itself: the series needs two
+        N.DIST_FROM_INIT: (0, 0, lambda c, t: c["disp_disp"][t], 2),
+        N.UPDATE_NORM: (0, k, lambda c, t: c["lag_lag"][t]),
+    }
 
 
 def require_points(
@@ -222,16 +202,20 @@ def require_points(
     of ``n_points`` checkpoints gives ``measure`` at lag k its series."""
     if k < 1:
         raise ValueError("lag k must be >= 1")
-    if measure is AngularMeasureKind.LAGGED_UPDATES:
-        need = 2 * k + 1
-    elif measure is NormMeasureKind.UPDATE_NORM:
-        need = k + 1
-    else:
-        need = _MIN_POINTS[measure]
+    first, short, _, *fewest = _rows(k)[measure]
+    need = fewest[0] if fewest else first + short + 1
     if n_points < need:
         raise InsufficientPoints(
             f"{measure.value} with k={k} needs >= {need} checkpoints, store has {n_points}"
         )
+
+
+def _terms(store, measure, k: int, sel) -> list[tuple[int, object]]:
+    """(t, terms at step t) for every step of ``measure``'s row."""
+    require_points(measure, k, store.n_points)
+    first, short, terms, *_ = _rows(k)[measure]
+    cols = _step_products(store, k, sel)
+    return [(t, terms(cols, t)) for t in range(first, store.n_points - short)]
 
 
 def angular_series(
@@ -240,10 +224,8 @@ def angular_series(
     k: int = 1,
     sel: SelectionSpec | None = None,
 ) -> ScalarSeries:
-    require_points(measure, k, store.n_points)
-    tab = _step_products(store, k, sel)
     points = []
-    for t, ab, aa, bb in _angle_terms(tab, measure, k, store.n_points - 1):
+    for t, (ab, aa, bb) in _terms(store, measure, k, sel):
         try:
             points.append((t, angles.angle_degrees(ab, aa, bb)))
         except DegenerateVector as exc:
@@ -257,16 +239,5 @@ def norm_series(
     k: int = 1,
     sel: SelectionSpec | None = None,
 ) -> ScalarSeries:
-    require_points(measure, k, store.n_points)
-    last = store.n_points - 1
-    if measure is NormMeasureKind.PARAM_NORM:
-        squares, steps = "theta_theta", range(last + 1)
-    elif measure is NormMeasureKind.DIST_FROM_INIT:
-        squares, steps = "disp_disp", range(last + 1)
-    elif measure is NormMeasureKind.UPDATE_NORM:
-        squares, steps = "lag_lag", range(last - k + 1)
-    else:  # pragma: no cover
-        raise ValueError(measure)
-    column = getattr(_step_products(store, k, sel), squares)
-    points = [(t, math.sqrt(column[t])) for t in steps]
+    points = [(t, math.sqrt(square)) for t, square in _terms(store, measure, k, sel)]
     return ScalarSeries(measure_id=measure.value, points=points, units=Units.L2NORM)

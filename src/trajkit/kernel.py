@@ -169,7 +169,8 @@ def compute_gram(
 
     From the absolute origin (None) it is the raw points' Gram matrix.
     From the in-trajectory origin ``tau`` the points are shifted by
-    checkpoint tau and its zero row is omitted, shrinking n by one.
+    checkpoint tau and its zero row is omitted, shrinking n by one. tau is
+    a row position in the store, not a manifest index.
     """
     g = _gram(store, sel, origin, threads)
     labels = list(store.labels)

@@ -9,15 +9,10 @@ writes its JSON without loading the store and Gram code.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from . import __version__
 
 if TYPE_CHECKING:
     from .hallmarks import ScalarSeries
@@ -48,21 +43,6 @@ def write_series_csv(series: ScalarSeries, path) -> None:
 def write_spectrum_csv(summary: SpectralSummary, path) -> None:
     _write_csv(path, [f"eigenvalue_{summary.matrix_id.value}"],
                ([fmt(v)] for v in summary.eigenvalues))
-
-
-@dataclass
-class AnalysisSummary:
-    manifest_path: str
-    n: int
-    p: int
-    omega: float | None = None
-    omega0: float | None = None
-    series_files: dict = field(default_factory=dict)
-    spectra_files: dict = field(default_factory=dict)
-    tool_version: str = __version__
-
-    def write(self, path) -> None:
-        Path(path).write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
 
 
 def alignment_json(curve: AlignmentCurve) -> dict:

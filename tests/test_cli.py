@@ -102,6 +102,34 @@ def test_map_bad_origin_is_usage_error(linear_manifest, tmp_path, capsys):
     assert json.loads(err[0])["error"] == "UsageError"
 
 
+def test_map_origin_is_a_manifest_index(tmp_path, capsys):
+    # a store saved every fifth step, as train with ckpt_every 5 writes it
+    rng = np.random.default_rng(0)
+    ckpts = [
+        Checkpoint(i, f"epoch{i}", [TensorRecord("w", Dtype.F64, (4,), rng.standard_normal(4))])
+        for i in (0, 5, 10)
+    ]
+    (tmp_path / "store").mkdir()
+    manifest = str(write_store(ckpts, tmp_path / "store"))
+    out = tmp_path / "m"
+    assert main(["map", "--manifest", manifest, "--origin", "ckpt:5", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["origin"] == "ckpt:5"
+    rows = [row.split(",") for row in (out / "map.csv").read_text().splitlines()]
+    assert rows[0] == ["epoch0", "epoch10"]
+    # the map relative to the checkpoint in row 1, the one the manifest indexes 5
+    store = TrajectoryStore.from_checkpoints(ckpts)
+    want = kernel.compute_cosine_map(kernel.compute_gram(store, 1))
+    assert [[float(v) for v in row] for row in rows[1:]] == want.values.tolist()
+
+    # 1 is a row position of this store, but no index of its manifest
+    argv = ["map", "--manifest", manifest, "--origin", "ckpt:1", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "OriginOutOfRange",
+                   "detail": "origin index 1 not in store of 3 points"}
+    assert not (tmp_path / "x").exists()
+
+
 def test_hallmarks_all_measures(linear_manifest, tmp_path, capsys):
     out = tmp_path / "h"
     rc = main(
@@ -126,12 +154,16 @@ def test_hallmarks_no_measures_is_data_error(linear_manifest, tmp_path, capsys):
 def test_hallmarks_unknown_measure_is_usage_error(linear_manifest, tmp_path, capsys):
     # a bad name fails before the store is read, so no good name's CSV is written
     out = tmp_path / "h"
-    for measures in (["bogus"], ["param_norm", "bogus"]):
+    for measures in (["bogus"], ["param_norm", "bogus"], ["all", "bogus"]):
         argv = ["hallmarks", "--manifest", linear_manifest, "--out", str(out)]
         for name in measures:
             argv += ["--measure", name]
-        assert run_error(argv, capsys) == (1, "UsageError")
-        assert not list(out.glob("*.csv"))
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "UsageError"
+        assert err["detail"].startswith("argument --measure: invalid choice: 'bogus'")
+        assert not out.exists()
 
 
 def test_spectra_outputs_four_files(linear_manifest, tmp_path):
@@ -453,11 +485,12 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
         (["theory", "width"], "", (1, "UsageError")),
         (["theory", "lemma"], {"bogus": 1}, (1, "UsageError")),
         (["train"], {"grid": [{"name": "a"}]}, (1, "UsageError")),
+        (["train"], {"grid": []}, (1, "UsageError")),
         (["train"], {"train": {"layer_sizes": [3, 4, 2]}}, (1, "UsageError")),
         (["train"], {"train": {"eta": 1e6, "epochs": 3}}, (2, "NonFiniteLoss")),
     ],
-    ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "train-layers",
-         "train-diverges"],
+    ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
+         "train-layers", "train-diverges"],
 )
 def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, expected):
     path = tmp_path / "params.json"

@@ -4,11 +4,12 @@ Each example writes a store of 2-12 checkpoints in 1-3 tensors of F16, F32
 or F64 whose columns straddle the Gram pass's 4096-column chunks: a random
 walk, a near-converged run, a collapse toward 0, edge-of-stability sign
 flips or a walk with repeated checkpoints, scaled by 2^e for e in
-[-120, 500]. ``spectra`` and ``hallmarks`` (omega, omega0 and the three
-norm series) then run through ``cli.main``, and every value is checked
-against ``tests/oracles.py`` at the tolerances of the fixed-case oracle
-tests. The one other outcome allowed is a single typed JSON error whose
-diagnosis is true of the stored values.
+[-120, 500]. ``map`` (from the absolute origin and from a drawn
+checkpoint tau), ``spectra`` and ``hallmarks`` (omega, omega0 and the
+three norm series at a drawn lag k) then run through ``cli.main``, and
+every value is checked against ``tests/oracles.py`` at the tolerances of
+the fixed-case oracle tests. The one other outcome allowed is a single
+typed JSON error whose diagnosis is true of the stored values.
 """
 
 import contextlib
@@ -50,9 +51,10 @@ def trajectories(draw):
     dtypes = draw(st.lists(st.sampled_from(fits), min_size=n_tensors, max_size=n_tensors))
     if draw(st.integers(0, 9)) == 0:
         dtypes[0] = Dtype.F16
-    k = draw(st.integers(1, min(2, n - 1)))
+    k = draw(st.integers(1, min(3, n - 1)))
+    tau = draw(st.integers(0, n - 1))
     seed = draw(st.integers(0, 2**32 - 1))
-    return kind, n, p, e, sorted(cuts), dtypes, k, seed
+    return kind, n, p, e, sorted(cuts), dtypes, k, tau, seed
 
 
 def _theta(kind: str, n: int, p: int, rng) -> np.ndarray:
@@ -80,7 +82,7 @@ def _theta(kind: str, n: int, p: int, rng) -> np.ndarray:
 
 def _write(case, store: Path):
     """The store's manifest path and its stored values as float64 rows."""
-    kind, n, p, e, cuts, dtypes, _, seed = case
+    kind, n, p, e, cuts, dtypes, _, _, seed = case
     theta = np.ldexp(_theta(kind, n, p, np.random.default_rng(seed)), e)
     with np.errstate(over="ignore"):  # an F16 cast may overflow on purpose
         parts = [part.astype(dtype.np_dtype)
@@ -117,6 +119,11 @@ def _column(path: Path, index: int) -> list[float]:
         return [float(row[index]) for row in list(csv.reader(f))[1:]]
 
 
+def _matrix(path: Path) -> np.ndarray:
+    with open(path, newline="") as f:
+        return np.array(list(csv.reader(f))[1:], dtype=np.float64)
+
+
 def _check_eigenvalues(got: list[float], ref: np.ndarray, entry_tol: float) -> None:
     """An entry error of at most entry_tol times the largest entry moves each
     eigenvalue by at most n times that (Weyl), and the solvers agree to 1e-12
@@ -134,12 +141,14 @@ def _check_eigenvalues(got: list[float], ref: np.ndarray, entry_tol: float) -> N
           suppress_health_check=[HealthCheck.too_slow])
 @given(trajectories())
 def test_generated_trajectories_match_long_double(case):
-    kind, n, _, e, _, dtypes, k, _ = case
+    kind, n, _, e, _, dtypes, k, tau, _ = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         manifest, theta = _write(case, tmp / "store")
         measures = [arg for m in NORMS for arg in ("--measure", m)]
         runs = {
+            "map": ["map"],
+            "map_tau": ["map", "--origin", f"ckpt:{tau}"],  # the store's index is its row
             "spectra": ["spectra"],
             "hallmarks": ["hallmarks", *measures, "--k", str(k)],
         }
@@ -158,11 +167,21 @@ def test_generated_trajectories_match_long_double(case):
             return
         gram = longdouble_gram(theta)
         gram0 = longdouble_gram(theta[1:], origin=theta[0])
-        if min(np.diagonal(gram).min(), np.diagonal(gram0).min()) < TINY:
-            # a zero point in K, or a point equal to checkpoint 0 in K0
-            assert set(outcome.values()) == {(2, "DegenerateVector")}
+        gram_tau = longdouble_gram(np.delete(theta, tau, axis=0), origin=theta[tau])
+        reads = {"map": [gram], "map_tau": [gram_tau], "spectra": [gram, gram0],
+                 "hallmarks": [gram, gram0]}
+        for verb, refs in reads.items():
+            # a zero point, or a point equal to the origin checkpoint
+            degenerate = min(np.diagonal(ref).min() for ref in refs) < TINY
+            assert outcome[verb] == ((2, "DegenerateVector") if degenerate else (0, None))
+
+        # the cosine oracle tests' 1e-14 per entry
+        for verb, ref in (("map", gram), ("map_tau", gram_tau)):
+            if outcome[verb] == (0, None):
+                got = _matrix(tmp / verb / "map.csv")
+                assert np.max(np.abs(got - _cosines(ref))) <= 1e-14
+        if outcome["spectra"] != (0, None):
             return
-        assert set(outcome.values()) == {(0, None)}
 
         # the Gram and cosine oracle tests' 1e-9 of the largest entry and 1e-14
         spectra = tmp / "spectra"
