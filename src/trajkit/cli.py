@@ -26,7 +26,6 @@ from .errors import NoMeasuresRequested, NonFiniteIterate, OriginOutOfRange, Tra
 
 if typing.TYPE_CHECKING:
     from .ckptstore import SelectionSpec
-    from .trajgen import TrainSpec
 
 
 class UsageError(Exception):
@@ -86,7 +85,7 @@ def _add_store_flags(p) -> None:
         help="bounds the Gram pass's ring of n x 4096 float64 chunk buffers: at most "
         "BYTES // (n * 4096 * 8) of them, and at most --threads (--threads - 1 in "
         "hallmarks above one thread), but always one. Outside it, the hallmark series "
-        "keep 9 p-length float64 vectors at --k 1 and at most 2 min(k, n - 1) + 9 above, "
+        "keep 8 p-length float64 vectors at --k 1 and at most 2 min(k, n - 1) + 8 above, "
         "and a lazy read stages at most 65536 payload values per checkpoint. Default 2 GiB",
     )
 
@@ -269,12 +268,6 @@ def cmd_spectra(args) -> int:
     return 0
 
 
-def _load_params(args) -> dict:
-    if args.params:
-        return json.loads(Path(args.params).read_text())
-    return {}
-
-
 def _parameter_file_verb(cmd):
     """Bad values in a --params/--spec file are usage errors, as bad argv is."""
 
@@ -301,14 +294,15 @@ def _fits(value, hint) -> bool:
         return len(value) == len(args) and all(map(_fits, value, args))
     if isinstance(value, bool):
         return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
+    if hint is float:  # an integer past the float range would overflow in the run
+        return isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max)
     return isinstance(value, hint)
 
 
-def _checked(params, hints: dict, what: str) -> dict:
-    """``params``, once it is a JSON object whose keys all name ``hints``
-    and whose values fit them."""
+def _checked(params, hints: dict, what: str) -> None:
+    """Raises UsageError unless ``params`` is a JSON object whose keys all
+    name ``hints`` and whose values fit them."""
     if not isinstance(params, dict):
         raise UsageError(f"{what} must be a JSON object, got {type(params).__name__}")
     for key, value in params.items():
@@ -318,11 +312,27 @@ def _checked(params, hints: dict, what: str) -> dict:
             hint = hints[key]
             name = str(hint) if typing.get_origin(hint) else hint.__name__
             raise UsageError(f"{what}: {key!r} must be {name}, got {json.dumps(value)}")
-    return params
 
 
-def _fields(cls, **extra) -> dict:
-    return {**typing.get_type_hints(cls), **extra}
+def _spec(base, doc, what: str, set_by: dict, **extra) -> tuple:
+    """The one path from a parameter file to a spec: ``base`` with the
+    fields the JSON object ``doc`` names replaced, and the values ``doc``
+    gives for the keys of ``extra``. Each key must name a field of ``base``
+    or a key of ``extra`` and fit its annotation; a field that holds a
+    dataclass takes an object, checked the same way against the field's
+    value in ``base``. ``set_by`` maps each key the run sets from elsewhere
+    to what sets it: naming one is a usage error, since the run would
+    ignore its value."""
+    _checked(doc, {**typing.get_type_hints(type(base)), **extra}, what)
+    for key in doc:
+        if key in set_by:
+            raise UsageError(f"{what}: {key!r} is set by {set_by[key]}, so it would be ignored")
+    fields = {
+        key: _spec(getattr(base, key), value, f'"{key}"', {})[0]
+        if dataclasses.is_dataclass(getattr(base, key)) else value
+        for key, value in doc.items() if key not in extra
+    }
+    return dataclasses.replace(base, **fields), {k: v for k, v in doc.items() if k in extra}
 
 
 @_parameter_file_verb
@@ -330,13 +340,11 @@ def cmd_theory(args) -> int:
     from . import theory
     from .report import alignment_json
 
-    params = _load_params(args)
+    params = json.loads(Path(args.params).read_text()) if args.params else {}
     if args.subcommand == "lemma":
-        _checked(params, _fields(theory.QuadraticSpec, steps=int), "--params")
-        steps = params.pop("steps", theory.LEMMA_STEPS)
-        spec = dataclasses.replace(theory.LEMMA_1D_PLAIN, **params)
+        spec, extra = _spec(theory.LEMMA_1D_PLAIN, params, "--params", {}, steps=int)
         try:
-            trace = theory.simulate_quadratic(spec, steps)
+            trace = theory.simulate_quadratic(spec, extra.get("steps", theory.LEMMA_STEPS))
         except NonFiniteIterate as exc:
             _write_json(args, "lemma.json", {"error": exc.code, "detail": str(exc)})
             raise
@@ -344,20 +352,18 @@ def cmd_theory(args) -> int:
         doc = {"all_satisfied": report.all_satisfied, **dataclasses.asdict(report)}
         line = {"pairs": len(report.pairs), "all_satisfied": report.all_satisfied}
     elif args.subcommand == "eos":
-        _checked(params, _fields(theory.QuadraticSpec, steps=int, eta_grid=tuple[float, ...]),
-                 "--params")
-        steps = params.pop("steps", theory.EOS_STEPS)
-        grid = params.pop("eta_grid", list(theory.EOS_GRID))
-        spec = dataclasses.replace(theory.EOS_BASE, **params)
-        points = theory.eos_angle_sweep(spec, grid, steps=steps)
+        spec, extra = _spec(theory.EOS_BASE, params, "--params", {"eta": "each eta_grid value"},
+                            steps=int, eta_grid=tuple[float, ...])
+        points = theory.eos_angle_sweep(spec, extra.get("eta_grid", theory.EOS_GRID),
+                                        steps=extra.get("steps", theory.EOS_STEPS))
         doc = {"points": [dataclasses.asdict(p) for p in points]}
         line = {"points": len(points)}
     else:
-        _checked(params, _fields(theory.WidthSpec), "--params")
+        base, set_by = theory.WIDTH_FIXTURE, {}
         if args.seed is not None:
-            params["seed"] = args.seed
-        curve = theory.width_alignment(dataclasses.replace(theory.WIDTH_FIXTURE, **params))
-        doc = alignment_json(curve)
+            base, set_by = dataclasses.replace(base, seed=args.seed), {"seed": "--seed"}
+        spec, _ = _spec(base, params, "--params", set_by)
+        doc = alignment_json(theory.width_alignment(spec))
         line = {"fitted_loglog_slope": doc["fitted_loglog_slope"]}
     _write_json(args, f"{args.subcommand}.json", doc)
     print(json.dumps(line))
@@ -365,17 +371,6 @@ def cmd_theory(args) -> int:
 
 
 _GRID_ENTRY = {"name": str, "mu": float, "wd": float}
-
-
-def _train_spec_from(params) -> TrainSpec:
-    from .trajgen import TRAIN_FIXTURE, BlobSpec, TrainSpec
-
-    _checked(params, _fields(TrainSpec), '"train"')
-    if "data" in params:
-        params["data"] = BlobSpec(**_checked(params["data"], _fields(BlobSpec), '"data"'))
-    if "eta_schedule" in params:
-        params["eta_schedule"] = tuple(tuple(e) for e in params["eta_schedule"])
-    return dataclasses.replace(TRAIN_FIXTURE, **params)
 
 
 def _grid_variants(grid) -> list[tuple[str, float, float]]:
@@ -395,11 +390,12 @@ def _grid_variants(grid) -> list[tuple[str, float, float]]:
 
 @_parameter_file_verb
 def cmd_train(args) -> int:
-    from .trajgen import hyperparameter_grid, train
+    from .trajgen import TRAIN_FIXTURE, hyperparameter_grid, train
 
     payload = json.loads(Path(args.spec).read_text()) if args.spec else {}
     _checked(payload, {"train": dict, "grid": list}, "--spec")
-    spec = _train_spec_from(payload.get("train", {}))
+    set_by = dict.fromkeys(("mu", "wd"), 'each "grid" entry') if "grid" in payload else {}
+    spec, _ = _spec(TRAIN_FIXTURE, payload.get("train", {}), '"train"', set_by)
     if "grid" in payload:
         # each variant's store creates --out; grid.json lands beside them
         report = dict(hyperparameter_grid(spec, _grid_variants(payload["grid"]), args.out))
@@ -438,6 +434,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         _emit_error("IoError", str(exc))
+        return 2
+    except MemoryError as exc:  # a parameter asks for more than the process can map
+        _emit_error("OutOfMemory", str(exc))
         return 2
 
 

@@ -86,11 +86,12 @@ def _stream_products(
     store: TrajectoryStore, sel: SelectionSpec | None, k: int
 ) -> dict[str, list]:
     """The step table, from one pass that reads each checkpoint once, in
-    order after theta_0 and theta_T (D needs both). It holds theta_0,
-    theta_T, D, d_1, the last w checkpoints, the last w lagged updates and
-    the current step's vectors, each in a buffer allocated once and reused
-    from step to step, where w = min(k, n - 1): a lag past the store's end
-    is never formed.
+    order after theta_0 and theta_T (D needs both), and theta_T again at
+    step T. Each vector it holds has a buffer allocated once and reused from
+    step to step: theta_0, D, d_1, the last w checkpoints, the last w lagged
+    updates and the current step's vectors, where w = min(k, n - 1), since a
+    lag past the store's end is never formed. That is at most 2 w + 8
+    p-length vectors, and 8 at k = 1.
     """
     n = store.n_points
     last = n - 1
@@ -110,8 +111,8 @@ def _stream_products(
         return [np.empty_like(first) for _ in range(size)]
 
     first = store.flatten(0, sel)
-    final = store.flatten(last, sel) if last else first
-    total = final - first
+    total = store.flatten(last, sel)  # theta_T, until D takes its place
+    total -= first
     # step s writes slot s % len(ring), so theta_s outlives the w-window,
     # u_s the next step and v_s the next k steps
     thetas, upds = ring(w + 1), ring(2)
@@ -121,12 +122,7 @@ def _stream_products(
     lags: deque = deque(maxlen=w)  # v_{s-2k} .. v_{s-k-1}
     prev_upd = None
     for s in range(n):
-        if s == 0:
-            theta = first
-        elif s == last:
-            theta = final
-        else:
-            theta = store.flatten(s, sel, out=thetas[s % len(thetas)])
+        theta = store.flatten(s, sel, out=thetas[s % len(thetas)]) if s else first
         dot("theta_theta", s, theta, theta)
         dot("theta_init", s, theta, first)
         if s >= 1:

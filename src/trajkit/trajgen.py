@@ -53,6 +53,7 @@ class TrainSpec:
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
+        self.eta_schedule = tuple((int(at), float(mult)) for at, mult in self.eta_schedule)
         if len(self.layer_sizes) < 2 or min(self.layer_sizes) < 1:
             raise ValueError("need at least input and output layer sizes, each >= 1")
         if not 0.0 <= self.mu < 1.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from trajkit import (
     mds,
     open_store,
     trajectory_map,
+    trajgen,
     write_store,
 )
 from trajkit.cli import main
@@ -488,9 +491,15 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
         (["train"], {"grid": []}, (1, "UsageError")),
         (["train"], {"train": {"layer_sizes": [3, 4, 2]}}, (1, "UsageError")),
         (["train"], {"train": {"eta": 1e6, "epochs": 3}}, (2, "NonFiniteLoss")),
+        # json reads 10**400 as an int, which no float holds
+        (["theory", "lemma"], {"eigenvalues": [10**400]}, (1, "UsageError")),
+        (["train"], {"train": {"eta_schedule": [[0, 10**400]]}}, (1, "UsageError")),
+        # 728 TiB: no 64-bit address space maps it, so nothing is allocated
+        (["theory", "lemma"], {"steps": 10**14}, (2, "OutOfMemory")),
     ],
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
-         "train-layers", "train-diverges"],
+         "train-layers", "train-diverges", "lemma-huge-int", "schedule-huge-int",
+         "lemma-out-of-memory"],
 )
 def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, expected):
     path = tmp_path / "params.json"
@@ -557,6 +566,61 @@ def test_duplicate_grid_name_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps({"train": {"epochs": 1}, "grid": [entry, entry]}))
     argv = ["train", "--spec", str(path), "--out", str(tmp_path / "t")]
     assert run_error(argv, capsys) == (1, "UsageError")
+
+
+_GRID = [{"name": "a", "mu": 0.9, "wd": 0.0}]
+
+
+@pytest.mark.parametrize(
+    "argv, params, key, setter",
+    [
+        (["theory", "eos"], {"eta": [0.5]}, "eta", "eta_grid"),
+        (["train"], {"train": {"mu": 0.5, "epochs": 1}, "grid": _GRID}, "mu", '"grid"'),
+        (["train"], {"train": {"epochs": 1, "wd": 0.5}, "grid": _GRID}, "wd", '"grid"'),
+        (["theory", "width", "--seed", "3"], {"seed": 4}, "seed", "--seed"),
+    ],
+    ids=["eos-eta", "grid-mu", "grid-wd", "width-seed"],
+)
+def test_key_the_run_would_ignore_is_usage_error(tmp_path, capsys, argv, params, key, setter):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    flag = "--spec" if argv == ["train"] else "--params"
+    out = tmp_path / "out"
+    assert main([*argv, flag, str(path), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "UsageError"
+    assert f"{key!r} is set by" in error["detail"] and setter in error["detail"]
+    assert not out.exists()
+
+
+def test_width_seed_comes_from_params_or_flag(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"widths": [4, 8], "seed": 4}))
+    assert main(["theory", "width", "--params", str(path), "--out", str(tmp_path / "a")]) == 0
+    path.write_text(json.dumps({"widths": [4, 8]}))
+    argv = ["theory", "width", "--params", str(path), "--seed", "4", "--out", str(tmp_path / "b")]
+    assert main(argv) == 0
+    width = [(tmp_path / run / "width.json").read_bytes() for run in "ab"]
+    assert width[0] == width[1]
+
+
+def test_spec_data_object_overrides_only_the_keys_it_names(tmp_path, capsys, monkeypatch):
+    base = trajgen.TRAIN_FIXTURE
+    base = dataclasses.replace(base, data=dataclasses.replace(base.data, dim=5, seed=1))
+    specs = []
+
+    def train(spec, out_dir):
+        specs.append(spec)
+        return SimpleNamespace(losses=[], manifest_path="")
+
+    monkeypatch.setattr(trajgen, "TRAIN_FIXTURE", base)
+    monkeypatch.setattr(trajgen, "train", train)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"train": {"data": {"seed": 8}, "epochs": 2}}))
+    assert main(["train", "--spec", str(path), "--out", str(tmp_path / "t")]) == 0
+    want = dataclasses.replace(base, data=dataclasses.replace(base.data, seed=8), epochs=2)
+    assert specs == [want]
 
 
 # --- hallmarks: the Gram pass and the series stream side by side ---

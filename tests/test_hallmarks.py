@@ -304,14 +304,16 @@ def test_step_products_streamed_once_per_lag(rng, monkeypatch):
         angular_series(store, measure)
     for measure in NormMeasureKind:
         norm_series(store, measure)
-    assert sorted(reads) == list(range(6))
+    # theta_0 and theta_T first (D needs both), then theta_1 .. theta_T in
+    # order: each checkpoint once per stream, theta_T twice
+    assert reads == [0, 5, 1, 2, 3, 4, 5]
     norm_series(store, NormMeasureKind.UPDATE_NORM, k=2)
-    assert len(reads) == 12
+    assert reads == [0, 5, 1, 2, 3, 4, 5] * 2
 
 
 def test_stream_buffers_are_sized_by_the_store(rng):
     # a store of n points forms no lag past n - 1, so a larger k allocates
-    # no more p-length buffers than k = n - 1 does: 2 min(k, n - 1) + 9
+    # no more p-length buffers than k = n - 1 does: 2 min(k, n - 1) + 8
     n, p, k = 6, 1000, 1000
     store = random_store(rng, n, p)
     tracemalloc.start()
@@ -321,9 +323,27 @@ def test_stream_buffers_are_sized_by_the_store(rng):
     finally:
         tracemalloc.stop()
     # the product lists and the deques take less than one buffer more
-    assert peak < (2 * min(k, n - 1) + 9 + 1) * p * 8
+    assert peak < (2 * min(k, n - 1) + 8 + 1) * p * 8
     for measure in (NormMeasureKind.PARAM_NORM, NormMeasureKind.DIST_FROM_INIT):
         assert norm_series(store, measure, k=k).points == norm_series(store, measure).points
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_stream_holds_two_vectors_per_lag_and_eight_more(rng, k):
+    # theta_0, D, d_1, d_t, two updates, and w + 1 checkpoints and w + 1
+    # lagged updates (none at k = 1), where w = min(k, n - 1): theta_T is
+    # read again at step T, not held from step 0. At this p, half a buffer
+    # outweighs the product lists and the deques.
+    n, p = 6, 1 << 16
+    store = random_store(rng, n, p)
+    vectors = 8 if k == 1 else 2 * min(k, n - 1) + 8
+    tracemalloc.start()
+    try:
+        _stream_products(store, None, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (vectors + 0.5) * p * 8
 
 
 def test_non_finite_checkpoint_raises_in_series():
