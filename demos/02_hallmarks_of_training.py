@@ -27,7 +27,7 @@ from trajkit.trajgen import TRAIN_FIXTURE
 
 def show(series, head=5):
     vals = ", ".join(f"{v:.2f}" for _, v in series.points[:head])
-    print(f"  {series.measure_id:<32} [{vals}, ...] ({series.units.value})")
+    print(f"  {series.measure_id:<32} [{vals}, ...] ({series.units})")
 
 
 def main():

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -41,8 +42,9 @@ def _emit_error(code: str, detail: str) -> None:
     sys.stderr.write(json.dumps({"error": code, "detail": detail}) + "\n")
 
 
-def _parse_origin(text: str) -> int | None:
-    """None for the absolute origin, else the manifest index IDX."""
+def _origin(text: str) -> int | None:
+    """An argparse type for --origin: None for ``absolute``, else the
+    manifest index IDX of ``ckpt:IDX``."""
     if text == "absolute":
         return None
     if text.startswith("ckpt:"):
@@ -50,7 +52,7 @@ def _parse_origin(text: str) -> int | None:
             return int(text[5:])
         except ValueError:
             pass
-    raise UsageError(f"--origin must be 'absolute' or 'ckpt:IDX', got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be 'absolute' or 'ckpt:IDX', got {text!r}")
 
 
 def _selection(args) -> SelectionSpec:
@@ -114,7 +116,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("map", help="trajectory map CSV + SVG heatmap")
     _add_store_flags(p)
-    p.add_argument("--origin", default="absolute")
+    p.add_argument("--origin", type=_origin, default=None)
     p.add_argument("--vmin", type=float, default=-1.0)
     p.add_argument("--vmax", type=float, default=1.0)
     p.add_argument("--out", required=True)
@@ -165,11 +167,11 @@ def _write_json(args, name: str, doc) -> None:
 def cmd_map(args) -> int:
     from .ckptstore import open_store
     from .heatmap import HeatmapStyle, render_svg
-    from .kernel import compute_cosine_map, compute_gram, origin_name
+    from .kernel import compute_cosine_map, compute_gram
     from .report import write_matrix_csv
 
     sel = _selection(args)
-    origin = _parse_origin(args.origin)
+    origin = args.origin  # None for the absolute origin, else a manifest index
     # checked before the store is opened, so a bad style reads and writes nothing
     style = HeatmapStyle(v_min=args.vmin, v_max=args.vmax)
     with open_store(args.manifest) as store:
@@ -181,7 +183,8 @@ def cmd_map(args) -> int:
     out = _out_dir(args)
     write_matrix_csv(cosmap.values, cosmap.point_labels, out / "map.csv")
     (out / "map.svg").write_text(render_svg(cosmap.values, cosmap.point_labels, style))
-    print(json.dumps({"n": cosmap.n, "origin": origin_name(origin), "out": str(out)}))
+    name = "absolute" if origin is None else f"ckpt:{origin}"
+    print(json.dumps({"n": cosmap.n, "origin": name, "out": str(out)}))
     return 0
 
 
@@ -335,20 +338,34 @@ def _spec(base, doc, what: str, set_by: dict, **extra) -> tuple:
     return dataclasses.replace(base, **fields), {k: v for k, v in doc.items() if k in extra}
 
 
+def _parameter_file(path) -> object:
+    """A --params/--spec file's JSON document, {} without one. It must be
+    strict JSON: a NaN or Infinity token, or a number past the float range,
+    is a usage error."""
+    if not path:
+        return {}
+
+    def finite(token: str) -> float:  # float() reads NaN and Infinity too
+        if not math.isfinite(value := float(token)):
+            raise UsageError(f"{path}: {token} is not a finite number")
+        return value
+
+    return json.loads(Path(path).read_text(), parse_constant=finite, parse_float=finite)
+
+
 @_parameter_file_verb
 def cmd_theory(args) -> int:
     from . import theory
-    from .report import alignment_json
 
-    params = json.loads(Path(args.params).read_text()) if args.params else {}
+    params = _parameter_file(args.params)
     if args.subcommand == "lemma":
         spec, extra = _spec(theory.LEMMA_1D_PLAIN, params, "--params", {}, steps=int)
         try:
             trace = theory.simulate_quadratic(spec, extra.get("steps", theory.LEMMA_STEPS))
+            report = theory.lemma_bounds(spec, trace)
         except NonFiniteIterate as exc:
             _write_json(args, "lemma.json", {"error": exc.code, "detail": str(exc)})
             raise
-        report = theory.lemma_bounds(spec, trace)
         doc = {"all_satisfied": report.all_satisfied, **dataclasses.asdict(report)}
         line = {"pairs": len(report.pairs), "all_satisfied": report.all_satisfied}
     elif args.subcommand == "eos":
@@ -363,8 +380,10 @@ def cmd_theory(args) -> int:
         if args.seed is not None:
             base, set_by = dataclasses.replace(base, seed=args.seed), {"seed": "--seed"}
         spec, _ = _spec(base, params, "--params", set_by)
-        doc = alignment_json(theory.width_alignment(spec))
-        line = {"fitted_loglog_slope": doc["fitted_loglog_slope"]}
+        curve = theory.width_alignment(spec)
+        line = {"fitted_loglog_slope": curve.fitted_loglog_slope}
+        doc = {"points": [{"width": w, "cos": c, "one_minus_cos": om}
+                          for w, c, om in curve.points], **line}
     _write_json(args, f"{args.subcommand}.json", doc)
     print(json.dumps(line))
     return 0
@@ -392,7 +411,7 @@ def _grid_variants(grid) -> list[tuple[str, float, float]]:
 def cmd_train(args) -> int:
     from .trajgen import TRAIN_FIXTURE, hyperparameter_grid, train
 
-    payload = json.loads(Path(args.spec).read_text()) if args.spec else {}
+    payload = _parameter_file(args.spec)
     _checked(payload, {"train": dict, "grid": list}, "--spec")
     set_by = dict.fromkeys(("mu", "wd"), 'each "grid" entry') if "grid" in payload else {}
     spec, _ = _spec(TRAIN_FIXTURE, payload.get("train", {}), '"train"', set_by)

@@ -40,16 +40,11 @@ class NormMeasureKind(enum.Enum):
     UPDATE_NORM = "update_norm"
 
 
-class Units(enum.Enum):
-    DEGREES = "degrees"
-    L2NORM = "l2norm"
-
-
 @dataclass
 class ScalarSeries:
     measure_id: str
     points: list[tuple[int, float]]
-    units: Units
+    units: str  # "degrees" or "l2norm"
 
 
 def mds(cosmap: CosineMap) -> float:
@@ -226,7 +221,7 @@ def angular_series(
             points.append((t, angles.angle_degrees(ab, aa, bb)))
         except DegenerateVector as exc:
             raise DegenerateVector(f"{measure.value} at t={t}: {exc}") from None
-    return ScalarSeries(measure_id=measure.value, points=points, units=Units.DEGREES)
+    return ScalarSeries(measure_id=measure.value, points=points, units="degrees")
 
 
 def norm_series(
@@ -236,4 +231,4 @@ def norm_series(
     sel: SelectionSpec | None = None,
 ) -> ScalarSeries:
     points = [(t, math.sqrt(square)) for t, square in _terms(store, measure, k, sel)]
-    return ScalarSeries(measure_id=measure.value, points=points, units=Units.L2NORM)
+    return ScalarSeries(measure_id=measure.value, points=points, units="l2norm")

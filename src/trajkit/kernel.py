@@ -34,11 +34,6 @@ CHUNK = 4096
 CANCEL_BOUND = 128.0
 
 
-def origin_name(origin: int | None) -> str:
-    """``"absolute"`` for the absolute origin (None), else ``"ckpt:tau"``."""
-    return "absolute" if origin is None else f"ckpt:{origin}"
-
-
 @dataclass
 class GramMatrix:
     values: np.ndarray
@@ -151,8 +146,9 @@ def _gram(
     bad = np.argwhere(~np.isfinite(g))
     if bad.size:
         i, j = (store.labels[int(v)] for v in bad[0])
+        origin = "the absolute origin" if tau is None else f"checkpoint {store.labels[tau]!r}"
         raise NonFinitePayload(
-            f"Gram entry ({i!r}, {j!r}) relative to {origin_name(tau)} is not finite: "
+            f"Gram entry ({i!r}, {j!r}) relative to {origin} is not finite: "
             "a checkpoint holds NaN or Inf, or its products overflow float64"
         )
     return g

@@ -143,7 +143,8 @@ def lemma_bounds(spec: QuadraticSpec, trace: QuadraticTrace) -> LemmaBoundReport
 
     The exact bounds hold for every quadratic form; a violation beyond
     the floating-point tolerance indicates an implementation bug and
-    raises BoundViolation.
+    raises BoundViolation. A pair whose update product or bounds overflow
+    float64 raises NonFiniteIterate, as a diverging iterate does.
     """
     lam = np.asarray(spec.eigenvalues)
     report = LemmaBoundReport()
@@ -151,13 +152,17 @@ def lemma_bounds(spec: QuadraticSpec, trace: QuadraticTrace) -> LemmaBoundReport
     for t in range(1, steps, 2):  # momentum applies at step t+1
         eta_t = spec.eta_at(t)
         eta_t1 = spec.eta_at(t + 1)
-        scale = eta_t * eta_t1 * float(np.dot(trace.thetas[t - 1], trace.thetas[t - 1]))
-        g = (1.0 - spec.mu * eta_t - eta_t * spec.alpha - eta_t * lam) * (lam + spec.alpha) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            scale = eta_t * eta_t1 * float(np.dot(trace.thetas[t - 1], trace.thetas[t - 1]))
+            g = (1.0 - spec.mu * eta_t - eta_t * spec.alpha - eta_t * lam) * (lam + spec.alpha) ** 2
         z_upper = scale * float(np.max(g))
         z_lower = scale * float(np.min(g))
         paper_upper = scale * float(g[-1])  # closed form at lambda_d
         paper_lower = scale * float(g[0])  # closed form at lambda_1
         observed = float(trace.inner_products[t - 1])
+        # the four bounds are finite only if scale and every g are
+        if not all(map(math.isfinite, (z_upper, z_lower, paper_upper, paper_lower, observed))):
+            raise NonFiniteIterate(f"pair at t={t}: its update product or bounds overflow float64")
         tol = 1e-9 * (1.0 + abs(observed))
         satisfied = z_lower - tol <= observed <= z_upper + tol
         matches = math.isclose(paper_upper, z_upper, rel_tol=1e-12, abs_tol=1e-15) and (
@@ -251,7 +256,7 @@ WIDTH_FIXTURE = WidthSpec()
 @dataclass
 class AlignmentCurve:
     points: list[tuple[int, float, float]]  # (width, cos, 1 - cos)
-    fitted_loglog_slope: float  # NaN when fewer than two widths have 1 - cos > 0
+    fitted_loglog_slope: float | None  # None when fewer than two widths have 1 - cos > 0
 
 
 _DOT_SLICE = 4096
@@ -302,8 +307,5 @@ def width_alignment(spec: WidthSpec) -> AlignmentCurve:
 
     xs = [math.log(n) for n, _, one_minus in points if one_minus > 0]
     ys = [math.log(one_minus) for _, _, one_minus in points if one_minus > 0]
-    if len(xs) >= 2:
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = float("nan")
+    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
     return AlignmentCurve(points=points, fitted_loglog_slope=slope)

@@ -58,6 +58,15 @@ def in_memory_store(manifest) -> TrajectoryStore:
     ])
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and Infinity, as a strict parser does."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import in_memory_store, mixed_dtype_store
+from conftest import in_memory_store, mixed_dtype_store, strict_json
 from trajkit import (
     Checkpoint,
     Dtype,
@@ -95,14 +95,21 @@ def test_map_relative_origin(linear_manifest, tmp_path):
     assert len(rows) == 5  # header + 4 rows (origin row omitted)
 
 
-def test_map_bad_origin_is_usage_error(linear_manifest, tmp_path, capsys):
-    rc = main(
-        ["map", "--manifest", linear_manifest, "--origin", "nope", "--out", str(tmp_path / "x")]
-    )
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"] == "UsageError"
+def test_map_bad_origin_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch):
+    def no_open(manifest_path):
+        raise AssertionError(f"opened {manifest_path}")
+
+    monkeypatch.setattr(ckptstore, "open_store", no_open)  # argparse rejects it first
+    for origin in ("nope", "ckpt:", "ckpt:x", "absolute:"):
+        argv = ["map", "--manifest", linear_manifest, "--origin", origin]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "UsageError",
+            "detail": f"argument --origin: must be 'absolute' or 'ckpt:IDX', got {origin!r}",
+        }
+        assert not (tmp_path / "x").exists()
 
 
 def test_map_origin_is_a_manifest_index(tmp_path, capsys):
@@ -210,15 +217,23 @@ def test_theory_lemma_default_fixture(tmp_path, capsys):
 
 
 def test_theory_lemma_divergent_params(tmp_path, capsys):
-    params = tmp_path / "p.json"
-    params.write_text(
-        json.dumps({"eigenvalues": [10.0], "eta": [10.0], "theta_init": [1.0], "steps": 2000})
-    )
-    out = tmp_path / "lemma"
-    rc = main(["theory", "lemma", "--params", str(params), "--out", str(out)])
-    assert rc != 0
-    assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteIterate"
-    assert json.loads((out / "lemma.json").read_text())["error"] == "NonFiniteIterate"
+    for params in (
+        {"eigenvalues": [10.0], "eta": [10.0], "theta_init": [1.0], "steps": 2000},
+        # finite iterates whose products overflow float64: theta . theta and the
+        # update product, or (lambda + alpha)^2 times a factor of exactly 0
+        {"eigenvalues": [1.0], "theta_init": [1e160]},
+        {"eigenvalues": [1e300], "eta": [1e-300], "theta_init": [1.0]},
+    ):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "lemma"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = ["theory", "lemma", "--params", str(path), "--out", str(out)]
+            assert run_error(argv, capsys) == (2, "NonFiniteIterate")
+        # a warning would be one more stderr line from a CLI process
+        assert [str(w.message) for w in caught] == []
+        assert strict_json((out / "lemma.json").read_text())["error"] == "NonFiniteIterate"
 
 
 def test_theory_eos_default_fixture(tmp_path):
@@ -238,15 +253,6 @@ def test_theory_width_zero_update(tmp_path):
     assert rc == 0
     payload = json.loads((out / "width.json").read_text())
     assert all(p["cos"] == 1.0 for p in payload["points"])
-
-
-def strict_json(text: str):
-    """``json.loads`` that rejects NaN and Infinity, as a strict parser does."""
-
-    def reject(name):
-        raise ValueError(f"{name} is not JSON")
-
-    return json.loads(text, parse_constant=reject)
 
 
 @pytest.mark.parametrize("params", [{"widths": [64]}, {"widths": [8, 16], "eta_scale": 0.0}],
@@ -420,22 +426,33 @@ def test_malformed_manifest_is_data_error(linear_manifest, tmp_path, capsys, man
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e200], ids=["nan", "inf", "overflow"])
-@pytest.mark.parametrize("verb", ["map", "hallmarks", "spectra"])
-def test_non_finite_checkpoint_is_data_error(tmp_path, capsys, verb, bad):
+@pytest.mark.parametrize(
+    "verb, origin",
+    [
+        (["map"], "the absolute origin"),
+        (["map", "--origin", "ckpt:5"], "checkpoint 'epoch5'"),
+        (["hallmarks", "--measure", "all"], "checkpoint 'epoch0'"),
+        (["spectra"], "checkpoint 'epoch0'"),
+    ],
+    ids=["map", "map-tau", "hallmarks", "spectra"],
+)
+def test_non_finite_checkpoint_is_data_error(tmp_path, capsys, verb, origin, bad):
+    # saved every fifth step: a manifest index is not a row position
     ckpts = []
     for i in range(5):
         vec = np.array([1.0 + i, 2.0, -1.0 * i])
         if i == 3:
             vec[1] = bad
-        ckpts.append(Checkpoint(i, f"e{i}", [TensorRecord("w", Dtype.F64, (3,), vec)]))
+        ckpts.append(Checkpoint(5 * i, f"epoch{5 * i}", [TensorRecord("w", Dtype.F64, (3,), vec)]))
     manifest = str(write_store(ckpts, tmp_path / "store"))
-    extra = ["--measure", "all"] if verb == "hallmarks" else []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc, code = run_error(
-            [verb, "--manifest", manifest, *extra, "--out", str(tmp_path / "o")], capsys
-        )
-    assert (rc, code) == (2, "NonFinitePayload")
+        rc = main([*verb, "--manifest", manifest, "--out", str(tmp_path / "o")])
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (rc, err["error"]) == (2, "NonFinitePayload")
+    # the Gram pass fails first, and names its origin by the checkpoint's label
+    assert f" relative to {origin} is not finite" in err["detail"]
     # a warning would be one more stderr line from a CLI process
     assert [str(w.message) for w in caught] == []
 
@@ -496,10 +513,20 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
         (["train"], {"train": {"eta_schedule": [[0, 10**400]]}}, (1, "UsageError")),
         # 728 TiB: no 64-bit address space maps it, so nothing is allocated
         (["theory", "lemma"], {"steps": 10**14}, (2, "OutOfMemory")),
+        # a parameter file is strict JSON: no NaN or Infinity, no float past the range
+        (["theory", "lemma"], '{"eta": [NaN]}', (1, "UsageError")),
+        (["theory", "eos"], '{"eta_grid": [0.1, Infinity]}', (1, "UsageError")),
+        (["theory", "eos"], '{"eta_grid": [1e400]}', (1, "UsageError")),
+        (["theory", "width"], '{"widths": [8, 16], "eta_scale": -Infinity}', (1, "UsageError")),
+        (["train"], '{"train": {"epochs": 1, "eta": NaN}}', (1, "UsageError")),
+        (["train"], '{"train": {"epochs": 1, "data": {"noise_std": Infinity}}}',
+         (1, "UsageError")),
+        (["train"], '{"grid": [{"name": "a", "mu": 0.0, "wd": NaN}]}', (1, "UsageError")),
     ],
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
          "train-layers", "train-diverges", "lemma-huge-int", "schedule-huge-int",
-         "lemma-out-of-memory"],
+         "lemma-out-of-memory", "lemma-nan", "eos-infinity", "eos-past-range",
+         "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan"],
 )
 def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, expected):
     path = tmp_path / "params.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajkit.errors import InvalidStyle
-from trajkit.hallmarks import ScalarSeries, Units
+from trajkit.hallmarks import ScalarSeries
 from trajkit.heatmap import STOPS, HeatmapStyle, render_svg
 from trajkit.report import (
     fmt,
@@ -86,7 +86,7 @@ def test_series_csv_layout(tmp_path):
     series = ScalarSeries(
         measure_id="param_norm",
         points=[(0, 1.5), (1, 2.25)],
-        units=Units.L2NORM,
+        units="l2norm",
     )
     path = tmp_path / "s.csv"
     write_series_csv(series, path)

@@ -36,7 +36,7 @@ EXPORTED = {
 
 BASE = {"trajkit", "trajkit.cli", "trajkit.errors"}
 ANALYSIS = BASE | {"trajkit.ckptstore", "trajkit.kernel", "trajkit.angles", "trajkit.report"}
-THEORY = BASE | {"trajkit.theory", "trajkit.angles", "trajkit.rng", "trajkit.report"}
+THEORY = BASE | {"trajkit.theory", "trajkit.angles", "trajkit.rng"}
 LOADED = {
     "--version": BASE,
     "map": ANALYSIS | {"trajkit.heatmap"},

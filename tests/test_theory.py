@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -189,7 +188,7 @@ def test_eos_empty_grid_rejected():
 def test_width_zero_update_gives_exact_one():
     curve = width_alignment(WidthSpec(widths=(8, 16), eta_scale=0.0, seed=3))
     assert all(cos == 1.0 for _, cos, _ in curve.points)
-    assert math.isnan(curve.fitted_loglog_slope)
+    assert curve.fitted_loglog_slope is None
 
 
 def test_width_alignment_small_widths_monotone():
