@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the finiteness
+check the spec validators share.
 
 Every error carries a machine-readable ``code`` (the class name) and an
 ``exit_code`` used by the command-line layer: 2 for data errors, 3 for
@@ -6,6 +7,18 @@ violated numerical invariants.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def require_finite(**fields) -> None:
+    """Raises ValueError naming the first field that holds NaN or +-inf;
+    a tuple field is checked value by value. The spec validators call
+    this first, since every comparison with NaN is false."""
+    for name, value in fields.items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 class TrajkitError(Exception):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import angles
-from .errors import BoundViolation, DegenerateVector, NonFiniteIterate
+from .errors import BoundViolation, DegenerateVector, NonFiniteIterate, require_finite
 from .rng import Rng
 
 
@@ -39,6 +39,8 @@ class QuadraticSpec:
         self.eigenvalues = tuple(float(v) for v in self.eigenvalues)
         self.eta = tuple(float(v) for v in self.eta)
         self.theta_init = tuple(float(v) for v in self.theta_init)
+        require_finite(eigenvalues=self.eigenvalues, alpha=self.alpha, mu=self.mu, eta=self.eta,
+                       theta_init=self.theta_init)
         if len(self.eigenvalues) < 1:
             raise ValueError("need at least one eigenvalue")
         if list(self.eigenvalues) != sorted(self.eigenvalues, reverse=True):
@@ -242,6 +244,7 @@ class WidthSpec:
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
+        require_finite(eta_scale=self.eta_scale, init_std_scale=self.init_std_scale)
         if any(w < 2 for w in self.widths):
             raise ValueError("widths must all be >= 2")
         if list(self.widths) != sorted(set(self.widths)):

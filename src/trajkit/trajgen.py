@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ckptstore, hallmarks, kernel
 from .ckptstore import Checkpoint, Dtype, TensorRecord, TrajectoryStore
-from .errors import NonFiniteLoss
+from .errors import NonFiniteLoss, require_finite
 from .rng import Rng
 
 
@@ -33,6 +33,7 @@ class BlobSpec:
     seed: int = 7
 
     def __post_init__(self):
+        require_finite(separation=self.separation, noise_std=self.noise_std)
         if self.samples_per_class < 1 or self.dim < 1:
             raise ValueError("samples_per_class and dim must be >= 1")
 
@@ -54,8 +55,12 @@ class TrainSpec:
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         self.eta_schedule = tuple((int(at), float(mult)) for at, mult in self.eta_schedule)
+        multipliers = tuple(mult for _, mult in self.eta_schedule)
+        require_finite(eta=self.eta, wd=self.wd, eta_schedule=multipliers)
         if len(self.layer_sizes) < 2 or min(self.layer_sizes) < 1:
             raise ValueError("need at least input and output layer sizes, each >= 1")
+        if self.layer_sizes[0] != self.data.dim:
+            raise ValueError("first layer size must equal the data dimension")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.wd < 0 or self.eta <= 0:
@@ -65,6 +70,8 @@ class TrainSpec:
         epochs = [e for e, _ in self.eta_schedule]
         if epochs != sorted(set(epochs)):
             raise ValueError("schedule epochs must be strictly increasing")
+        if any(mult <= 0 for mult in multipliers):
+            raise ValueError(f"eta_schedule multipliers must be positive, got {multipliers}")
         if self.loss not in ("softmax_ce", "squared"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -109,14 +116,49 @@ def make_blobs(spec: BlobSpec) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def init_params(layer_sizes, rng: Rng) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gaussian weights with std 1/sqrt(fan_in); zero biases."""
-    params = []
+def _layer_views(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) views of a flat parameter vector, laid out
+    in the store's tensor order: layers.0.weight, layers.0.bias, ..."""
+    views, at = [], 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        w = rng.gaussian(fan_in * fan_out).reshape(fan_in, fan_out) / np.sqrt(fan_in)
-        b = np.zeros(fan_out)
-        params.append((w, b))
-    return params
+        w = flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out)
+        at += fan_in * fan_out
+        views.append((w, flat[at : at + fan_out]))
+        at += fan_out
+    return views
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Everything a run draws from its seeds: the blobs, the initial
+    parameter vector and each epoch's batch order (row e is epoch e + 1's,
+    in the smallest unsigned dtype that holds a sample index). It depends
+    only on ``data``, ``seed``, ``layer_sizes`` and ``epochs``, so the
+    variants of a grid share one."""
+
+    x: np.ndarray
+    y: np.ndarray
+    theta0: np.ndarray
+    orders: np.ndarray
+
+
+def draw_schedule(spec: TrainSpec) -> Schedule:
+    """The stream values a run of ``spec`` takes, in the order it takes
+    them: the blobs from ``data.seed``; then, from ``seed``, Gaussian
+    weights with std 1/sqrt(fan_in) layer by layer (biases are zero) and
+    one Fisher-Yates shuffle of the previous epoch's order per epoch."""
+    x, y = make_blobs(spec.data)
+    rng = Rng(spec.seed)
+    theta0 = []
+    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+        theta0 += [rng.gaussian(fan_in * fan_out) / np.sqrt(fan_in), np.zeros(fan_out)]
+    n_samples = x.shape[0]
+    order = list(range(n_samples))
+    orders = np.empty((spec.epochs, n_samples), dtype=np.min_scalar_type(n_samples - 1))
+    for row in orders:
+        rng.shuffle(order)
+        row[:] = order
+    return Schedule(x=x, y=y, theta0=np.concatenate(theta0), orders=orders)
 
 
 def _forward(params, x):
@@ -146,15 +188,15 @@ def _loss_and_output_grad(logits, y, loss_kind):
     return loss, grad
 
 
-def _backward(params, acts, grad_out):
-    grads = [None] * len(params)
+def _backward(params, acts, grad_out, grads) -> None:
+    """Fills the (weight, bias) views ``grads`` with the batch gradient."""
     g = grad_out
     for li in range(len(params) - 1, -1, -1):
-        w, _ = params[li]
-        grads[li] = (acts[li].T @ g, g.sum(axis=0))
+        gw, gb = grads[li]
+        np.matmul(acts[li].T, g, out=gw)
+        g.sum(axis=0, out=gb)
         if li > 0:
-            g = (g @ w.T) * (acts[li] > 0.0)
-    return grads
+            g = (g @ params[li][0].T) * (acts[li] > 0.0)
 
 
 def evaluate(params, x, y, loss_kind):
@@ -164,14 +206,12 @@ def evaluate(params, x, y, loss_kind):
     return loss, acc
 
 
-def _checkpoint_from_params(params, index: int, label: str) -> Checkpoint:
+def _checkpoint(theta: np.ndarray, layer_sizes, epoch: int) -> Checkpoint:
     tensors = []
-    for li, (w, b) in enumerate(params):
-        tensors.append(
-            TensorRecord(f"layers.{li}.weight", Dtype.F64, w.shape, w.ravel().copy())
-        )
-        tensors.append(TensorRecord(f"layers.{li}.bias", Dtype.F64, b.shape, b.copy()))
-    return Checkpoint(index=index, label=label, tensors=tensors)
+    for li, (w, b) in enumerate(_layer_views(theta.copy(), layer_sizes)):
+        tensors.append(TensorRecord(f"layers.{li}.weight", Dtype.F64, w.shape, w))
+        tensors.append(TensorRecord(f"layers.{li}.bias", Dtype.F64, b.shape, b))
+    return Checkpoint(index=epoch, label=f"epoch{epoch}", tensors=tensors)
 
 
 def _lr_at(spec: TrainSpec, epoch: int) -> float:
@@ -185,49 +225,59 @@ def _lr_at(spec: TrainSpec, epoch: int) -> float:
 # divergence is reported as NonFiniteLoss; numpy's warnings would only add
 # lines to stderr
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def train(spec: TrainSpec, out_dir) -> TrainRunRecord:
+def train(spec: TrainSpec, out_dir, schedule: Schedule | None = None) -> TrainRunRecord:
     """Run SGD; writes the checkpoint store and returns the run record.
 
-    Update rule per parameter tensor: v <- mu*v + (g + wd*theta),
-    theta <- theta - lr*v. Checkpoint 0 is the initialization; later
-    checkpoints land after every ckpt_every-th epoch and after the final
-    epoch.
+    ``schedule`` is ``draw_schedule(spec)``, drawn here when not given.
+    theta, the velocity v and the gradient g are one float64 vector each;
+    a step is six whole-vector operations in this order, with lr the
+    scheduled learning rate:
+
+        tmp = wd * theta; tmp = g + tmp; v = mu * v; v += tmp;
+        tmp = lr * v; theta -= tmp
+
+    that is v <- mu*v + (g + wd*theta), theta <- theta - lr*v. Checkpoint
+    0 is the initialization; later checkpoints land after every
+    ckpt_every-th epoch and after the final epoch.
     """
     t0 = time.monotonic()
     out_dir = Path(out_dir)
-    x, y = make_blobs(spec.data)
-    if spec.layer_sizes[0] != spec.data.dim:
-        raise ValueError("first layer size must equal the data dimension")
-    rng = Rng(spec.seed)
-    params = init_params(spec.layer_sizes, rng)
-    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    if schedule is None:
+        schedule = draw_schedule(spec)
+    x, y = schedule.x, schedule.y
+    theta, velocity, grad, tmp = np.zeros((4, schedule.theta0.size))
+    theta[:] = schedule.theta0
+    params = _layer_views(theta, spec.layer_sizes)
+    grads = _layer_views(grad, spec.layer_sizes)
 
-    checkpoints = [_checkpoint_from_params(params, 0, "epoch0")]
+    checkpoints = [_checkpoint(theta, spec.layer_sizes, 0)]
     losses, accuracies = [], []
     n_samples = x.shape[0]
-    order = list(range(n_samples))
-    for epoch in range(1, spec.epochs + 1):
+    for epoch, row in enumerate(schedule.orders, start=1):
         lr = _lr_at(spec, epoch)
-        rng.shuffle(order)
+        # a list index skips numpy's cast from the stored unsigned dtype,
+        # whose code would add 64 KB to the resident set
+        order = row.tolist()
         for start in range(0, n_samples, spec.batch_size):
             batch = order[start : start + spec.batch_size]
             acts = _forward(params, x[batch])
             loss, grad_out = _loss_and_output_grad(acts[-1], y[batch], spec.loss)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
-            grads = _backward(params, acts, grad_out)
-            for li, ((w, b), (vw, vb), (gw, gb)) in enumerate(zip(params, velocity, grads)):
-                vw[:] = spec.mu * vw + (gw + spec.wd * w)
-                vb[:] = spec.mu * vb + (gb + spec.wd * b)
-                w -= lr * vw
-                b -= lr * vb
+            _backward(params, acts, grad_out, grads)
+            np.multiply(theta, spec.wd, out=tmp)
+            np.add(grad, tmp, out=tmp)
+            np.multiply(velocity, spec.mu, out=velocity)
+            velocity += tmp
+            np.multiply(velocity, lr, out=tmp)
+            theta -= tmp
         epoch_loss, epoch_acc = evaluate(params, x, y, spec.loss)
         if not np.isfinite(epoch_loss):
             raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
         losses.append(epoch_loss)
         accuracies.append(epoch_acc)
         if epoch % spec.ckpt_every == 0 or epoch == spec.epochs:
-            checkpoints.append(_checkpoint_from_params(params, epoch, f"epoch{epoch}"))
+            checkpoints.append(_checkpoint(theta, spec.layer_sizes, epoch))
 
     manifest_path = ckptstore.write_store(checkpoints, out_dir)
     record = TrainRunRecord(
@@ -245,13 +295,29 @@ def train(spec: TrainSpec, out_dir) -> TrainRunRecord:
 def hyperparameter_grid(
     base: TrainSpec, variants: list[tuple[str, float, float]], out_dir
 ) -> list[tuple[str, float]]:
-    """Train (name, mu, wd) variants of ``base`` and report omega for each."""
+    """Train (name, mu, wd) variants of ``base`` and report omega for each.
+
+    The variants differ only in mu and wd, so the schedule is drawn once,
+    from ``base``, and shared; each variant steps as ``train`` does:
+    v <- mu*v + (g + wd*theta) as tmp = wd*theta, tmp = g + tmp,
+    v = mu*v, v += tmp; then theta <- theta - lr*v as tmp = lr*v,
+    theta -= tmp. Every variant is checked before anything is drawn, and
+    one variant's checkpoints are held at a time. A variant that diverges
+    raises NonFiniteLoss naming it; the stores of the variants before it
+    stay on disk.
+    """
     if not variants:
         raise ValueError("variants list is empty")
     out_dir = Path(out_dir)
+    specs = [(name, replace(base, mu=mu, wd=wd)) for name, mu, wd in variants]
+    schedule = draw_schedule(base)
     results = []
-    for name, mu, wd in variants:
-        record = train(replace(base, mu=mu, wd=wd), out_dir / name)
+    for name, spec in specs:
+        try:
+            record = train(spec, out_dir / name, schedule)
+        except NonFiniteLoss as exc:
+            raise NonFiniteLoss(f"{name}: {exc}") from None
         store = TrajectoryStore.from_checkpoints(record.checkpoints)
         results.append((name, hallmarks.mds(kernel.trajectory_map(store))))
+        del record, store  # the next variant trains without this one's checkpoints
     return results

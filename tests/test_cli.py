@@ -522,11 +522,16 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
         (["train"], '{"train": {"epochs": 1, "data": {"noise_std": Infinity}}}',
          (1, "UsageError")),
         (["train"], '{"grid": [{"name": "a", "mu": 0.0, "wd": NaN}]}', (1, "UsageError")),
+        # every grid entry is checked before the first one trains
+        (["train"], {"train": {"epochs": 1}, "grid": [{"name": "a", "mu": 0.0, "wd": 0.0},
+                                                     {"name": "b", "mu": 1.0, "wd": 0.0}]},
+         (1, "UsageError")),
     ],
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
          "train-layers", "train-diverges", "lemma-huge-int", "schedule-huge-int",
          "lemma-out-of-memory", "lemma-nan", "eos-infinity", "eos-past-range",
-         "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan"],
+         "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan",
+         "grid-later-entry-invalid"],
 )
 def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, expected):
     path = tmp_path / "params.json"
@@ -634,7 +639,9 @@ def test_width_seed_comes_from_params_or_flag(tmp_path, capsys):
 
 def test_spec_data_object_overrides_only_the_keys_it_names(tmp_path, capsys, monkeypatch):
     base = trajgen.TRAIN_FIXTURE
-    base = dataclasses.replace(base, data=dataclasses.replace(base.data, dim=5, seed=1))
+    # a spec whose first layer is not the data dimension cannot be built
+    base = dataclasses.replace(base, layer_sizes=(5, *base.layer_sizes[1:]),
+                               data=dataclasses.replace(base.data, dim=5, seed=1))
     specs = []
 
     def train(spec, out_dir):

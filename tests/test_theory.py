@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -146,6 +147,24 @@ def test_spec_validation():
         QuadraticSpec(eigenvalues=(1.0,), eta=(0.0,))
     with pytest.raises(ValueError):
         QuadraticSpec(eigenvalues=(1.0,), theta_init=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("eigenvalues", lambda v: QuadraticSpec(eigenvalues=(2.0, v))),
+        ("alpha", lambda v: QuadraticSpec(eigenvalues=(1.0,), alpha=v)),
+        ("mu", lambda v: QuadraticSpec(eigenvalues=(1.0,), mu=v)),
+        ("eta", lambda v: QuadraticSpec(eigenvalues=(1.0,), eta=(0.1, v))),
+        ("theta_init", lambda v: QuadraticSpec(eigenvalues=(1.0,), theta_init=(v,))),
+        ("eta_scale", lambda v: WidthSpec(eta_scale=v)),
+        ("init_std_scale", lambda v: WidthSpec(init_std_scale=v)),
+    ],
+)
+def test_non_finite_spec_value_names_its_field(field, build, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        build(value)
 
 
 # --- edge of stability ---

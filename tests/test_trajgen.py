@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,8 @@ from trajkit import (
     trajectory_map,
 )
 from trajkit import kernel
+from trajkit.errors import NonFiniteLoss
+from trajkit.rng import Rng
 from trajkit.trajgen import TRAIN_FIXTURE, make_blobs
 
 
@@ -90,14 +93,16 @@ def test_record_json_written(tmp_path):
 
 
 def test_linear_model_squared_loss_matches_closed_form(tmp_path):
-    # no hidden layer, squared loss, full batch, mu = wd = 0: plain GD whose
-    # recursion on (W, b) can be replayed directly from the data
+    # no hidden layer, squared loss, full batch: heavy-ball SGD whose
+    # recursion on (W, b) can be replayed per tensor from the data, the
+    # store's init and the stream's batch orders; equality is exact, so
+    # the run's update takes its operations in this order
     spec = TrainSpec(
         layer_sizes=(6, 2),
         data=BlobSpec(samples_per_class=16, dim=6, seed=3),
         eta=0.05,
-        mu=0.0,
-        wd=0.0,
+        mu=0.9,
+        wd=1e-2,
         batch_size=32,  # full batch
         epochs=5,
         ckpt_every=5,
@@ -111,19 +116,59 @@ def test_linear_model_squared_loss_matches_closed_form(tmp_path):
 
     x, y = make_blobs(spec.data)
     n = x.shape[0]
-    onehot = np.zeros((n, 2))
-    onehot[np.arange(n), y] = 1.0
-    # replay the store's init, then iterate the exact GD recursion
+    rng = Rng(spec.seed)
+    rng.gaussian(12)  # the init weights, read back from the store below
+    order = list(range(n))
     w = init[:12].reshape(6, 2).copy()
     b = init[12:].copy()
+    vw, vb = np.zeros_like(w), np.zeros_like(b)
     for _ in range(5):
-        diff = (x @ w + b) - onehot
-        gw = x.T @ (diff / n)
+        rng.shuffle(order)
+        xb = x[order]
+        onehot = np.zeros((n, 2))
+        onehot[np.arange(n), y[order]] = 1.0
+        diff = (xb @ w + b) - onehot
+        gw = xb.T @ (diff / n)
         gb = (diff / n).sum(axis=0)
-        w -= spec.eta * gw
-        b -= spec.eta * gb
-    expected = np.concatenate([w.ravel(), b])
-    assert np.max(np.abs(final - expected)) <= 1e-8
+        vw = spec.mu * vw + (gw + spec.wd * w)
+        vb = spec.mu * vb + (gb + spec.wd * b)
+        w = w - spec.eta * vw
+        b = b - spec.eta * vb
+    assert final.tobytes() == np.concatenate([w.ravel(), b]).tobytes()
+
+
+def test_grid_stores_match_separate_runs(tmp_path):
+    # the shared schedule: a scheduled learning rate, checkpoints every
+    # other epoch, and a last batch shorter than the others (34 samples)
+    spec = small_spec(
+        data=BlobSpec(samples_per_class=17, dim=6, seed=3), eta_schedule=((2, 0.5), (4, 0.1)),
+        batch_size=8, epochs=5, ckpt_every=2, loss="squared",
+    )
+    variants = [("a", 0.9, 1e-2), ("b", 0.0, 0.0), ("c", 0.5, 1e-3)]
+    hyperparameter_grid(spec, variants, tmp_path / "grid")
+    for name, mu, wd in variants:
+        train(replace(spec, mu=mu, wd=wd), tmp_path / "runs" / name)
+        assert dir_digest(tmp_path / "grid" / name) == dir_digest(tmp_path / "runs" / name)
+
+
+def test_grid_draws_once_per_call(tmp_path, monkeypatch):
+    # a grid draws what one run of its base draws, and so does the next
+    # grid: nothing drawn is kept between calls
+    drawn = []
+    uint64 = Rng.uint64
+
+    def counted(self, n):
+        drawn.append(n)
+        return uint64(self, n)
+
+    monkeypatch.setattr(Rng, "uint64", counted)
+    train(small_spec(), tmp_path / "run")
+    counts = [sum(drawn)]
+    for grid in ("g1", "g2"):
+        drawn.clear()
+        hyperparameter_grid(small_spec(), [("a", 0.9, 1e-4), ("b", 0.0, 0.0)], tmp_path / grid)
+        counts.append(sum(drawn))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
 def test_grid_single_variant_matches_direct_run(tmp_path):
@@ -156,6 +201,21 @@ def test_grid_computes_omega_without_holding_descriptors(tmp_path, monkeypatch):
     assert open_fds() == baseline
 
 
+def test_diverging_grid_variant_names_itself(tmp_path):
+    variants = [("calm", 0.0, 0.0), ("wild", 0.9, 1e6)]
+    with pytest.raises(NonFiniteLoss, match=r"^wild: non-finite loss at epoch 1$"):
+        hyperparameter_grid(small_spec(), variants, tmp_path)
+    with open_store(tmp_path / "calm" / "manifest.json") as store:  # kept on disk
+        assert store.n_points == small_spec().epochs + 1
+    assert not (tmp_path / "wild").exists()
+
+
+def test_grid_checks_every_variant_before_training(tmp_path):
+    with pytest.raises(ValueError, match="momentum"):
+        hyperparameter_grid(small_spec(), [("a", 0.9, 1e-4), ("b", 1.0, 0.0)], tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_grid_empty_variants_rejected(tmp_path):
     with pytest.raises(ValueError):
         hyperparameter_grid(small_spec(), [], tmp_path)
@@ -173,9 +233,10 @@ def test_emitted_store_feeds_analysis(tmp_path):
         assert len(series.points) == store.n_points - 2
 
 
-def test_layer_size_mismatch_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        train(small_spec(layer_sizes=(7, 8, 2)), tmp_path)
+def test_layer_size_mismatch_rejected():
+    # refused when the spec is built, before anything is drawn
+    with pytest.raises(ValueError, match="data dimension"):
+        small_spec(layer_sizes=(7, 8, 2))
 
 
 def test_spec_validation():
@@ -187,3 +248,22 @@ def test_spec_validation():
         small_spec(loss="hinge")
     with pytest.raises(ValueError):
         small_spec(eta_schedule=((5, 0.1), (5, 0.1)))
+    for mult in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="multipliers must be positive"):
+            small_spec(eta_schedule=((5, mult),))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("eta", lambda v: small_spec(eta=v)),
+        ("wd", lambda v: small_spec(wd=v)),
+        ("eta_schedule", lambda v: small_spec(eta_schedule=((2, 0.5), (3, v)))),
+        ("separation", lambda v: BlobSpec(separation=v)),
+        ("noise_std", lambda v: BlobSpec(noise_std=v)),
+    ],
+)
+def test_non_finite_spec_value_names_its_field(field, build, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        build(value)
