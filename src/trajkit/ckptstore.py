@@ -132,41 +132,31 @@ class SelectionSpec:
     """Name-based tensor selection for layerwise analysis.
 
     Glob syntax: ``*`` matches any run of characters except ``.``,
-    ``**`` matches across ``.``, ``?`` matches one character.
+    ``**`` matches across ``.``, ``?`` matches one character; a newline
+    in a name is a character like any other.
     """
 
     include_globs: tuple[str, ...] = ("**",)
     exclude_globs: tuple[str, ...] = ()
 
     def matches(self, name: str) -> bool:
-        if not any(_glob_regex(g).match(name) for g in self.include_globs):
+        if not any(_glob_regex(g).fullmatch(name) for g in self.include_globs):
             return False
-        return not any(_glob_regex(g).match(name) for g in self.exclude_globs)
+        return not any(_glob_regex(g).fullmatch(name) for g in self.exclude_globs)
 
 
 ALL = SelectionSpec()
 
 
+_GLOB_TOKENS = {"**": ".*", "*": "[^.]*", "?": "."}
+
+
 @functools.cache
 def _glob_regex(pattern: str) -> re.Pattern:
-    parts = []
-    i = 0
-    while i < len(pattern):
-        c = pattern[i]
-        if c == "*":
-            if pattern[i : i + 2] == "**":
-                parts.append(".*")
-                i += 2
-            else:
-                parts.append(r"[^.]*")
-                i += 1
-        elif c == "?":
-            parts.append(".")
-            i += 1
-        else:
-            parts.append(re.escape(c))
-            i += 1
-    return re.compile("^" + "".join(parts) + "$")
+    """The glob as a regex for ``fullmatch``; every other run is literal."""
+    regex = re.sub(r"\*\*|\*|\?|[^*?]+",
+                   lambda m: _GLOB_TOKENS.get(m[0]) or re.escape(m[0]), pattern)
+    return re.compile(regex, re.DOTALL)
 
 
 # --- file IO ---
@@ -456,10 +446,14 @@ class TrajectoryStore:
 
     def matrix(self, sel: SelectionSpec | None = None) -> np.ndarray:
         """All points stacked as an (n_points, p_selected) float64 matrix."""
-        return self.memo(
-            ("matrix", sel or ALL),
-            lambda: np.stack([self.flatten(i, sel) for i in range(self.n_points)]),
-        )
+
+        def fill():
+            m = np.empty((self.n_points, self.selection_dim(sel)))
+            for i in range(self.n_points):
+                self.flatten(i, sel, out=m[i])
+            return m
+
+        return self.memo(("matrix", sel or ALL), fill)
 
     def chunk_matrix(
         self, sel: SelectionSpec | None, start: int, stop: int, *, out: np.ndarray
@@ -496,19 +490,19 @@ class TrajectoryStore:
 def _check_layout(expected, got, who: str) -> None:
     if expected == got:
         return
-    exp_names = {e[0] for e in expected}
-    got_names = {g[0] for g in got}
-    missing = exp_names - got_names
-    extra = got_names - exp_names
+    exp_names = [e[0] for e in expected]
+    got_names = [g[0] for g in got]
+    missing = set(exp_names) - set(got_names)
+    extra = set(got_names) - set(exp_names)
     if missing or extra:
         raise LayoutMismatch(
             f"checkpoint {who}: tensor set differs "
             f"(missing {sorted(missing)}, extra {sorted(extra)})"
         )
-    for e, g in zip(expected, got):
-        if e != g:
-            raise LayoutMismatch(f"checkpoint {who}: tensor {g[0]!r} is {g[1:]} vs {e[1:]}")
-    raise LayoutMismatch(f"checkpoint {who}: layout differs")
+    if exp_names != got_names:
+        raise LayoutMismatch(f"checkpoint {who}: tensor order differs")
+    e, g = next((e, g) for e, g in zip(expected, got) if e != g)
+    raise LayoutMismatch(f"checkpoint {who}: tensor {g[0]!r} is {g[1:]} vs {e[1:]}")
 
 
 def open_store(manifest_path) -> TrajectoryStore:

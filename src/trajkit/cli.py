@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 import typing
 from pathlib import Path
@@ -339,18 +338,9 @@ def _spec(base, doc, what: str, set_by: dict, **extra) -> tuple:
 
 
 def _parameter_file(path) -> object:
-    """A --params/--spec file's JSON document, {} without one. It must be
-    strict JSON: a NaN or Infinity token, or a number past the float range,
-    is a usage error."""
-    if not path:
-        return {}
-
-    def finite(token: str) -> float:  # float() reads NaN and Infinity too
-        if not math.isfinite(value := float(token)):
-            raise UsageError(f"{path}: {token} is not a finite number")
-        return value
-
-    return json.loads(Path(path).read_text(), parse_constant=finite, parse_float=finite)
+    """A --params/--spec file's JSON document, {} without one. Its spec
+    refuses a NaN, an Infinity or a number past the float range by name."""
+    return json.loads(Path(path).read_text()) if path else {}
 
 
 @_parameter_file_verb
@@ -393,18 +383,12 @@ _GRID_ENTRY = {"name": str, "mu": float, "wd": float}
 
 
 def _grid_variants(grid) -> list[tuple[str, float, float]]:
-    variants = []
+    """The "grid" entries as (name, mu, wd); hyperparameter_grid checks their values."""
     for entry in grid:
         _checked(entry, _GRID_ENTRY, "grid entry")
         if set(entry) != set(_GRID_ENTRY):
             raise UsageError(f"grid entry needs {', '.join(_GRID_ENTRY)}: {json.dumps(entry)}")
-        name = entry["name"]
-        if name in ("", ".", "..") or Path(name).name != name:
-            raise UsageError(f"grid entry name must be a plain file name, got {name!r}")
-        if any(name == v[0] for v in variants):  # runs and report entries are keyed by name
-            raise UsageError(f"grid entry name {name!r} appears twice")
-        variants.append((name, float(entry["mu"]), float(entry["wd"])))
-    return variants
+    return [(entry["name"], float(entry["mu"]), float(entry["wd"])) for entry in grid]
 
 
 @_parameter_file_verb

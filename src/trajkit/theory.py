@@ -204,17 +204,19 @@ def eos_angle_sweep(
 
     Past the oscillatory threshold the dominant mode flips sign each step
     and the mean angle turns obtuse; a diverging grid point is reported
-    in place rather than aborting the sweep.
+    in place rather than aborting the sweep. Every grid point's spec is
+    built, and so checked, before the first simulation runs.
     """
     if len(eta_grid) == 0:
         raise ValueError("eta grid is empty")
+    specs = [replace(base, eta=(float(eta),)) for eta in eta_grid]
     out = []
-    for eta in eta_grid:
-        spec = replace(base, eta=(float(eta),))
+    for spec in specs:
+        eta = spec.eta[0]
         try:
             trace = simulate_quadratic(spec, steps)
         except NonFiniteIterate as exc:
-            out.append(EosPoint(eta=float(eta), mean_angle_deg=None, error=str(exc)))
+            out.append(EosPoint(eta=eta, mean_angle_deg=None, error=str(exc)))
             continue
         # Each update is scaled by a power of two that brings its largest
         # entry into [0.5, 1): the angles are bit-identical, and the squares
@@ -230,7 +232,7 @@ def eos_angle_sweep(
             except DegenerateVector:  # a zero update has no angle: skip the step
                 pass
         mean = float(np.mean(half)) if half else None
-        out.append(EosPoint(eta=float(eta), mean_angle_deg=mean))
+        out.append(EosPoint(eta=eta, mean_angle_deg=mean))
     return out
 
 

@@ -56,7 +56,7 @@ class TrainSpec:
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         self.eta_schedule = tuple((int(at), float(mult)) for at, mult in self.eta_schedule)
         multipliers = tuple(mult for _, mult in self.eta_schedule)
-        require_finite(eta=self.eta, wd=self.wd, eta_schedule=multipliers)
+        require_finite(eta=self.eta, mu=self.mu, wd=self.wd, eta_schedule=multipliers)
         if len(self.layer_sizes) < 2 or min(self.layer_sizes) < 1:
             raise ValueError("need at least input and output layer sizes, each >= 1")
         if self.layer_sizes[0] != self.data.dim:
@@ -301,18 +301,27 @@ def hyperparameter_grid(
     from ``base``, and shared; each variant steps as ``train`` does:
     v <- mu*v + (g + wd*theta) as tmp = wd*theta, tmp = g + tmp,
     v = mu*v, v += tmp; then theta <- theta - lr*v as tmp = lr*v,
-    theta -= tmp. Every variant is checked before anything is drawn, and
-    one variant's checkpoints are held at a time. A variant that diverges
-    raises NonFiniteLoss naming it; the stores of the variants before it
-    stay on disk.
+    theta -= tmp. Each variant's store is ``out_dir / name``, so a name
+    must be a plain file name (not empty, ``.`` or ``..``, with no
+    separator or NUL) that no other variant has. Every name and spec is
+    checked before anything is drawn or written, and one variant's
+    checkpoints are held at a time. A variant that diverges raises
+    NonFiniteLoss naming it; the stores of the variants before it stay
+    on disk.
     """
     if not variants:
         raise ValueError("variants list is empty")
+    specs = {}
+    for name, mu, wd in variants:
+        if name in ("", ".", "..") or "\0" in name or Path(name).name != name:
+            raise ValueError(f"variant name must be a plain file name, got {name!r}")
+        if name in specs:
+            raise ValueError(f"variant name {name!r} appears twice")
+        specs[name] = replace(base, mu=mu, wd=wd)
     out_dir = Path(out_dir)
-    specs = [(name, replace(base, mu=mu, wd=wd)) for name, mu, wd in variants]
     schedule = draw_schedule(base)
     results = []
-    for name, spec in specs:
+    for name, spec in specs.items():
         try:
             record = train(spec, out_dir / name, schedule)
         except NonFiniteLoss as exc:

@@ -170,7 +170,7 @@ def layout_bytes(tensors) -> bytes:
     (name, dtype code, dims, payload bytes) per tensor."""
     out = b"TRAJCKPT" + struct.pack("<II", 1, len(tensors))
     for name, code, dims, payload in tensors:
-        raw = name.encode("utf-8")
+        raw = name if isinstance(name, bytes) else name.encode("utf-8")
         out += struct.pack("<H", len(raw)) + raw + struct.pack("<BB", code, len(dims))
         out += b"".join(struct.pack("<Q", d) for d in dims) + payload
     return out
@@ -379,6 +379,9 @@ BAD_NAMES = {
     "empty-name": ([("", 1, (1,), F64_ONE)], InvalidTensor),
     "repeated-name": ([("w", 1, (1,), F64_ONE), ("b", 1, (1,), F64_ONE), ("w", 1, (1,), F64_ONE)],
                       InvalidCheckpoint),
+    "name-not-utf-8": ([(b"w\xff", 1, (1,), F64_ONE)], InvalidTensor),
+    "unknown-dtype": ([("w", 7, (1,), F64_ONE)], InvalidTensor),
+    "zero-tensors": ([], InvalidCheckpoint),
 }
 
 
@@ -398,18 +401,32 @@ def test_both_readers_reject_bad_tensor_names(tmp_path, capsys, case):
     assert len(err) == 1 and json.loads(err[0])["error"] == error.__name__
 
 
-@pytest.mark.parametrize("case", ["repeated-index", "empty", "layout-mismatch"])
+@pytest.mark.parametrize(
+    "case", ["repeated-index", "empty", "layout-mismatch", "dims-differ", "order-differs"]
+)
 def test_write_store_refuses_a_store_open_store_would_reject(tmp_path, case):
     a = two_tensor_ckpt(0, [0, 0], np.zeros((2, 2)))
-    ckpts, error = {
-        "repeated-index": ([a, two_tensor_ckpt(0, [1, 1], np.ones((2, 2)))], DuplicateIndex),
-        "empty": ([], EmptyTrajectory),
-        "layout-mismatch": ([a, Checkpoint(1, "e1", [a.tensors[0]])], LayoutMismatch),
+    wide_b = TensorRecord("b", Dtype.F64, (4,), np.zeros(4))
+    ckpts, error, detail = {
+        "repeated-index": ([a, two_tensor_ckpt(0, [1, 1], np.ones((2, 2)))], DuplicateIndex,
+                           None),
+        "empty": ([], EmptyTrajectory, None),
+        "layout-mismatch": ([a, Checkpoint(1, "e1", [a.tensors[0]])], LayoutMismatch, "set"),
+        "dims-differ": ([a, Checkpoint(1, "e1", [a.tensors[0], wide_b])], LayoutMismatch,
+                        "tensor 'b' is"),
+        "order-differs": ([a, Checkpoint(1, "e1", a.tensors[::-1])], LayoutMismatch,
+                          "tensor order differs"),
     }[case]
     out = tmp_path / "store"
-    with pytest.raises(error):
+    with pytest.raises(error, match=detail):
         write_store(ckpts, out)
     assert not out.exists()
+
+
+def test_repeated_tensor_name_is_refused_when_the_checkpoint_is_built():
+    w = TensorRecord("w", Dtype.F64, (1,), [1.0])
+    with pytest.raises(InvalidCheckpoint, match="duplicate tensor names"):
+        Checkpoint(0, "e0", [w, w])
 
 
 # --- flatten / selection ---
@@ -441,6 +458,30 @@ def test_glob_dot_semantics():
     assert not sel.matches("layers.0.extra.weight")
     assert SelectionSpec(include_globs=("layers.**",)).matches("layers.0.extra.weight")
     assert SelectionSpec(include_globs=("t?",)).matches("t1")
+
+
+@pytest.mark.parametrize(
+    "glob, name, matches",
+    [
+        ("layers[0]", "layers[0]", True), ("layers[0]", "layers0", False),
+        ("a+b", "a+b", True), ("a+b", "aab", False),
+        ("x|y", "x|y", True), ("x|y", "x", False),
+        ("***", "a.b.c", True), ("*", "a.b", False), ("a.*", "a.b", True),
+        ("?", ".", True), ("a?b", "a\nb", True), ("a**", "a.\nb", True),
+        ("a", "a\n", False), ("a*", "a\n", True), ("a", "\na", False),
+    ],
+)
+def test_glob_matches_the_whole_name(glob, name, matches):
+    assert SelectionSpec(include_globs=(glob,)).matches(name) is matches
+
+
+def test_default_selection_takes_a_name_holding_a_newline(tmp_path):
+    ckpt = Checkpoint(0, "e0", [TensorRecord("w", Dtype.F64, (2,), [1.0, 2.0]),
+                                TensorRecord("x\ny", Dtype.F64, (3,), [3.0, 4.0, 5.0])])
+    with open_store(write_store([ckpt], tmp_path)) as lazy:
+        for store in (TrajectoryStore.from_checkpoints([ckpt]), lazy):
+            assert store.selection_dim() == 5
+            assert list(store.matrix()[0]) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_flatten_length_matches_selection_dim(rng):

@@ -526,12 +526,18 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
         (["train"], {"train": {"epochs": 1}, "grid": [{"name": "a", "mu": 0.0, "wd": 0.0},
                                                      {"name": "b", "mu": 1.0, "wd": 0.0}]},
          (1, "UsageError")),
+        (["train"], {"train": {"epochs": 1}, "grid": [{"name": "ok", "mu": 0.0, "wd": 0.0},
+                                                     {"name": "a\u0000b", "mu": 0.0, "wd": 0.0}]},
+         (1, "UsageError")),
+        (["train"], {"train": {"epochs": 1}, "grid": [{"name": "ok", "mu": 0.0, "wd": 0.0},
+                                                     {"name": "..", "mu": 0.0, "wd": 0.0}]},
+         (1, "UsageError")),
     ],
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
          "train-layers", "train-diverges", "lemma-huge-int", "schedule-huge-int",
          "lemma-out-of-memory", "lemma-nan", "eos-infinity", "eos-past-range",
          "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan",
-         "grid-later-entry-invalid"],
+         "grid-later-entry-invalid", "grid-name-nul", "grid-name-dotdot"],
 )
 def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, expected):
     path = tmp_path / "params.json"
@@ -541,6 +547,28 @@ def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, expected):
     out = tmp_path / "out"
     assert run_error([*argv, flag, str(path), "--out", str(out)], capsys) == expected
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, params, detail",
+    [
+        (["theory", "lemma"], '{"eta": [NaN]}', "eta must be finite, got nan"),
+        (["theory", "eos"], '{"eta_grid": [0.1, 1e400]}', "eta must be finite, got inf"),
+        (["theory", "width"], '{"eta_scale": -Infinity}', "eta_scale must be finite, got -inf"),
+        (["train"], '{"train": {"data": {"noise_std": NaN}}}', "noise_std must be finite"),
+        (["train"], '{"grid": [{"name": "a", "mu": NaN, "wd": 0.0}]}', "mu must be finite"),
+    ],
+    ids=["lemma-eta", "eos-eta-grid", "width-eta-scale", "data-noise-std", "grid-mu"],
+)
+def test_non_finite_parameter_is_named_by_its_spec(tmp_path, capsys, argv, params, detail):
+    path = tmp_path / "params.json"
+    path.write_text(params)
+    flag = "--spec" if argv == ["train"] else "--params"
+    assert main([*argv, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "UsageError" and detail in error["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_indefinite_gram_is_invariant_violation(linear_manifest, tmp_path, capsys, monkeypatch):

@@ -125,6 +125,13 @@ def test_insufficient_points():
         angular_series(store, AngularMeasureKind.CONSECUTIVE_UPDATES)
 
 
+@pytest.mark.parametrize("measure", [AngularMeasureKind.LAGGED_UPDATES, NormMeasureKind.UPDATE_NORM],
+                         ids=str)
+def test_lag_below_one_is_refused(measure):
+    with pytest.raises(ValueError, match="lag k must be >= 1"):
+        require_points(measure, 0, 10)
+
+
 # the fewest checkpoints for which a measure's series has a point, at lag k
 FEWEST_POINTS = {
     "consecutive_updates": lambda k: 3, "lagged_updates": lambda k: 2 * k + 1,

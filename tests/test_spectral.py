@@ -17,7 +17,7 @@ from trajkit import (
     write_store,
 )
 from trajkit.cli import main
-from trajkit.errors import NoConvergence, NotSymmetric
+from trajkit.errors import EmptyTrajectory, NoConvergence, NotSymmetric
 
 from conftest import random_store
 
@@ -166,6 +166,11 @@ def test_relative_spectra_have_n_minus_one_rows(rng):
     assert spectra[MatrixId.K0].n == 4
     assert spectra[MatrixId.C0].n == 4
     assert spectra[MatrixId.K].n == 5
+
+
+def test_one_point_store_has_no_relative_spectra():
+    with pytest.raises(EmptyTrajectory, match="no points remain"):
+        trajectory_spectra(TrajectoryStore.from_arrays([[1.0, 2.0]]))
 
 
 # --- entries near the float64 limit ---

@@ -180,6 +180,28 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert sorted(set(UNCALLED_EXPORTS) & uses.names) == []  # a stale entry goes
 
 
+def test_no_module_imports_a_name_it_does_not_use():
+    # a re-export marks its line ``noqa: F401``; ``from __future__`` binds no name
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            marked = "noqa: F401" in "".join(lines[node.lineno - 1 : node.end_lineno])
+            if marked or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
+
+
 def test_all_measures_are_the_hallmark_kinds(capsys):
     assert cli.ALL_MEASURES == [m.value for m in hallmarks.AngularMeasureKind] + [
         m.value for m in hallmarks.NormMeasureKind

@@ -17,6 +17,7 @@ from trajkit import (
     simulate_quadratic,
     width_alignment,
 )
+from trajkit import theory
 from trajkit.errors import NonFiniteIterate
 from trajkit.theory import (
     EOS_BASE,
@@ -199,6 +200,16 @@ def test_eos_divergent_point_reported_in_place():
 def test_eos_empty_grid_rejected():
     with pytest.raises(ValueError):
         eos_angle_sweep(EOS_BASE, [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+def test_eos_checks_every_eta_before_the_first_simulation(monkeypatch, bad):
+    calls = []
+    simulate = theory.simulate_quadratic
+    monkeypatch.setattr(theory, "simulate_quadratic", lambda *a: calls.append(a) or simulate(*a))
+    with pytest.raises(ValueError):  # a NaN or inf names eta; -0.1 is no learning rate
+        eos_angle_sweep(EOS_BASE, [0.1, bad])
+    assert calls == []
 
 
 # --- large-width alignment ---

@@ -216,6 +216,21 @@ def test_grid_checks_every_variant_before_training(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", "a\x00b"])
+def test_grid_refuses_a_name_that_is_not_a_plain_file_name(tmp_path, name):
+    variants = [("ok", 0.9, 1e-4), (name, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="plain file name"):
+        hyperparameter_grid(small_spec(), variants, tmp_path / "grid")
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_refuses_a_repeated_name(tmp_path):
+    variants = [("a", 0.9, 1e-4), ("b", 0.0, 0.0), ("a", 0.0, 1e-4)]
+    with pytest.raises(ValueError, match="'a' appears twice"):
+        hyperparameter_grid(small_spec(), variants, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_grid_empty_variants_rejected(tmp_path):
     with pytest.raises(ValueError):
         hyperparameter_grid(small_spec(), [], tmp_path)
@@ -258,6 +273,7 @@ def test_spec_validation():
     "field, build",
     [
         ("eta", lambda v: small_spec(eta=v)),
+        ("mu", lambda v: small_spec(mu=v)),
         ("wd", lambda v: small_spec(wd=v)),
         ("eta_schedule", lambda v: small_spec(eta_schedule=((2, 0.5), (3, v)))),
         ("separation", lambda v: BlobSpec(separation=v)),
