@@ -569,6 +569,15 @@ def _manifest_entries(manifest_path: Path) -> list[dict]:
         if not isinstance(path, str) or "\0" in path:
             raise InvalidManifest(f"{manifest_path}: entry {pos} needs a string \"path\" "
                                   "without NUL characters")
+        for key in ("path", "label"):
+            text = entry.get(key)
+            if not isinstance(text, str):
+                continue
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate escape such as "\ud800"
+                raise InvalidManifest(f"{manifest_path}: entry {pos} has a \"{key}\" that "
+                                      "UTF-8 cannot encode (a lone surrogate)") from None
     return entries
 
 

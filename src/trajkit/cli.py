@@ -380,6 +380,7 @@ def cmd_theory(args) -> int:
 
 
 _GRID_ENTRY = {"name": str, "mu": float, "wd": float}
+_GRID_REPORT = "grid.json"
 
 
 def _grid_variants(grid) -> list[tuple[str, float, float]]:
@@ -388,6 +389,9 @@ def _grid_variants(grid) -> list[tuple[str, float, float]]:
         _checked(entry, _GRID_ENTRY, "grid entry")
         if set(entry) != set(_GRID_ENTRY):
             raise UsageError(f"grid entry needs {', '.join(_GRID_ENTRY)}: {json.dumps(entry)}")
+        if entry["name"] == _GRID_REPORT:
+            raise UsageError(f"grid entry name {_GRID_REPORT!r} is taken by the report "
+                             "written beside the variants' stores")
     return [(entry["name"], float(entry["mu"]), float(entry["wd"])) for entry in grid]
 
 
@@ -402,7 +406,7 @@ def cmd_train(args) -> int:
     if "grid" in payload:
         # each variant's store creates --out; grid.json lands beside them
         report = dict(hyperparameter_grid(spec, _grid_variants(payload["grid"]), args.out))
-        _write_json(args, "grid.json", report)
+        _write_json(args, _GRID_REPORT, report)
         print(json.dumps(report))
     else:
         record = train(spec, args.out)

@@ -7,6 +7,7 @@ identical inputs and style.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ STOPS = (
 )
 CELL_PX = 12
 FONT_PX = 10
+
+_FRACTIONS = np.array([f for f, _ in STOPS])
+_WIDTHS = np.diff(_FRACTIONS)
+_COLOURS = np.array([c for _, c in STOPS], dtype=np.float64)
+_STEPS = np.diff(_COLOURS, axis=0)  # b - a of each segment, exact
+# characters XML 1.0 does not allow in a document, even as references
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass
@@ -41,14 +49,24 @@ class HeatmapStyle:
         if not self.v_min < self.v_max:
             raise InvalidStyle(f"v_min {self.v_min} must be < v_max {self.v_max}")
 
-    def rgb(self, value: float) -> tuple[int, int, int]:
-        span = self.v_max - self.v_min
-        f = min(max((value - self.v_min) / span, 0.0), 1.0)
-        for (f0, c0), (f1, c1) in zip(STOPS[:-1], STOPS[1:]):
-            if f <= f1:
-                w = (f - f0) / (f1 - f0)
-                return tuple(int(round(a + w * (b - a))) for a, b in zip(c0, c1))
-        return STOPS[-1][1]
+    def rgb(self, values) -> np.ndarray:
+        """The colours of ``values``, as uint8 (r, g, b) along a new last axis.
+
+        The fraction f = (v - v_min) / (v_max - v_min), clamped to [0, 1],
+        falls in the first segment of STOPS whose upper stop f1 >= f; each
+        channel is round(a + w (b - a)), half to even, with w = (f - f0) /
+        (f1 - f0) and a, b that segment's end colours. NaN takes the last
+        stop.
+        """
+        f = (np.asarray(values, dtype=np.float64) - self.v_min) / (self.v_max - self.v_min)
+        f = np.where(np.isnan(f), 1.0, np.clip(f, 0.0, 1.0))
+        seg = np.searchsorted(_FRACTIONS[1:], f, side="left")
+        w = (f - _FRACTIONS[seg]) / _WIDTHS[seg]
+        del f
+        out = np.take(_STEPS, seg, axis=0)  # a copy, also for a 0-d seg
+        out *= w[..., None]
+        out += _COLOURS[seg]
+        return np.rint(out, out=out).astype(np.uint8)
 
 
 def render_svg(matrix: np.ndarray, labels: list[str], style: HeatmapStyle | None = None) -> str:
@@ -64,13 +82,17 @@ def render_svg(matrix: np.ndarray, labels: list[str], style: HeatmapStyle | None
         f'viewBox="0 0 {size} {size}">'
     ]
     parts.append('<g shape-rendering="crispEdges">')
-    for i in range(n):
-        for j in range(n):
-            r, g, b = style.rgb(float(m[i, j]))
-            parts.append(
-                f'<rect x="{margin + j * cp}" y="{margin + i * cp}" '
-                f'width="{cp}" height="{cp}" fill="rgb({r},{g},{b})"/>'
-            )
+    rgb = style.rgb(m).astype(np.int32)
+    packed = (rgb[..., 0] << 16 | rgb[..., 1] << 8 | rgb[..., 2]).ravel()
+    del rgb
+    colours, codes = np.unique(packed, return_inverse=True)
+    del packed
+    fills = [f'" width="{cp}" height="{cp}" fill="rgb({c >> 16},{c >> 8 & 255},{c & 255})"/>'
+             for c in colours.tolist()]
+    heads = [f'<rect x="{margin + j * cp}" y="' for j in range(n)]
+    for i, row in enumerate(codes.reshape(n, n)):
+        y = str(margin + i * cp)
+        parts.append("\n".join([head + y + fills[c] for head, c in zip(heads, row.tolist())]))
     parts.append("</g>")
     parts.append(f'<g font-family="monospace" font-size="{font}" fill="black">')
     for i, label in enumerate(labels):
@@ -87,4 +109,7 @@ def render_svg(matrix: np.ndarray, labels: list[str], style: HeatmapStyle | None
 
 
 def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Text content for XML: markup characters escaped, and each character
+    XML 1.0 forbids replaced by U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML.sub("\ufffd", text)

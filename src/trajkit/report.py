@@ -17,27 +17,33 @@ if TYPE_CHECKING:
     from .spectral import SpectralSummary
 
 
+_FLOAT = "%.17g"
+
+
 def fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
-def _write_csv(path, header: list, rows) -> None:
+def _write_csv(path, header: list, lines) -> None:
+    """The header goes through csv.writer, since labels may need quoting;
+    each of ``lines`` is a whole row that needs none, ending in the
+    writer's CR LF."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(f).writerow(header)
+        f.writelines(lines)
 
 
 def write_matrix_csv(matrix: np.ndarray, labels: list[str], path) -> None:
-    _write_csv(path, labels, ([fmt(v) for v in row] for row in np.asarray(matrix)))
+    m = np.asarray(matrix, dtype=np.float64)
+    row = ",".join([_FLOAT] * m.shape[1]) + "\r\n"
+    _write_csv(path, labels, (row % tuple(values.tolist()) for values in m))
 
 
 def write_series_csv(series: ScalarSeries, path) -> None:
     _write_csv(path, ["t", "value", "units"],
-               ([t, fmt(v), series.units] for t, v in series.points))
+               (f"{t},{fmt(v)},{series.units}\r\n" for t, v in series.points))
 
 
 def write_spectrum_csv(summary: SpectralSummary, path) -> None:
     _write_csv(path, [f"eigenvalue_{summary.matrix_id.value}"],
-               ([fmt(v)] for v in summary.eigenvalues))
-
+               (fmt(v) + "\r\n" for v in summary.eigenvalues))

@@ -218,7 +218,8 @@ class Rng:
             # One value per remaining position; a rejected value is skipped
             # and its position is drawn again in the next batch.
             for x in self.uint64(i).tolist():
-                if x < _rejection_bound(i + 1):
+                # 2**64 % (i + 1) <= i, so every x <= _MASK - i is below the bound
+                if x <= _MASK - i or x < _rejection_bound(i + 1):
                     j = x % (i + 1)
                     items[i], items[j] = items[j], items[i]
                     i -= 1

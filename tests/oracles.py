@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own code paths: plain double
 loops for kernels, a bit-level half-precision decoder, per-definition
-angle formulas, and two eigensolvers that share nothing with LAPACK or
-with each other: shifted power iteration with deflation, and cyclic
-Jacobi rotations.
+angle formulas, two eigensolvers that share nothing with LAPACK or
+with each other (shifted power iteration with deflation, and cyclic
+Jacobi rotations), and per-cell, per-value heatmap and CSV writers.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -232,3 +234,83 @@ def xoshiro256ss(seed: int, n: int) -> tuple[list[int], tuple[int, int, int, int
         s[2] ^= t
         s[3] = rotl(s[3], 45)
     return out, tuple(s)
+
+
+HEATMAP_STOPS = (
+    (0.00, (255, 255, 255)),
+    (0.25, (199, 199, 229)),
+    (0.50, (140, 140, 203)),
+    (0.75, (81, 81, 177)),
+    (1.00, (23, 23, 151)),
+)
+
+
+def heatmap_rgb(value: float, v_min: float, v_max: float) -> tuple[int, int, int]:
+    """One cell's colour, one stop pair at a time, in Python floats."""
+    span = v_max - v_min
+    f = min(max((value - v_min) / span, 0.0), 1.0)  # NaN stays NaN and takes the last stop
+    for (f0, c0), (f1, c1) in zip(HEATMAP_STOPS[:-1], HEATMAP_STOPS[1:]):
+        if f <= f1:
+            w = (f - f0) / (f1 - f0)
+            return tuple(int(round(a + w * (b - a))) for a, b in zip(c0, c1))
+    return HEATMAP_STOPS[-1][1]
+
+
+def xml_text(text: str) -> str:
+    """Character by character: markup escaped, and whatever the XML 1.0
+    ``Char`` production excludes replaced by U+FFFD."""
+    out = []
+    for ch in text:
+        c = ord(ch)
+        if ch in "&<>":
+            out.append({"&": "&amp;", "<": "&lt;", ">": "&gt;"}[ch])
+        elif c in (0x9, 0xA, 0xD) or 0x20 <= c <= 0xD7FF or 0xE000 <= c <= 0xFFFD or c > 0xFFFF:
+            out.append(ch)
+        else:
+            out.append("\ufffd")
+    return "".join(out)
+
+
+def heatmap_svg(matrix: np.ndarray, labels: list[str], v_min: float = -1.0,
+                v_max: float = 1.0) -> str:
+    """The heatmap document, one f-string per cell and per label."""
+    n = matrix.shape[0]
+    cp, font = 12, 10
+    margin = 6 * font
+    size = margin + n * cp
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">'
+    ]
+    parts.append('<g shape-rendering="crispEdges">')
+    for i in range(n):
+        for j in range(n):
+            r, g, b = heatmap_rgb(float(matrix[i, j]), v_min, v_max)
+            parts.append(
+                f'<rect x="{margin + j * cp}" y="{margin + i * cp}" '
+                f'width="{cp}" height="{cp}" fill="rgb({r},{g},{b})"/>'
+            )
+    parts.append("</g>")
+    parts.append(f'<g font-family="monospace" font-size="{font}" fill="black">')
+    for i, label in enumerate(labels):
+        y = margin + i * cp + (cp + font) // 2
+        parts.append(f'<text x="2" y="{y}" text-anchor="start">{xml_text(label)}</text>')
+        x = margin + i * cp + cp // 2
+        parts.append(
+            f'<text x="{x}" y="{margin - 4}" text-anchor="end" '
+            f'transform="rotate(-90 {x} {margin - 4})">{xml_text(label)}</text>'
+        )
+    parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def csv_bytes(header: list[str], rows) -> bytes:
+    """A CSV document through csv.writer, each float cell formatted on its
+    own to 17 significant digits."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(v), ".17g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode()

@@ -425,6 +425,31 @@ def test_malformed_manifest_is_data_error(linear_manifest, tmp_path, capsys, man
     assert (rc, code) == (2, "InvalidManifest")
 
 
+@pytest.mark.parametrize("key", ["label", "path"])
+@pytest.mark.parametrize(
+    "verb", [["map"], ["hallmarks", "--measure", "all"], ["spectra"]],
+    ids=["map", "hallmarks", "spectra"],
+)
+def test_manifest_text_utf8_cannot_encode_is_data_error(linear_manifest, tmp_path, capsys,
+                                                        monkeypatch, verb, key):
+    # json reads the escape "\ud800" as a lone surrogate, which no UTF-8 holds
+    manifest = json.loads(Path(linear_manifest).read_text())
+    entry = manifest["checkpoints"][2]
+    entry[key] = "\ud800x" if key == "label" else entry["path"] + "\ud800"
+    path = tmp_path / "store" / "bad.json"
+    path.write_text(json.dumps(manifest))
+    assert "\\ud800" in path.read_text()
+
+    def no_read(f, path):
+        raise AssertionError(f"read the header of {path}")
+
+    monkeypatch.setattr(ckptstore, "_read_header", no_read)
+    out = tmp_path / "o"
+    argv = [*verb, "--manifest", str(path), "--out", str(out)]
+    assert run_error(argv, capsys) == (2, "InvalidManifest")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e200], ids=["nan", "inf", "overflow"])
 @pytest.mark.parametrize(
     "verb, origin",
@@ -532,12 +557,18 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
         (["train"], {"train": {"epochs": 1}, "grid": [{"name": "ok", "mu": 0.0, "wd": 0.0},
                                                      {"name": "..", "mu": 0.0, "wd": 0.0}]},
          (1, "UsageError")),
+        # the report lands at --out/grid.json, beside the variants' stores
+        (["train"], {"train": {"epochs": 1}, "grid": [{"name": "ok", "mu": 0.0, "wd": 0.0},
+                                                     {"name": "grid.json", "mu": 0.0,
+                                                      "wd": 0.0}]},
+         (1, "UsageError")),
     ],
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
          "train-layers", "train-diverges", "lemma-huge-int", "schedule-huge-int",
          "lemma-out-of-memory", "lemma-nan", "eos-infinity", "eos-past-range",
          "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan",
-         "grid-later-entry-invalid", "grid-name-nul", "grid-name-dotdot"],
+         "grid-later-entry-invalid", "grid-name-nul", "grid-name-dotdot",
+         "grid-name-report"],
 )
 def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, expected):
     path = tmp_path / "params.json"

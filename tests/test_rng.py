@@ -92,6 +92,31 @@ def test_shuffle_rejection_consumes_stream_like_below():
     assert sa.pos == sb.pos == 8
 
 
+def test_shuffle_accepts_what_below_accepts_at_the_bound():
+    # Position n rejects x >= 2**64 - 2**64 % n, and 2**64 % n < n, so
+    # every x <= 2**64 - n is accepted. Each position is scripted its
+    # rejected edge values first, then one accepted edge value, taken in
+    # turn; a value the two rules disagree on shifts the whole stream.
+    # 274177 divides 2**64 + 1, so there the two edges meet: 2**64 - n + 1
+    # is the bound itself.
+    top = 2**64 - 1
+    for size in (3, 7, 12, 300, 274177):
+        script = []
+        for n in range(size, 1, -1):
+            bound = (1 << 64) - (1 << 64) % n
+            edges = [x for x in (top, bound, bound - 1, top - n + 2, top - n + 1, top - n)
+                     if x <= top]  # the bound of a power of two is 2**64
+            script += [x for x in edges if x >= bound]
+            accepted = [x for x in edges if x < bound]
+            script.append(accepted[n % len(accepted)])
+        a, b = list(range(size)), list(range(size))
+        sa, sb = _ScriptedRng(script), _ScriptedRng(script)
+        sa.shuffle(a)
+        _per_draw_shuffle(sb, b)
+        assert a == b
+        assert sa.pos == sb.pos == len(script) > size - 1
+
+
 def test_block_split_invariance():
     r = Rng(5)
     whole = Rng(5).uint64(100)
