@@ -4,14 +4,14 @@ All pairwise inner products accumulate in float64 over fixed 4096-element
 column chunks whose partial results are combined by a pairwise tree in
 chunk order, so the output is bit-identical regardless of how many
 workers computed the partials. A pass reads each chunk once and
-multiplies one of two bases per chunk: the raw rows for the absolute
-origin, or the rows shifted by the trajectory's own checkpoint tau for
-an in-store origin. K and K0 come from K0's pass, K derived
-from it unless that would cancel. The calling thread reads the chunks,
-from any store, into a ring of reused buffers; the shift, done in place,
-and the product run on worker threads while the next chunk is read. Per
-chunk, a pass allocates only the n x n partial and the read's staging
-row of payload-dtype values.
+multiplies the rows shifted by the trajectory's own checkpoint tau. K,
+the Gram matrix from the absolute origin, is derived from the pass of
+K0 (tau = 0) by one rule; a pass multiplies the raw rows only where that
+derivation would cancel, or for a one-point store. The calling thread
+reads the chunks, from any store, into a ring of reused buffers; the
+shift, done in place, and the product run on worker threads while the
+next chunk is read. Per chunk, a pass allocates only the n x n partial
+and the read's staging row of payload-dtype values.
 """
 
 from __future__ import annotations
@@ -163,17 +163,17 @@ def compute_gram(
 ) -> GramMatrix:
     """Gram matrix of the trajectory points from one of two origins.
 
-    From the absolute origin (None) it is the raw points' Gram matrix.
-    From the in-trajectory origin ``tau`` the points are shifted by
-    checkpoint tau and its zero row is omitted, shrinking n by one. tau is
-    a row position in the store, not a manifest index.
+    From the absolute origin (None) it is the raw points' Gram matrix,
+    ``gram_pair``'s K: derived from K0's pass, with its fallback. From the
+    in-trajectory origin ``tau`` the points are shifted by checkpoint tau
+    and its zero row is omitted, shrinking n by one. tau is a row position
+    in the store, not a manifest index.
     """
-    g = _gram(store, sel, origin, threads)
-    labels = list(store.labels)
     if origin is None:
-        return _gram_matrix(g, labels)
+        return gram_pair(store, sel, threads=threads)[0]
+    g = _gram(store, sel, origin, threads)
     keep = np.arange(store.n_points) != origin
-    labels = [lbl for lbl, k in zip(labels, keep) if k]
+    labels = [lbl for lbl, k in zip(store.labels, keep) if k]
     return _gram_matrix(g[np.ix_(keep, keep)], labels)
 
 
@@ -189,14 +189,15 @@ def gram_pair(
     order that keeps it symmetric bit for bit. The sum cancels when a
     point's norm falls far below theta_0's: when some (|theta_0| +
     |theta_i - theta_0|)^2 exceeds ``CANCEL_BOUND`` times the derived
-    K_ii, or K overflows, K comes from a second pass over the raw rows,
-    bit-identical to ``compute_gram(store, None)``. K0 is None for a
-    one-point store, which has no points left once the origin is omitted.
+    K_ii, or K overflows, K comes from a second pass over the raw rows.
+    That is also K for a one-point store, whose K0 is None: no points are
+    left once the origin is omitted. ``compute_gram(store, None)`` and
+    ``trajectory_map`` take K from here.
     """
-    if store.n_points == 1:
-        return compute_gram(store, None, sel, threads=threads), None
-    g = _gram(store, sel, 0, threads)
     labels = list(store.labels)
+    if store.n_points == 1:
+        return _gram_matrix(_gram(store, sel, None, threads), labels), None
+    g = _gram(store, sel, 0, threads)
     k0 = _gram_matrix(g[1:, 1:].copy(), labels[1:])
     v = np.concatenate(([0.0], g[0, 1:]))
     with np.errstate(invalid="ignore", over="ignore"):  # a K that overflows falls back
@@ -208,7 +209,7 @@ def gram_pair(
         reach = (np.sqrt(g[0, 0]) + k0.norms) ** 2
         derived = np.isfinite(k).all() and (reach <= CANCEL_BOUND * np.diagonal(k)[1:]).all()
     if not derived:
-        return compute_gram(store, None, sel, threads=threads), k0
+        return _gram_matrix(_gram(store, sel, None, threads), labels), k0
     return _gram_matrix(k, labels), k0
 
 
@@ -229,5 +230,5 @@ def compute_cosine_map(gram: GramMatrix) -> CosineMap:
 def trajectory_map(
     store: TrajectoryStore, sel: SelectionSpec | None = None, *, threads: int = 1
 ) -> CosineMap:
-    """Cosine map viewed from the absolute origin (the TM)."""
+    """Cosine map viewed from the absolute origin (the TM), from ``gram_pair``'s K."""
     return compute_cosine_map(compute_gram(store, None, sel, threads=threads))

@@ -245,6 +245,30 @@ def test_momentum_and_weight_decay_interact_on_every_seed(tmp_path):
         assert interaction < 0, (s, omega)
 
 
+def test_learning_rate_and_batch_size_regularise_direction_on_every_seed(tmp_path):
+    """The abstract's claim that some hyperparameters act as directional
+    regularisers, for the SGD noise scale eta/B: more noise, lower omega. At
+    15 epochs, omega falls as eta rises and rises with the batch size on each
+    of ten seeds; the smallest gaps measured 0.0104 (eta) and 0.0018 (B). At
+    60 epochs the batch ordering does not hold, so the epochs are part of the
+    claim."""
+    base = replace(TRAIN_FIXTURE, epochs=15)
+    for s in range(10):
+        spec = replace(base, seed=base.seed + 100 * s,
+                       data=replace(base.data, seed=base.data.seed + 100 * s))
+
+        def omega(key, value):
+            record = train(replace(spec, **{key: value}), tmp_path / f"{s}_{key}{value}")
+            return mds(trajectory_map(TrajectoryStore.from_checkpoints(record.checkpoints)))
+
+        fixture = omega("eta", spec.eta)  # eta 0.15, batch 32
+        by_eta = [omega("eta", 0.05), fixture, omega("eta", 0.25)]
+        by_batch = [omega("batch_size", 16), fixture, omega("batch_size", 64),
+                    omega("batch_size", 128)]
+        assert all(a > b for a, b in zip(by_eta, by_eta[1:])), (s, by_eta)
+        assert all(a < b for a, b in zip(by_batch, by_batch[1:])), (s, by_batch)
+
+
 def test_criterion_9_format_round_trip(tmp_path):
     with _Criterion(9, "format round-trip and rerun determinism") as c:
         rng = np.random.default_rng(90)

@@ -347,11 +347,34 @@ def test_train_grid(tmp_path, capsys):
     report = json.loads((out / "grid.json").read_text())
     assert set(report) == {"a", "b"}
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in report.values())
-    # the grid's in-memory omega is the one its written store gives on disk
+    # the grid's in-memory omega is the one its written store gives on disk,
+    # and the one hallmarks reports for that store
     for name, omega in report.items():
-        with open_store(out / name / "manifest.json") as store:
+        manifest = out / name / "manifest.json"
+        with open_store(manifest) as store:
             for threads in (1, 2, 3):
                 assert mds(trajectory_map(store, threads=threads)) == omega
+        assert main(["hallmarks", "--measure", "param_norm", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "h" / name)]) == 0
+        assert json.loads((tmp_path / "h" / name / "summary.json").read_text())["omega"] == omega
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_map_mean_is_hallmarks_omega(tmp_path, threads):
+    # a drifting f32 random walk over two column chunks; map from the absolute
+    # origin and hallmarks' omega take K by one rule, so they agree bit for bit
+    rng = np.random.default_rng(21)
+    walk = rng.standard_normal(5000) + np.cumsum(0.05 * rng.standard_normal((12, 5000)), axis=0)
+    ckpts = [Checkpoint(i, f"e{i}", [TensorRecord("w", Dtype.F32, (5000,), row)])
+             for i, row in enumerate(walk)]
+    common = ["--manifest", str(write_store(ckpts, tmp_path / "store")), "--threads", threads]
+    assert main(["map", *common, "--out", str(tmp_path / "m")]) == 0
+    assert main(["hallmarks", "--measure", "param_norm", *common, "--out", str(tmp_path / "h")]) == 0
+    rows = (tmp_path / "m" / "map.csv").read_text().splitlines()[1:]
+    cosines = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert cosines.shape == (12, 12)
+    omega = json.loads((tmp_path / "h" / "summary.json").read_text())["omega"]
+    assert float(np.mean(cosines)) == omega
 
 
 def test_on_disk_and_in_memory_outputs_are_bit_equal(tmp_path, monkeypatch):
@@ -454,7 +477,8 @@ def test_manifest_text_utf8_cannot_encode_is_data_error(linear_manifest, tmp_pat
 @pytest.mark.parametrize(
     "verb, origin",
     [
-        (["map"], "the absolute origin"),
+        # K from the absolute origin is derived from K0's pass, which fails first
+        (["map"], "checkpoint 'epoch0'"),
         (["map", "--origin", "ckpt:5"], "checkpoint 'epoch5'"),
         (["hallmarks", "--measure", "all"], "checkpoint 'epoch0'"),
         (["spectra"], "checkpoint 'epoch0'"),

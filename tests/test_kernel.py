@@ -25,7 +25,7 @@ from trajkit.errors import (
     NonFinitePayload,
     OriginOutOfRange,
 )
-from trajkit.kernel import CHUNK, _tree_sum
+from trajkit.kernel import CHUNK, _gram, _tree_sum
 
 from conftest import random_store
 
@@ -315,7 +315,7 @@ def test_grams_match_longdouble_oracle(kind, monkeypatch):
     # theta_0's; those trajectories take a second pass over the raw rows
     if kind in ("collapse 0.9", "collapse 0.7", "collapse 0.5"):
         assert len(reads) == 2 * chunks
-        assert np.array_equal(k.values, compute_gram(store, None).values)
+        assert np.array_equal(k.values, _gram(store, None, None, 1))
     else:
         assert len(reads) == chunks
     assert np.array_equal(k0.values, compute_gram(store, 0).values)
@@ -336,7 +336,7 @@ def test_gram_pair_falls_back_quietly_when_the_derivation_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         k, k0 = gram_pair(store)
-    assert np.array_equal(k.values, compute_gram(store, None).values)
+    assert np.array_equal(k.values, _gram(store, None, None, 1))
     assert np.isfinite(k.values).all() and np.isfinite(k0.values).all()
 
 

@@ -14,6 +14,8 @@ from trajkit import (
     TrainSpec,
     TrajectoryStore,
     angular_series,
+    compute_cosine_map,
+    gram_pair,
     hyperparameter_grid,
     mds,
     open_store,
@@ -180,6 +182,18 @@ def test_grid_single_variant_matches_direct_run(tmp_path):
     [(name, omega)] = results
     assert name == "only"
     assert omega == direct_omega
+
+
+def test_grid_omega_is_hallmarks_omega_on_twenty_seeds(tmp_path):
+    # the grid takes K by the rule hallmarks uses, gram_pair's; a raw-row sum
+    # gives an omega that differs in the last bit on 8 of these seeds
+    base = replace(TRAIN_FIXTURE, epochs=15)
+    for s in range(20):
+        spec = replace(base, seed=base.seed + 100 * s,
+                       data=replace(base.data, seed=base.data.seed + 100 * s))
+        [(_, omega)] = hyperparameter_grid(spec, [("run", spec.mu, spec.wd)], tmp_path / str(s))
+        with open_store(tmp_path / str(s) / "run" / "manifest.json") as store:
+            assert omega == mds(compute_cosine_map(gram_pair(store)[0])), s
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
