@@ -16,8 +16,12 @@ M = 2^floor(log2(n - 1) / 2) consecutive values. Lane l starts at
 T^(l M) applied to the state, and the lanes step together as numpy
 uint64 operations. The values, and the state after the draw, are
 bit-identical to the serial stream. Shorter draws run the serial loop:
-there, building the powers of T once per process (tens of milliseconds)
-would cost more than it saves.
+there, building the powers of T once per process (about 15 ms) would
+cost more than it saves.
+
+A Gaussian draw of n values takes 2 ceil(n / 2) stream values in one
+draw, u1 || u2, so it runs in lanes from 2^15 values on; Box-Muller then
+runs in place in those uniforms.
 """
 
 from __future__ import annotations
@@ -102,6 +106,13 @@ def _words(bits: np.ndarray) -> np.ndarray:
     return raw.view("<u8").astype(np.uint64)
 
 
+def _mod2(sums: np.ndarray) -> np.ndarray:
+    """float32 sums of 0/1 products, mod 2, as float32 0/1. Exact: the sums
+    are at most 256, which float32 and int32 hold; an integer parity costs a
+    fraction of a float ``% 2``."""
+    return (sums.astype(np.int32) & 1).astype(np.float32)
+
+
 @functools.cache
 def _packed_power(k: int) -> np.ndarray:
     """T^(2^k), bit-packed (8 KB) and read-only."""
@@ -111,7 +122,7 @@ def _packed_power(k: int) -> np.ndarray:
         power = _bits(np.stack(basis, axis=1))
     else:
         prev = _power(k - 1)
-        power = (prev @ prev) % 2  # exact: float32 holds sums up to 256
+        power = _mod2(prev @ prev)
     packed = np.packbits(power.astype(np.uint8), axis=1)
     packed.flags.writeable = False
     return packed
@@ -130,7 +141,7 @@ def _fill_lanes(state: np.ndarray, n: int) -> np.ndarray:
     starts = _bits(state[None, :])
     k = m
     while starts.shape[0] < lanes:  # doubling: starts l and l + 2^(k-m) are T^(2^k) apart
-        starts = np.concatenate([starts, (starts @ _power(k)) % 2])
+        starts = np.concatenate([starts, _mod2(starts @ _power(k))])
         k += 1
     s = list(_words(starts[:lanes]).T.copy())
     buf = np.empty(lanes * steps, dtype=np.uint64)
@@ -181,18 +192,31 @@ class Rng:
 
     def uniform(self, n: int) -> np.ndarray:
         """Uniforms in (0, 1]; the +1 keeps log() finite for Box-Muller."""
-        bits = self.uint64(n) >> np.uint64(11)
-        return (bits.astype(np.float64) + 1.0) * _TWO53_INV
+        bits = self.uint64(n)
+        bits >>= np.uint64(11)
+        u = bits.astype(np.float64)
+        u += 1.0
+        u *= _TWO53_INV
+        return u
 
     def gaussian(self, n: int) -> np.ndarray:
+        """Standard normals by Box-Muller on u1 || u2 = uniform(2 * pairs),
+        one draw of 2 * ceil(n / 2) stream values: z[2i] = r_i cos(a_i) and
+        z[2i + 1] = r_i sin(a_i), with r_i = sqrt(-2 log(u1_i)) and
+        a_i = 2 pi u2_i. The transform runs in place in the uniforms, so a
+        draw peaks at two float64 arrays of its size, the uniforms and z."""
         pairs = (n + 1) // 2
-        u1 = self.uniform(pairs)
-        u2 = self.uniform(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
+        u = self.uniform(2 * pairs)
+        radius, angle = u[:pairs], u[pairs:]
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * math.pi
         z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        np.cos(angle, out=z[0::2])
+        np.sin(angle, out=z[1::2])
+        z[0::2] *= radius
+        z[1::2] *= radius
         return z[:n]
 
     def rademacher(self, n: int) -> np.ndarray:

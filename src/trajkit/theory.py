@@ -267,17 +267,12 @@ class AlignmentCurve:
 _DOT_SLICE = 4096
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b in an order fixed by the length alone: np.dot over 4096-element
-    slices, which BLAS runs on one thread, and their partials summed exactly
-    by math.fsum. A single np.dot over the whole vectors sums in an order
-    that depends on how many threads BLAS splits it over. NaN when the
-    products overflow float64."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the result
-        partials = [
-            float(np.dot(a[i : i + _DOT_SLICE], b[i : i + _DOT_SLICE]))
-            for i in range(0, a.size, _DOT_SLICE)
-        ]
+def _fsum(partials: tuple[float, ...]) -> float:
+    """The exact sum of np.dot partials over 4096-element slices; NaN when
+    the partials overflow float64. BLAS runs a dot of one slice on one
+    thread, so the sum is fixed by the length alone: a single np.dot over
+    whole vectors sums in an order that depends on how many threads BLAS
+    splits it over."""
     try:
         return math.fsum(partials)
     except (OverflowError, ValueError):  # finite partials overflow, or inf - inf
@@ -291,23 +286,40 @@ def width_alignment(spec: WidthSpec) -> AlignmentCurve:
     each step applies W -= (eta_scale/n) * dh x0^T with fresh standard
     Gaussian x0 and Rademacher dh. Records cos(vec(W_T), vec(W_0)) and
     fits a log-log line to 1 - cos versus width.
+
+    W0 is drawn first, then (x0, dh) of every step in step order, and W0
+    is held once, in the buffer its Gaussians were drawn into. W_T is
+    never held whole: each 4096-value slice of vec(W_T) is W0's slice
+    minus the steps' updates of it, in step order, and gives its three
+    dot partials before the next slice is built. A width peaks at two
+    n x n float64 arrays (2 n^2 8 bytes), both inside the Gaussian draw.
     """
     master = Rng(spec.seed)
     points = []
     for n in spec.widths:
         rng = master.spawn()
-        w0 = rng.gaussian(n * n).reshape(n, n) * (spec.init_std_scale / math.sqrt(n))
-        w = w0.copy()
+        b = rng.gaussian(n * n)  # vec(W0)
+        b *= spec.init_std_scale / math.sqrt(n)
+        updates = [(rng.gaussian(n), rng.rademacher(n)) for _ in range(spec.steps)]
         lr = spec.eta_scale / n
-        for _ in range(spec.steps):
-            x0 = rng.gaussian(n)
-            dh = rng.rademacher(n)
-            w -= lr * np.outer(dh, x0)
-        a, b = w.ravel(), w0.ravel()
-        aa, bb = _dot(a, a), _dot(b, b)
+        partials = []
+        # an entry of W_T that overflows makes the squares overflow, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, b.size, _DOT_SLICE):
+                hi = min(lo + _DOT_SLICE, b.size)
+                rows = slice(lo // n, (hi - 1) // n + 1)  # the rows of W the slice covers
+                cols = slice(lo % n, lo % n + hi - lo)  # the slice within their vec
+                b_slice = b[lo:hi]
+                a = b_slice.copy()  # vec(W_T)[lo:hi]
+                for x0, dh in updates:
+                    step = np.outer(dh[rows], x0).ravel()[cols]
+                    step *= lr
+                    a -= step
+                partials.append((np.dot(a, a), np.dot(b_slice, b_slice), np.dot(a, b_slice)))
+        aa, bb, ab = (_fsum(column) for column in zip(*partials))
         if not (math.isfinite(aa) and math.isfinite(bb)):  # then a . b is finite too
             raise NonFiniteIterate(f"width {n}: the squares of vec(W) overflow float64")
-        cos = angles.cosine(_dot(a, b), aa, bb)
+        cos = angles.cosine(ab, aa, bb)
         points.append((n, cos, 1.0 - cos))
 
     xs = [math.log(n) for n, _, one_minus in points if one_minus > 0]

@@ -124,6 +124,49 @@ def test_block_split_invariance():
     assert np.array_equal(whole, parts)
 
 
+# SHA-256 of the values and of the state after one draw from Rng(2024).
+# 33 124 Gaussians are two serial draws of 16 562 uniforms, or one draw
+# of 33 124 stream values in lanes: both must give these bits.
+_DRAW_DIGESTS = {
+    "gaussian": {
+        1: "81f1ec68ed8be1b6544f9aaf11517111d0064d2c681f269cd90a5631487bef2b",
+        7: "2def133ed51861dd863d6600951183c4b08287898d4c2397e456babff6e1bc15",
+        4096: "66813d18ac23b48c3c0b7220d2e660a0c8553d5d96ae03325daa34e1e8c7e95b",
+        32767: "97526b92141f3109f862a4a830735ade89e73bb59de9daaf351056fe214e4d10",
+        32768: "c64d8ee3b1523d5bf2097ac02ae8185d0c571b27dd590c8dae63e8e948dfd86e",
+        33124: "38a0eaa5c343700b05658cc6f5b39ac4847a0cb5289bc1f0e74057def587573d",
+        65537: "b56e893df5afdc00a5c056238dc101635edf81a8ff198eeec971d76033aba3bc",
+    },
+    "uniform": {
+        1: "b2e816a89aebb90b263f839c772af5747bc588a2f33989701a3774aae9dacdf0",
+        7: "f1617d51bcf1efad43a384f1a27bc4c6b0d08e1131c4db862b947e7eb055641a",
+        4096: "94ad6dd9fb1c7b00e2721e62caed81fb85f8e882370b8eebbd3eec893efe8a3f",
+        32767: "53a9187cbdd6b3eb4990099cbf07039b211bfb68a3db2d502d1f649925d12047",
+        32768: "5c9f6d72343b21e37706b0a6c0797ec0af8ebce25519fb42cca27e511d88eb3a",
+        33124: "fa7ae59cb929c6fe678127b1e620987bdd75e9251ad6ced348efb42cbd8f56c4",
+        65537: "fd2ca3cd545084a9758937ed5c4af468fc353966fb7ce6931b610cd17895ea35",
+    },
+    "rademacher": {
+        1: "d818c508da3e7c900256132bf50a281c7b21151b27cf6ef3aaad708c2bc437fc",
+        7: "0f10644debb49c0339549e81514194da8bfc2bfa47a3246b53a17524de6caa76",
+        4096: "f2bce5dff31afb7c2bfdcdaf41cb6c784f1f37762c58c1f9ec04250076f5500b",
+        32767: "feca552c946ebc3b6a2a06745a51a752d66d133dbb56e8340e95e690309f078b",
+        32768: "824485419a35485913b0d7bc4824cace5fd4e84dd7dc52902058870d0a0d5898",
+        33124: "2a0c7e85c9d1c33c175a09034702f573306196ce6b19e19cdf9b9351af6b5e41",
+        65537: "bbae4b8818c22bbbb15f606648e7f7c1989aa32c60d006ef2f188c8a2f676c1e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAW_DIGESTS))
+def test_draw_digests(name):
+    for n, digest in _DRAW_DIGESTS[name].items():
+        r = Rng(2024)
+        h = hashlib.sha256(getattr(r, name)(n).tobytes())
+        h.update(r._state.tobytes())
+        assert h.hexdigest() == digest, (name, n)
+
+
 def test_gaussian_moments():
     z = Rng(123).gaussian(200_000)
     assert abs(z.mean()) < 0.01

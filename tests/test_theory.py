@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -234,6 +235,45 @@ def test_width_alignment_deterministic():
     assert a.points == b.points
 
 
+# (width, cos, 1 - cos) as float.hex, and the fitted slope, of three specs
+_WIDTH_PINS = [
+    (WidthSpec(widths=(3, 100, 129, 1024), seed=7),
+     [(3, "0x1.b622845e5469ep-1", "0x1.2775ee86ae588p-3"),
+      (100, "0x1.fd652e42c978cp-1", "0x1.4d68de9b43a00p-8"),
+      (129, "0x1.fdd4329d917e8p-1", "0x1.15e6b13740c00p-8"),
+      (1024, "0x1.ffc5f4f20427fp-1", "0x1.d0586fdec0800p-12")],
+     "-0x1.f81cbe220596cp-1"),
+    (WidthSpec(widths=(3, 100, 129), steps=3, eta_scale=2.5, init_std_scale=0.5, seed=11),
+     [(3, "0x1.9dbae6a7ef0a6p-4", "0x1.cc48a32b021ebp-1"),
+      (100, "0x1.863fc8fc2c439p-1", "0x1.e700dc0f4ef1cp-3"),
+      (129, "0x1.9722004c6260dp-1", "0x1.a377fece767ccp-3")],
+     "-0x1.8c87bce722eacp-2"),
+    (WidthSpec(widths=(1024,), steps=3, eta_scale=0.3, init_std_scale=3.0, seed=12),
+     [(1024, "0x1.fffe2e832a9d4p-1", "0x1.d17cd562c0000p-17")],
+     None),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_WIDTH_PINS)))
+def test_width_alignment_pinned_bits(case):
+    spec, points, slope = _WIDTH_PINS[case]
+    curve = width_alignment(spec)
+    assert [(n, cos.hex(), gap.hex()) for n, cos, gap in curve.points] == points
+    assert (None if curve.fitted_loglog_slope is None else curve.fitted_loglog_slope.hex()) == slope
+
+
+def test_width_alignment_peak_memory():
+    # W0 and the uniforms it is drawn from: two n x n float64 arrays
+    n = 512
+    tracemalloc.start()
+    try:
+        width_alignment(WidthSpec(widths=(n,), seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8, peak / (n * n * 8)
+
+
 def test_width_spec_validation():
     with pytest.raises(ValueError):
         WidthSpec(widths=(64, 64))
@@ -248,6 +288,13 @@ def test_width_fixture_slope():
     gaps = [one_minus for _, _, one_minus in curve.points]
     assert gaps == sorted(gaps, reverse=True)
     assert -1.3 <= curve.fitted_loglog_slope <= -0.7
+    assert [(n, cos.hex(), gap.hex()) for n, cos, gap in curve.points] == [
+        (64, "0x1.fd736c52a63a7p-1", "0x1.4649d6ace2c80p-8"),
+        (256, "0x1.fef56c4cc53edp-1", "0x1.0a93b33ac1300p-9"),
+        (1024, "0x1.ffbac8e6aadd2p-1", "0x1.14dc65548b800p-11"),
+        (4096, "0x1.fff057143bf65p-1", "0x1.f51d788136000p-14"),
+    ]
+    assert curve.fitted_loglog_slope.hex() == "-0x1.cf1030b6c06a5p-1"
 
 
 def test_width_json_does_not_depend_on_blas_threads(tmp_path):
