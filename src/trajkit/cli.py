@@ -9,6 +9,12 @@ what the parser and the error contract need, and each ``cmd_*`` imports
 the modules of its verb when it runs: ``theory`` never loads the store,
 Gram or training code, and ``map``/``hallmarks``/``spectra`` never load
 the theory or training code.
+
+``run`` is the process entry of ``python -m trajkit.cli`` and of the
+``trajkit`` script. Once ``main`` returns, every output file is closed
+and every thread pool joined, so ``run`` flushes stdout and stderr and
+ends the process with ``os._exit``, skipping the interpreter's module
+teardown and final garbage collection. ``main`` is the in-process API.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import typing
 from pathlib import Path
@@ -447,5 +454,25 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> typing.NoReturn:
+    """Runs ``main`` and ends the process with its exit code, without the
+    interpreter's teardown. A stdout whose reader has gone is an IoError
+    line and exit 2, as a failed write inside a verb is."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's --help and --version
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        _emit_error("IoError", str(exc))
+        code = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +127,8 @@ def _gram(
     if slots == 1:
         g = _tree_sum(product(read(k, a, b)) for k, (a, b) in enumerate(chunks))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only above one slot
+
         with ThreadPoolExecutor(max_workers=slots - 1) as ex:
 
             def parts():

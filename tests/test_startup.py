@@ -7,10 +7,12 @@ import ast
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trajkit
@@ -105,16 +107,116 @@ try:
     code = main(json.loads(sys.argv[1]))
 except SystemExit as exc:  # --version
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "trajkit")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "trajkit"),
+                  "concurrent.futures" in sys.modules]))
 """
 
 
 @pytest.mark.parametrize("verb", list(LOADED))
 def test_each_verb_loads_only_its_modules(tmp_path, small_manifest, verb):
+    # at --threads 1 no verb starts a thread pool, so none loads one
     argv = verb_argv(verb, tmp_path, small_manifest)
-    code, loaded = run_child(LOADED_BY_MAIN, json.dumps(argv))
+    code, loaded, pool_loaded = run_child(LOADED_BY_MAIN, json.dumps(argv))
     assert code == 0
     assert set(loaded) == LOADED[verb]
+    assert not pool_loaded
+
+
+@pytest.fixture
+def chunked_manifest(tmp_path):
+    """Six float32 checkpoints of p = 9 000, three 4096-column chunks, so
+    that a Gram pass above one thread starts its pool."""
+    walk = np.cumsum(np.random.default_rng(5).standard_normal((6, 9000)), axis=0)
+    ckpts = [trajkit.Checkpoint(i, f"e{i}", [trajkit.TensorRecord(
+        "w", trajkit.Dtype.F32, (9000,), row.astype(np.float32))]) for i, row in enumerate(walk)]
+    return str(trajkit.write_store(ckpts, tmp_path / "store"))
+
+
+def buffered_env() -> dict:
+    """child_env() without PYTHONUNBUFFERED: a child's stdout to a pipe or
+    a file is then block-buffered, and written by its last flush."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m trajkit.cli ARGV``, the path of ``cli.run``, in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "trajkit.cli", *argv], env=buffered_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def taken_outputs(out: Path) -> dict:
+    """Every file under ``out`` by relative path, record.json without its
+    wall clock; ``out`` is removed, so the next run writes the same paths."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "record.json":
+                data = json.loads(data)
+                del data["wall_clock_s"]
+            files[str(path.relative_to(out))] = data
+    shutil.rmtree(out)
+    return files
+
+
+# (verb, extra flags): both origins of map, hallmarks at one and two threads,
+# a training grid and the three theory sweeps
+PROCESS_RUNS = {
+    "map": ("map", []),
+    "map-ckpt3": ("map", ["--origin", "ckpt:3", "--threads", "2"]),
+    "hallmarks-1": ("hallmarks", ["--threads", "1"]),
+    "hallmarks-2": ("hallmarks", ["--threads", "2"]),
+    "spectra": ("spectra", []),
+    "train": ("train", []),
+    "lemma": ("lemma", []),
+    "eos": ("eos", []),
+    "width": ("width", []),
+}
+
+
+@pytest.mark.parametrize("case", list(PROCESS_RUNS))
+def test_a_verb_run_as_a_process_writes_what_main_writes(tmp_path, chunked_manifest, capsys,
+                                                         case):
+    # the process ends with os._exit once main returns: every file must be
+    # closed and every pool joined by then, and stdout flushed
+    verb, extra = PROCESS_RUNS[case]
+    argv = [*verb_argv(verb, tmp_path, chunked_manifest), *extra]
+    out = tmp_path / verb
+    done = run_cli(argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    by_process = taken_outputs(out), done.stdout
+    assert cli.main(argv) == 0
+    assert (taken_outputs(out), capsys.readouterr().out) == by_process
+    assert len(by_process[0]) > 0 and by_process[1].count("\n") == 1
+
+
+def test_a_failed_process_prints_one_json_line(tmp_path, chunked_manifest):
+    usage = ["theory", "lemma"]  # no --out
+    data = ["map", "--manifest", chunked_manifest, "--origin", "ckpt:9",
+            "--out", str(tmp_path / "map")]
+    for argv, code, error in [(usage, 1, "UsageError"), (data, 2, "OriginOutOfRange")]:
+        done = run_cli(argv)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert done.stderr.count("\n") == 1
+        assert json.loads(done.stderr)["error"] == error
+
+
+@pytest.mark.parametrize("verb", ["lemma", "--version"])
+def test_a_closed_stdout_is_one_io_error_line(tmp_path, verb):
+    # the line is written by the last flush, after the verb's files; argparse
+    # ends --version with SystemExit
+    argv = verb_argv(verb, tmp_path, "")
+    proc = subprocess.Popen([sys.executable, "-m", "trajkit.cli", *argv], env=buffered_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the reader is gone before the process writes
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "IoError"
+    if verb == "lemma":
+        assert json.loads((tmp_path / "lemma" / "lemma.json").read_text())["all_satisfied"]
 
 
 def test_package_exports_resolve_to_the_owner_modules_current_objects(monkeypatch):

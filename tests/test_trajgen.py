@@ -44,11 +44,19 @@ def small_spec(**overrides):
 
 
 def dir_digest(root: Path) -> str:
+    """Every file's name and bytes, with record.json's losses and accuracies
+    but not its wall clock or manifest path, which differ between runs."""
     h = hashlib.sha256()
     for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name != "record.json":  # record has wall time
-            h.update(path.name.encode())
-            h.update(path.read_bytes())
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if path.name == "record.json":
+            doc = json.loads(data)
+            del doc["wall_clock_s"], doc["manifest_path"]
+            data = json.dumps(doc).encode()
+        h.update(path.name.encode())
+        h.update(data)
     return h.hexdigest()
 
 
