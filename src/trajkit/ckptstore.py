@@ -547,7 +547,7 @@ def open_store(manifest_path) -> TrajectoryStore:
 def _manifest_entries(manifest_path: Path) -> list[dict]:
     """The manifest's checkpoint entries, each with an integer index and a path."""
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_bytes())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InvalidManifest(f"{manifest_path}: not a JSON document ({exc})")
     if not isinstance(manifest, dict):
@@ -597,5 +597,5 @@ def write_store(checkpoints: list[Checkpoint], out_dir):
         entries.append({"index": ckpt.index, "label": ckpt.label, "path": fname})
     manifest = {"version": 1, "checkpoints": entries}
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path

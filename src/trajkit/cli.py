@@ -116,7 +116,8 @@ ALL_MEASURES = [
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="trajkit", description=__doc__)
+    parser = _Parser(prog="trajkit", description="Trajectory maps, hallmark series and "
+                     "spectra of a checkpoint store, the theory checks, and a small trainer.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -167,7 +168,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(args, name: str, doc) -> None:
-    (_out_dir(args) / name).write_text(json.dumps(doc, indent=2) + "\n")
+    (_out_dir(args) / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def cmd_map(args) -> int:
@@ -188,7 +189,8 @@ def cmd_map(args) -> int:
     cosmap = compute_cosine_map(gram)
     out = _out_dir(args)
     write_matrix_csv(cosmap.values, cosmap.point_labels, out / "map.csv")
-    (out / "map.svg").write_text(render_svg(cosmap.values, cosmap.point_labels, style))
+    (out / "map.svg").write_text(render_svg(cosmap.values, cosmap.point_labels, style),
+                                  encoding="utf-8")
     name = "absolute" if origin is None else f"ckpt:{origin}"
     print(json.dumps({"n": cosmap.n, "origin": name, "out": str(out)}))
     return 0
@@ -257,7 +259,8 @@ def _hallmarks(args, requested: list[str], store) -> int:
         write_series_csv(result, files[name])
     summary = {"manifest_path": str(args.manifest), "n": store.n_points, "p": p, "omega": omega,
                "omega0": omega0, "series_files": files, "tool_version": __version__}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                                      encoding="utf-8")
     print(json.dumps({"omega": omega, "omega0": omega0, "out": str(out)}))
     return 0
 
@@ -347,7 +350,7 @@ def _spec(base, doc, what: str, set_by: dict, **extra) -> tuple:
 def _parameter_file(path) -> object:
     """A --params/--spec file's JSON document, {} without one. Its spec
     refuses a NaN, an Infinity or a number past the float range by name."""
-    return json.loads(Path(path).read_text()) if path else {}
+    return json.loads(Path(path).read_bytes()) if path else {}
 
 
 @_parameter_file_verb

@@ -28,7 +28,7 @@ def _write_csv(path, header: list, lines) -> None:
     """The header goes through csv.writer, since labels may need quoting;
     each of ``lines`` is a whole row that needs none, ending in the
     writer's CR LF."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerow(header)
         f.writelines(lines)
 

@@ -10,7 +10,6 @@ specs produce byte-identical stores.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -102,7 +101,6 @@ class TrainRunRecord:
     losses: list[float]
     accuracies: list[float]
     manifest_path: str
-    wall_clock_s: float
     checkpoints: list[Checkpoint] = field(repr=False)  # the store's, not in record.json
 
 
@@ -240,7 +238,6 @@ def train(spec: TrainSpec, out_dir, schedule: Schedule | None = None) -> TrainRu
     0 is the initialization; later checkpoints land after every
     ckpt_every-th epoch and after the final epoch.
     """
-    t0 = time.monotonic()
     out_dir = Path(out_dir)
     if schedule is None:
         schedule = draw_schedule(spec)
@@ -284,11 +281,10 @@ def train(spec: TrainSpec, out_dir, schedule: Schedule | None = None) -> TrainRu
         losses=losses,
         accuracies=accuracies,
         manifest_path=str(manifest_path),
-        wall_clock_s=time.monotonic() - t0,
         checkpoints=checkpoints,
     )
     doc = {k: v for k, v in vars(record).items() if k != "checkpoints"}
-    (out_dir / "record.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (out_dir / "record.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return record
 
 

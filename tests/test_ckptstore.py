@@ -66,6 +66,8 @@ def test_round_trip_single_tensor(tmp_path):
 def test_zero_tensors_rejected(tmp_path):
     with pytest.raises(InvalidCheckpoint):
         write_checkpoint(Checkpoint(index=0, label="", tensors=[]), tmp_path / "x")
+    with pytest.raises(InvalidCheckpoint, match="2-D"):  # points, not one (n, p) matrix
+        TrajectoryStore.from_arrays([1.0, 2.0])
 
 
 def test_identical_content_identical_bytes(tmp_path):
@@ -93,12 +95,20 @@ def test_unsupported_version(tmp_path):
         read_checkpoint(path)
 
 
-def test_truncated_file(tmp_path):
-    path = tmp_path / "t"
-    write_checkpoint(simple_ckpt(), path)
-    path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(TruncatedFile):
-        read_checkpoint(path)
+def test_truncated_file(tmp_path, capsys):
+    # cut inside the payload, then inside the header's version and count
+    full = tmp_path / "full"
+    write_checkpoint(simple_ckpt(), full)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "checkpoints": [{"index": 0, "path": "t"}]}))
+    for end in (-5, 12):
+        path = tmp_path / "t"
+        path.write_bytes(full.read_bytes()[:end])
+        with pytest.raises(TruncatedFile):
+            read_checkpoint(path)
+        assert main(["map", "--manifest", str(manifest), "--out", str(tmp_path / "m")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "TruncatedFile"
 
 
 def test_length_mismatch_rejected():
@@ -349,10 +359,14 @@ def test_lazy_open_reads_headers_only(tmp_path, monkeypatch):
         raising=False,
     )
 
-    def no_whole_file_reads(self):
-        raise AssertionError(f"read_bytes({self})")
+    read_bytes = Path.read_bytes
 
-    monkeypatch.setattr(Path, "read_bytes", no_whole_file_reads)
+    def manifest_only(self):  # the manifest is the one file read whole
+        if self != manifest:
+            raise AssertionError(f"read_bytes({self})")
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", manifest_only)
     lazy = open_store(manifest)
     assert not lazy.is_cached
     # magic + version/count, then per tensor name length, name, dtype/rank, dims

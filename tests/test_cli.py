@@ -557,6 +557,9 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
         (["train"], {"grid": []}, (1, "UsageError")),
         (["train"], {"train": {"layer_sizes": [3, 4, 2]}}, (1, "UsageError")),
         (["train"], {"train": {"eta": 1e6, "epochs": 3}}, (2, "NonFiniteLoss")),
+        # one full batch: its loss is finite, the update overflows the evaluated one
+        (["train"], {"train": {"eta": 1e300, "epochs": 1, "batch_size": 256}},
+         (2, "NonFiniteLoss")),
         # json reads 10**400 as an int, which no float holds
         (["theory", "lemma"], {"eigenvalues": [10**400]}, (1, "UsageError")),
         (["train"], {"train": {"eta_schedule": [[0, 10**400]]}}, (1, "UsageError")),
@@ -588,7 +591,7 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
          (1, "UsageError")),
     ],
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
-         "train-layers", "train-diverges", "lemma-huge-int", "schedule-huge-int",
+         "train-layers", "train-diverges", "train-diverges-at-evaluation", "lemma-huge-int", "schedule-huge-int",
          "lemma-out-of-memory", "lemma-nan", "eos-infinity", "eos-past-range",
          "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan",
          "grid-later-entry-invalid", "grid-name-nul", "grid-name-dotdot",
@@ -635,6 +638,21 @@ def test_indefinite_gram_is_invariant_violation(linear_manifest, tmp_path, capsy
     argv = ["spectra", "--manifest", linear_manifest, "--out", str(out)]
     assert run_error(argv, capsys) == (3, "NegativeGramEigenvalue")
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("encoding", ["utf-16-le", "utf-32-be"])
+def test_json_inputs_may_use_any_rfc_8259_encoding(linear_manifest, tmp_path, capsys, encoding):
+    # read from bytes, whatever the locale; json tells the encodings apart
+    manifest = json.loads(Path(linear_manifest).read_bytes())
+    manifest["checkpoints"][0]["label"] = "\u03b80"
+    path = tmp_path / "store" / "wide.json"
+    path.write_bytes(json.dumps(manifest, ensure_ascii=False).encode(encoding))
+    with open_store(path) as store:
+        assert store.labels[0] == "\u03b80"
+    params = tmp_path / "p.json"
+    params.write_bytes(json.dumps({"steps": 12}).encode(encoding))
+    assert main(["theory", "lemma", "--params", str(params), "--out", str(tmp_path / "l")]) == 0
+    assert json.loads(capsys.readouterr().out)["pairs"] == 6
 
 
 def test_hallmarks_bad_lag_is_usage_error(linear_manifest, tmp_path, capsys):
@@ -743,10 +761,10 @@ def test_spec_data_object_overrides_only_the_keys_it_names(tmp_path, capsys, mon
 # --- hallmarks: the Gram pass and the series stream side by side ---
 
 
-def child_env(**extra) -> dict:
+def child_env() -> dict:
     """The environment of a child interpreter that imports this trajkit."""
     path = [str(Path(ckptstore.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def points_store(points, path, dtype=Dtype.F64, sizes=None) -> str:
@@ -922,37 +940,3 @@ def test_theory_width_overflow_is_data_error(tmp_path, capsys):
         argv = ["theory", "width", "--params", str(params), "--out", str(out)]
         assert run_error(argv, capsys) == (2, "NonFiniteIterate")
         assert not (out / "width.json").exists()
-
-
-def test_map_spectra_and_train_do_not_depend_on_blas_threads(tmp_path):
-    # p = 9 000 > 2 x 4096, past the length from which OpenBLAS splits one
-    # dot over its threads; the series are left out, as their step products
-    # are full-vector dots
-    rng = np.random.default_rng(11)
-    points = np.cumsum(rng.standard_normal((32, 9000)), axis=0)
-    manifest = points_store(points, tmp_path / "store", Dtype.F32, sizes=[5000, 4000])
-    spec = tmp_path / "spec.json"
-    spec.write_text('{"train": {"epochs": 2}}')
-    runs = {
-        "map": ["map", "--manifest", manifest],
-        "map_tau": ["map", "--manifest", manifest, "--origin", "ckpt:3"],
-        "spectra": ["spectra", "--manifest", manifest],
-        "train": ["train", "--spec", str(spec)],
-    }
-    child = ("import json, sys; from trajkit.cli import main; "
-             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
-    outputs = []
-    for blas_threads in ("1", "2"):
-        out = tmp_path / blas_threads
-        argvs = [[*argv, "--out", str(out / name)] for name, argv in runs.items()]
-        done = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)],
-                              env=child_env(OPENBLAS_NUM_THREADS=blas_threads),
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        # record.json holds the run's wall clock and paths besides its losses
-        record = json.loads((out / "train" / "record.json").read_text())
-        files = {f.relative_to(out): f.read_bytes() for f in out.rglob("*")
-                 if f.is_file() and f.name != "record.json"}
-        outputs.append((files, record["losses"], record["accuracies"]))
-    assert len(outputs[0][0]) == 2 + 2 + 4 + 3 + 1  # the 2-epoch store: 3 checkpoints
-    assert outputs[0] == outputs[1]

@@ -11,6 +11,8 @@ def test_xoshiro_known_outputs():
     # state (1,2,3,4): first output rotl(2*5,7)*9 = 11520, second 0
     r = Rng.from_state([1, 2, 3, 4])
     assert list(r.uint64(2)) == [11520, 0]
+    with pytest.raises(ValueError, match="4 words"):
+        Rng.from_state([1, 2, 3])
 
 
 def test_seeded_streams_reproduce():

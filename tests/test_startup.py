@@ -1,7 +1,8 @@
 """What each CLI process loads, and the tracing contract that lazy loading
 must keep: a function wrapped in its owner module is the one every caller
 reaches, whenever the caller's module was first loaded. Every exported
-name has a caller outside the tests."""
+name has a caller outside the tests. A process's output files depend on
+its inputs alone, not on its locale, hash seed or BLAS threads."""
 
 import ast
 import importlib
@@ -146,17 +147,14 @@ def run_cli(argv: list[str]) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def tree(out: Path) -> dict[str, bytes]:
+    """Every file under ``out``, by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 def taken_outputs(out: Path) -> dict:
-    """Every file under ``out`` by relative path, record.json without its
-    wall clock; ``out`` is removed, so the next run writes the same paths."""
-    files = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file():
-            data = path.read_bytes()
-            if path.name == "record.json":
-                data = json.loads(data)
-                del data["wall_clock_s"]
-            files[str(path.relative_to(out))] = data
+    """tree(out); ``out`` is removed, so the next run writes the same paths."""
+    files = tree(out)
     shutil.rmtree(out)
     return files
 
@@ -302,6 +300,92 @@ def test_no_module_imports_a_name_it_does_not_use():
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+# A baseline, an ASCII locale and a second BLAS thread: none may change a byte.
+ENVIRONMENTS = {
+    "baseline": {"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0"},
+    "ascii": {"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "1", "LC_ALL": "C",
+              "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+    "blas": {"OPENBLAS_NUM_THREADS": "2", "PYTHONHASHSEED": "0"},
+}
+
+# Every verb, by relative paths from the child's working directory: map at
+# both origins, from the manifest write_store writes (its labels \u-escaped)
+# and from the same manifest in raw UTF-8, which the other verbs read too
+EVERY_VERB = {
+    "map": ["map", "--manifest", "store/manifest.json"],
+    "map-ckpt3": ["map", "--manifest", "store/utf8.json", "--origin", "ckpt:3", "--threads", "2"],
+    "hallmarks": ["hallmarks", "--manifest", "store/utf8.json", "--measure", "all"],
+    "spectra": ["spectra", "--manifest", "store/utf8.json"],
+    "grid": ["train", "--spec", "grid.json"],
+    "train": ["train", "--spec", "train.json"],
+    "lemma": ["theory", "lemma"],
+    "eos": ["theory", "eos", "--params", "eos.json"],
+    "width": ["theory", "width", "--params", "width.json"],
+}
+
+EVERY_VERB_BY_MAIN = """
+import json, sys, traceback
+from trajkit.cli import main
+codes = []
+for name, argv in json.loads(sys.argv[1]).items():
+    try:
+        codes.append(main([*argv, "--out", "out/" + name]))
+    except Exception:  # reported on stderr; the next verb still runs
+        traceback.print_exc()
+        codes.append(1)
+print(json.dumps(codes))
+"""
+
+
+def test_every_output_is_a_function_of_its_inputs(tmp_path):
+    # p = 9 000 over two tensors and widths 128 and 256 (vec(W) of 16 384 and
+    # 65 536 values) are past the length from which OpenBLAS splits one dot
+    # over its threads; the labels are not ASCII. The hallmark series CSVs
+    # are left out of the BLAS comparison: their step products are
+    # full-vector dots
+    inputs = tmp_path / "inputs"
+    walk = np.cumsum(np.random.default_rng(11).standard_normal((32, 9000)), axis=0)
+    ckpts = [trajkit.Checkpoint(i, f"\u03b8{i}", [
+        trajkit.TensorRecord("a", trajkit.Dtype.F32, (5000,), row[:5000].astype(np.float32)),
+        trajkit.TensorRecord("b", trajkit.Dtype.F32, (4000,), row[5000:].astype(np.float32)),
+    ]) for i, row in enumerate(walk)]
+    manifest = trajkit.write_store(ckpts, inputs / "store")
+    raw = json.dumps(json.loads(manifest.read_bytes()), ensure_ascii=False)
+    (inputs / "store" / "utf8.json").write_bytes(raw.encode("utf-8"))
+    for name, doc in [("grid.json", TRAIN_SPEC), ("train.json", {"train": {"epochs": 2}}),
+                      ("eos.json", {"steps": 10}), ("width.json", {"widths": [128, 256]})]:
+        (inputs / name).write_bytes(json.dumps(doc).encode())
+    outputs = {}
+    for name, extra in ENVIRONMENTS.items():
+        cwd = tmp_path / name
+        shutil.copytree(inputs, cwd)
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", EVERY_VERB_BY_MAIN, json.dumps(EVERY_VERB)],
+            cwd=cwd, env={**child_env(), **extra}, capture_output=True, timeout=300)
+        assert (done.returncode, done.stderr.decode(errors="replace")) == (0, ""), name
+        assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(EVERY_VERB), name
+        outputs[name] = done.stdout, tree(cwd / "out")
+    assert {path.partition("/")[0] for path in outputs["baseline"][1]} == set(EVERY_VERB)
+    assert outputs["ascii"] == outputs["baseline"]
+    series = {path for path in outputs["baseline"][1]
+              if path.startswith("hallmarks/") and path.endswith(".csv")}
+    assert len(series) == len(cli.ALL_MEASURES)
+    stdout, files = outputs["blas"]
+    assert stdout == outputs["baseline"][0]
+    assert {p: b for p, b in files.items() if p not in series} == {
+        p: b for p, b in outputs["baseline"][1].items() if p not in series}
+
+
+def test_top_level_help_is_for_users(capsys):
+    # the module docstring is for readers of the code
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    helptext = capsys.readouterr().out
+    assert "``" not in helptext and "os._exit" not in helptext
+    assert all(verb in helptext for verb in ("map", "hallmarks", "spectra", "theory", "train"))
 
 
 def test_all_measures_are_the_hallmark_kinds(capsys):

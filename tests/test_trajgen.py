@@ -45,7 +45,7 @@ def small_spec(**overrides):
 
 def dir_digest(root: Path) -> str:
     """Every file's name and bytes, with record.json's losses and accuracies
-    but not its wall clock or manifest path, which differ between runs."""
+    but not its manifest path, which names the run's directory."""
     h = hashlib.sha256()
     for path in sorted(root.rglob("*")):
         if not path.is_file():
@@ -53,7 +53,7 @@ def dir_digest(root: Path) -> str:
         data = path.read_bytes()
         if path.name == "record.json":
             doc = json.loads(data)
-            del doc["wall_clock_s"], doc["manifest_path"]
+            del doc["manifest_path"]
             data = json.dumps(doc).encode()
         h.update(path.name.encode())
         h.update(data)
@@ -288,6 +288,9 @@ def test_spec_validation():
     for mult in (-1.0, 0.0):
         with pytest.raises(ValueError, match="multipliers must be positive"):
             small_spec(eta_schedule=((5, mult),))
+    for empty in ({"samples_per_class": 0}, {"dim": 0}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            BlobSpec(**empty)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
