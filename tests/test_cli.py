@@ -591,7 +591,8 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
          (1, "UsageError")),
     ],
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
-         "train-layers", "train-diverges", "train-diverges-at-evaluation", "lemma-huge-int", "schedule-huge-int",
+         "train-layers", "train-diverges", "train-diverges-at-evaluation", "lemma-huge-int",
+         "schedule-huge-int",
          "lemma-out-of-memory", "lemma-nan", "eos-infinity", "eos-past-range",
          "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan",
          "grid-later-entry-invalid", "grid-name-nul", "grid-name-dotdot",
