@@ -762,10 +762,10 @@ def test_spec_data_object_overrides_only_the_keys_it_names(tmp_path, capsys, mon
 # --- hallmarks: the Gram pass and the series stream side by side ---
 
 
-def child_env() -> dict:
+def child_env(**extra) -> dict:
     """The environment of a child interpreter that imports this trajkit."""
     path = [str(Path(ckptstore.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
 
 
 def points_store(points, path, dtype=Dtype.F64, sizes=None) -> str:
@@ -941,3 +941,37 @@ def test_theory_width_overflow_is_data_error(tmp_path, capsys):
         argv = ["theory", "width", "--params", str(params), "--out", str(out)]
         assert run_error(argv, capsys) == (2, "NonFiniteIterate")
         assert not (out / "width.json").exists()
+
+
+def test_map_spectra_and_train_do_not_depend_on_blas_threads(tmp_path):
+    # p = 9 000 > 2 x 4096, past the length from which OpenBLAS splits one
+    # dot over its threads; the series are left out, as their step products
+    # are full-vector dots
+    rng = np.random.default_rng(11)
+    points = np.cumsum(rng.standard_normal((32, 9000)), axis=0)
+    manifest = points_store(points, tmp_path / "store", Dtype.F32, sizes=[5000, 4000])
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"train": {"epochs": 2}}', encoding="utf-8")
+    runs = {
+        "map": ["map", "--manifest", manifest],
+        "map_tau": ["map", "--manifest", manifest, "--origin", "ckpt:3"],
+        "spectra": ["spectra", "--manifest", manifest],
+        "train": ["train", "--spec", str(spec)],
+    }
+    child = ("import json, sys; from trajkit.cli import main; "
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    outputs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / blas_threads
+        argvs = [[*argv, "--out", str(out / name)] for name, argv in runs.items()]
+        done = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)],
+                              env=child_env(OPENBLAS_NUM_THREADS=blas_threads),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        # record.json holds the run's manifest path, which names its --out
+        record = json.loads((out / "train" / "record.json").read_bytes())
+        files = {f.relative_to(out): f.read_bytes() for f in out.rglob("*")
+                 if f.is_file() and f.name != "record.json"}
+        outputs.append((files, record["losses"], record["accuracies"]))
+    assert len(outputs[0][0]) == 2 + 2 + 4 + 3 + 1  # the 2-epoch store: 3 checkpoints
+    assert outputs[0] == outputs[1]

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajkit
 from trajkit import (
     QuadraticSpec,
     WidthSpec,
@@ -297,3 +302,21 @@ def test_width_fixture_slope():
         (4096, "0x1.fff057143bf65p-1", "0x1.f51d788136000p-14"),
     ]
     assert curve.fitted_loglog_slope.hex() == "-0x1.cf1030b6c06a5p-1"
+
+
+def test_width_json_does_not_depend_on_blas_threads(tmp_path):
+    # vec(W) of widths 128 and 256 holds 16 384 and 65 536 values, past the
+    # length from which OpenBLAS splits one dot over its threads
+    params = tmp_path / "w.json"
+    params.write_text('{"widths": [128, 256]}', encoding="utf-8")
+    src = str(Path(trajkit.__file__).parents[1])
+    files = []
+    for blas_threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / blas_threads
+        argv = ["theory", "width", "--params", str(params), "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "trajkit.cli", *argv], env=env, check=True,
+                       capture_output=True, timeout=120)
+        files.append((out / "width.json").read_bytes())
+    assert files[0] == files[1]
