@@ -10,18 +10,22 @@
 2. Large-width alignment: with O(1/sqrt(n)) initialisation and O(1/n)
    rank-1 feature updates, cos(vec(W_T), vec(W_0)) -> 1 as width grows,
    with 1 - cos shrinking like 1/n.
+
+The quadratic checks (simulate_quadratic, lemma_bounds, eos_angle_sweep)
+run in Python floats, with every sum taken by math.fsum: they import no
+numpy, except to build a rotated M. width_alignment imports numpy and
+the generator when it runs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from operator import mul
 
 from . import angles
 from .errors import BoundViolation, DegenerateVector, NonFiniteIterate, require_finite
-from .rng import Rng
 
 
 @dataclass
@@ -60,12 +64,17 @@ class QuadraticSpec:
         """Learning rate for the step producing theta_t (1-based)."""
         return self.eta[min(t - 1, len(self.eta) - 1)]
 
-    def matrix(self) -> np.ndarray:
-        lam = np.diag(self.eigenvalues)
+    def matrix(self) -> list[list[float]]:
+        """M, as a list of its rows."""
         if self.rotation_seed == 0:
-            return lam
+            return [[lam if i == j else 0.0 for j in range(self.dim)]
+                    for i, lam in enumerate(self.eigenvalues)]
+        import numpy as np
+
+        from .rng import Rng
+
         q = Rng(self.rotation_seed).orthogonal(self.dim)
-        return q @ lam @ q.T
+        return (q @ np.diag(self.eigenvalues) @ q.T).tolist()
 
 
 # 1-D quadratics whose update pair can be recursed by hand.
@@ -88,35 +97,83 @@ EOS_STEPS = 120
 
 @dataclass
 class QuadraticTrace:
-    thetas: np.ndarray  # (S+1, d)
-    deltas: np.ndarray  # (S, d), deltas[t-1] = theta_t - theta_{t-1}
-    inner_products: np.ndarray  # (S-1,), [t-1] = <Delta_t, Delta_{t+1}>
+    """float64 memoryviews over array('d') buffers, read as trace.thetas[t, j]
+    or through .tolist(); np.asarray turns each into an ndarray of the same
+    shape without a copy."""
+
+    thetas: memoryview  # (S+1, d)
+    deltas: memoryview  # (S, d), deltas[t-1] = theta_t - theta_{t-1}
+    inner_products: memoryview  # (S-1,), [t-1] = <Delta_t, Delta_{t+1}>
+
+
+def _zeros(size: int) -> array:
+    """``size`` float64 zeros, allocated at once, so that a trace the
+    process cannot map fails before the first step."""
+    try:
+        return array("d", [0.0]) * size
+    except OverflowError:  # more values than an index can count: a bad parameter
+        raise ValueError(f"a trace of {size} float64 values exceeds the address space") from None
+    except MemoryError:
+        raise MemoryError(f"cannot allocate a trace of {size} float64 values") from None
+
+
+def _shaped(buf: array, *shape: int) -> memoryview:
+    return memoryview(buf).cast("B").cast("d", shape)
+
+
+def _fsum(partials) -> float:
+    """The correctly rounded sum of float64 partials; NaN when they
+    overflow float64 or hold inf and -inf. It adds every row and dot
+    product and the eos mean of the quadratic checks, and width_alignment's
+    np.dot partials over 4096-element slices: BLAS runs a dot of one slice
+    on one thread, so that sum is fixed by the length alone, where a single
+    np.dot over whole vectors sums in an order that depends on how many
+    threads BLAS splits it over."""
+    try:
+        return math.fsum(partials)
+    except (OverflowError, ValueError):  # finite partials overflow, or inf - inf
+        return math.nan
+
+
+def _dot(a, b) -> float:
+    return _fsum(map(mul, a, b))
 
 
 def simulate_quadratic(spec: QuadraticSpec, steps: int) -> QuadraticTrace:
     """Gradient descent with one-step momentum, buffer reset every 2 steps.
 
     Odd steps are plain descent; even steps add the momentum correction
-    -mu*eta_{t-1}*(M+aI)*theta_{t-2} inside the update.
+    -mu*eta_{t-1}*(M+aI)*theta_{t-2} inside the update. Each entry of a
+    product (M+aI)*theta is the fsum of its row's products.
     """
     if steps < 2:
         raise ValueError("need at least 2 steps for an update pair")
-    a = spec.matrix() + spec.alpha * np.eye(spec.dim)
-    thetas = np.empty((steps + 1, spec.dim))
-    thetas[0] = spec.theta_init
-    # overflow on divergence is expected and reported via NonFiniteIterate
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, steps + 1):
-            eta_t = spec.eta_at(t)
-            grad = a @ thetas[t - 1]
-            if t % 2 == 0 and spec.mu > 0:
-                grad = grad - spec.mu * spec.eta_at(t - 1) * (a @ thetas[t - 2])
-            thetas[t] = thetas[t - 1] - eta_t * grad
-            if not np.all(np.isfinite(thetas[t])):
-                raise NonFiniteIterate(f"iterate diverged at step {t}")
-    deltas = np.diff(thetas, axis=0)
-    inner = np.einsum("ij,ij->i", deltas[:-1], deltas[1:])
-    return QuadraticTrace(thetas=thetas, deltas=deltas, inner_products=inner)
+    d = spec.dim
+    a = [[m + spec.alpha if i == j else m for j, m in enumerate(row)]
+         for i, row in enumerate(spec.matrix())]
+    thetas, deltas, inner = _zeros((steps + 1) * d), _zeros(steps * d), _zeros(steps - 1)
+    theta = spec.theta_init
+    thetas[:d] = array("d", theta)
+    grad = delta = None
+    for t in range(1, steps + 1):
+        eta_t = spec.eta_at(t)
+        grad, last_grad = [_dot(row, theta) for row in a], grad  # (M+aI) theta_{t-1}, _{t-2}
+        move = grad
+        if t % 2 == 0 and spec.mu > 0:
+            c = spec.mu * spec.eta_at(t - 1)
+            move = [g - c * h for g, h in zip(grad, last_grad)]
+        # an overflow makes an entry inf or, through _fsum, NaN
+        new = [x - eta_t * m for x, m in zip(theta, move)]
+        if not all(map(math.isfinite, new)):
+            raise NonFiniteIterate(f"iterate diverged at step {t}")
+        delta, last_delta = [y - x for x, y in zip(theta, new)], delta
+        thetas[t * d:(t + 1) * d] = array("d", new)
+        deltas[(t - 1) * d:t * d] = array("d", delta)
+        if t >= 2:
+            inner[t - 2] = _dot(last_delta, delta)
+        theta = new
+    return QuadraticTrace(thetas=_shaped(thetas, steps + 1, d), deltas=_shaped(deltas, steps, d),
+                          inner_products=_shaped(inner, steps - 1))
 
 
 @dataclass
@@ -148,22 +205,24 @@ def lemma_bounds(spec: QuadraticSpec, trace: QuadraticTrace) -> LemmaBoundReport
     raises BoundViolation. A pair whose update product or bounds overflow
     float64 raises NonFiniteIterate, as a diverging iterate does.
     """
-    lam = np.asarray(spec.eigenvalues)
     report = LemmaBoundReport()
-    steps = trace.deltas.shape[0]
-    for t in range(1, steps, 2):  # momentum applies at step t+1
+    thetas = trace.thetas.tolist()
+    inner = trace.inner_products.tolist()
+    for t in range(1, len(thetas) - 1, 2):  # momentum applies at step t+1
         eta_t = spec.eta_at(t)
         eta_t1 = spec.eta_at(t + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            scale = eta_t * eta_t1 * float(np.dot(trace.thetas[t - 1], trace.thetas[t - 1]))
-            g = (1.0 - spec.mu * eta_t - eta_t * spec.alpha - eta_t * lam) * (lam + spec.alpha) ** 2
-        z_upper = scale * float(np.max(g))
-        z_lower = scale * float(np.min(g))
-        paper_upper = scale * float(g[-1])  # closed form at lambda_d
-        paper_lower = scale * float(g[0])  # closed form at lambda_1
-        observed = float(trace.inner_products[t - 1])
-        # the four bounds are finite only if scale and every g are
-        if not all(map(math.isfinite, (z_upper, z_lower, paper_upper, paper_lower, observed))):
+        theta = thetas[t - 1]
+        scale = eta_t * eta_t1 * _dot(theta, theta)
+        g = [(1.0 - spec.mu * eta_t - eta_t * spec.alpha - eta_t * lam)
+             * ((lam + spec.alpha) * (lam + spec.alpha)) for lam in spec.eigenvalues]
+        z_upper = scale * max(g)
+        z_lower = scale * min(g)
+        paper_upper = scale * g[-1]  # closed form at lambda_d
+        paper_lower = scale * g[0]  # closed form at lambda_1
+        observed = inner[t - 1]
+        # max and min pass over a NaN in g; with every g finite, the four
+        # bounds are finite only if scale is
+        if not all(map(math.isfinite, (*g, z_upper, z_lower, paper_upper, paper_lower, observed))):
             raise NonFiniteIterate(f"pair at t={t}: its update product or bounds overflow float64")
         tol = 1e-9 * (1.0 + abs(observed))
         satisfied = z_lower - tol <= observed <= z_upper + tol
@@ -221,17 +280,19 @@ def eos_angle_sweep(
         # Each update is scaled by a power of two that brings its largest
         # entry into [0.5, 1): the angles are bit-identical, and the squares
         # of a fast-diverging but still finite run no longer overflow.
-        _, exponents = np.frexp(np.abs(trace.deltas).max(axis=1))
-        d = np.ldexp(trace.deltas, -exponents[:, None])
-        squares = np.einsum("ij,ij->i", d, d).tolist()
-        inner = np.einsum("ij,ij->i", d[:-1], d[1:]).tolist()
+        d = []
+        for delta in trace.deltas.tolist():
+            exponent = math.frexp(max(map(abs, delta)))[1]
+            d.append([math.ldexp(x, -exponent) for x in delta])
+        squares = [_dot(u, u) for u in d]
+        inner = [_dot(u, v) for u, v in zip(d, d[1:])]
         half = []
         for t in range(len(inner) // 2, len(inner)):
             try:
                 half.append(angles.angle_degrees(inner[t], squares[t], squares[t + 1]))
             except DegenerateVector:  # a zero update has no angle: skip the step
                 pass
-        mean = float(np.mean(half)) if half else None
+        mean = _fsum(half) / len(half) if half else None
         out.append(EosPoint(eta=eta, mean_angle_deg=mean))
     return out
 
@@ -267,18 +328,6 @@ class AlignmentCurve:
 _DOT_SLICE = 4096
 
 
-def _fsum(partials: tuple[float, ...]) -> float:
-    """The exact sum of np.dot partials over 4096-element slices; NaN when
-    the partials overflow float64. BLAS runs a dot of one slice on one
-    thread, so the sum is fixed by the length alone: a single np.dot over
-    whole vectors sums in an order that depends on how many threads BLAS
-    splits it over."""
-    try:
-        return math.fsum(partials)
-    except (OverflowError, ValueError):  # finite partials overflow, or inf - inf
-        return math.nan
-
-
 def width_alignment(spec: WidthSpec) -> AlignmentCurve:
     """Run the rank-1 feature-update experiment across widths.
 
@@ -294,6 +343,10 @@ def width_alignment(spec: WidthSpec) -> AlignmentCurve:
     dot partials before the next slice is built. A width peaks at two
     n x n float64 arrays (2 n^2 8 bytes), both inside the Gaussian draw.
     """
+    import numpy as np
+
+    from .rng import Rng
+
     master = Rng(spec.seed)
     points = []
     for n in spec.widths:

@@ -206,6 +206,41 @@ def jacobi_eigs(m: np.ndarray, max_sweeps: int = 100, tol: float = 1e-12) -> np.
     raise ArithmeticError(f"Jacobi did not converge in {max_sweeps} sweeps")
 
 
+def quadratic_oracle(m, alpha: float, mu: float, eta, theta_init, steps: int):
+    """Gradient descent with one-step momentum (buffer reset every 2 steps)
+    on the quadratic of A = M + alpha I, given the d x d matrix M, in long
+    double. Step t uses eta[min(t - 1, len(eta) - 1)]; an even step adds
+    -mu eta_{t-1} A theta_{t-2} to its gradient. Returns the iterates and
+    the inner products of successive updates, in long double."""
+    d = len(theta_init)
+    a = np.asarray(m, dtype=np.longdouble) + np.longdouble(alpha) * np.eye(d, dtype=np.longdouble)
+    etas = [np.longdouble(eta[min(t, len(eta) - 1)]) for t in range(steps)]  # etas[t - 1] = eta_t
+    thetas = np.empty((steps + 1, d), dtype=np.longdouble)
+    thetas[0] = np.asarray(theta_init, dtype=np.longdouble)
+    for t in range(1, steps + 1):
+        grad = a @ thetas[t - 1]
+        if t % 2 == 0 and mu > 0:
+            grad = grad - np.longdouble(mu) * etas[t - 2] * (a @ thetas[t - 2])
+        thetas[t] = thetas[t - 1] - etas[t - 1] * grad
+    deltas = np.diff(thetas, axis=0)
+    return thetas, np.einsum("ij,ij->i", deltas[:-1], deltas[1:])
+
+
+def z_bounds_oracle(m, alpha: float, mu: float, eta_t: float, eta_t1: float, theta):
+    """(lower, upper) bounds of <Delta_t, Delta_{t+1}> for an odd t: eta_t
+    eta_{t+1} |theta_{t-1}|^2 times the extreme eigenvalues of
+    Z = A ((1 - mu eta_t) I - eta_t A) A, A = M + alpha I, with Z built in
+    long double from the matrix and its eigenvalues found by Jacobi rotations."""
+    d = len(theta)
+    eye = np.eye(d, dtype=np.longdouble)
+    a = np.asarray(m, dtype=np.longdouble) + np.longdouble(alpha) * eye
+    z = a @ ((1 - np.longdouble(mu) * np.longdouble(eta_t)) * eye - np.longdouble(eta_t) * a) @ a
+    eigs = jacobi_eigs(np.asarray((z + z.T) / 2, dtype=np.float64))
+    theta = np.asarray(theta, dtype=np.longdouble)
+    scale = np.longdouble(eta_t) * np.longdouble(eta_t1) * (theta @ theta)
+    return float(scale * np.longdouble(eigs[-1])), float(scale * np.longdouble(eigs[0]))
+
+
 def xoshiro256ss(seed: int, n: int) -> tuple[list[int], tuple[int, int, int, int]]:
     """First ``n`` xoshiro256** outputs from a SplitMix64-seeded state, and
     the state after them, in plain integers after the published reference

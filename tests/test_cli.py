@@ -565,6 +565,8 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
         (["train"], {"train": {"eta_schedule": [[0, 10**400]]}}, (1, "UsageError")),
         # 728 TiB: no 64-bit address space maps it, so nothing is allocated
         (["theory", "lemma"], {"steps": 10**14}, (2, "OutOfMemory")),
+        # more float64 values than any index reaches
+        (["theory", "lemma"], {"steps": 10**19}, (1, "UsageError")),
         # a parameter file is strict JSON: no NaN or Infinity, no float past the range
         (["theory", "lemma"], '{"eta": [NaN]}', (1, "UsageError")),
         (["theory", "eos"], '{"eta_grid": [0.1, Infinity]}', (1, "UsageError")),
@@ -593,7 +595,7 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
          "train-layers", "train-diverges", "train-diverges-at-evaluation", "lemma-huge-int",
          "schedule-huge-int",
-         "lemma-out-of-memory", "lemma-nan", "eos-infinity", "eos-past-range",
+         "lemma-out-of-memory", "lemma-past-any-index", "lemma-nan", "eos-infinity", "eos-past-range",
          "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan",
          "grid-later-entry-invalid", "grid-name-nul", "grid-name-dotdot",
          "grid-name-report"],

@@ -39,7 +39,7 @@ EXPORTED = {
 
 BASE = {"trajkit", "trajkit.cli", "trajkit.errors"}
 ANALYSIS = BASE | {"trajkit.ckptstore", "trajkit.kernel", "trajkit.angles", "trajkit.report"}
-THEORY = BASE | {"trajkit.theory", "trajkit.angles", "trajkit.rng"}
+QUADRATIC = BASE | {"trajkit.theory", "trajkit.angles"}
 LOADED = {
     "--version": BASE,
     "map": ANALYSIS | {"trajkit.heatmap"},
@@ -47,10 +47,12 @@ LOADED = {
     "spectra": ANALYSIS | {"trajkit.spectral"},
     "train": BASE | {"trajkit.trajgen", "trajkit.ckptstore", "trajkit.kernel",
                      "trajkit.angles", "trajkit.hallmarks", "trajkit.rng"},
-    "lemma": THEORY,
-    "eos": THEORY,
-    "width": THEORY,
+    "lemma": QUADRATIC,
+    "eos": QUADRATIC,
+    "width": QUADRATIC | {"trajkit.rng"},
 }
+# the verbs that run in Python floats and import no numpy
+NUMPY_FREE = {"--version", "lemma", "eos"}
 
 TRAIN_SPEC = {
     "train": {"layer_sizes": [2, 4, 2], "data": {"samples_per_class": 8, "dim": 2},
@@ -109,7 +111,7 @@ try:
 except SystemExit as exc:  # --version
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "trajkit"),
-                  "concurrent.futures" in sys.modules]))
+                  "concurrent.futures" in sys.modules, "numpy" in sys.modules]))
 """
 
 
@@ -117,10 +119,42 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == 
 def test_each_verb_loads_only_its_modules(tmp_path, small_manifest, verb):
     # at --threads 1 no verb starts a thread pool, so none loads one
     argv = verb_argv(verb, tmp_path, small_manifest)
-    code, loaded, pool_loaded = run_child(LOADED_BY_MAIN, json.dumps(argv))
+    code, loaded, pool_loaded, numpy_loaded = run_child(LOADED_BY_MAIN, json.dumps(argv))
     assert code == 0
     assert set(loaded) == LOADED[verb]
     assert not pool_loaded
+    assert numpy_loaded == (verb not in NUMPY_FREE)
+
+
+QUADRATIC_VERBS = """
+import contextlib, io, json, sys
+if sys.argv[2] == "without-numpy":
+    sys.modules["numpy"] = None  # every import of numpy raises ImportError
+from trajkit.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_lemma_and_eos_run_without_numpy(tmp_path):
+    # the default fixtures and a parameter file, in a child that cannot
+    # import numpy and in an ordinary one
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"eigenvalues": [3.0, 1.0, 0.5], "mu": 0.5,
+                                  "theta_init": [1.0, -1.0, 2.0], "steps": 12}))
+    out = tmp_path / "out"
+    argv = [["theory", verb, *extra, "--out", str(out / f"{verb}{len(extra)}")]
+            for verb in ("lemma", "eos") for extra in ([], ["--params", str(params)])]
+    outputs = []
+    for child in ("without-numpy", "with-numpy"):
+        assert run_child(QUADRATIC_VERBS, json.dumps(argv), child) == [0] * len(argv)
+        outputs.append(taken_outputs(out))
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["eos0/eos.json", "eos2/eos.json", "lemma0/lemma.json",
+                                  "lemma2/lemma.json"]
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import trajkit
+from oracles import quadratic_oracle, z_bounds_oracle
 from trajkit import (
     QuadraticSpec,
     WidthSpec,
@@ -19,7 +21,9 @@ from trajkit import (
     width_alignment,
 )
 from trajkit import theory
+from trajkit.cli import main
 from trajkit.errors import NonFiniteIterate
+from trajkit.rng import Rng
 from trajkit.theory import (
     EOS_BASE,
     EOS_GRID,
@@ -50,7 +54,7 @@ def random_spec(rng):
 def test_plain_1d_fixture():
     # theta: 1 -> 0.8 -> 0.64; deltas -0.2, -0.16; ip = 0.032
     trace = simulate_quadratic(LEMMA_1D_PLAIN, LEMMA_STEPS)
-    np.testing.assert_allclose(trace.thetas.ravel(), [1.0, 0.8, 0.64], atol=1e-15)
+    np.testing.assert_allclose(np.asarray(trace.thetas).ravel(), [1.0, 0.8, 0.64], atol=1e-15)
     assert abs(trace.inner_products[0] - 0.032) <= 1e-12
     report = lemma_bounds(LEMMA_1D_PLAIN, trace)
     pair = report.pairs[0]
@@ -64,7 +68,7 @@ def test_momentum_1d_fixture():
     # a = 2.1; theta1 = 1 - 0.21 = 0.79
     # step 2 grad = 2.1*0.79 - 0.5*0.1*2.1*1 = 1.554; theta2 = 0.79 - 0.1554
     trace = simulate_quadratic(LEMMA_1D_MOMENTUM, LEMMA_STEPS)
-    np.testing.assert_allclose(trace.deltas.ravel(), [-0.21, -0.1554], atol=1e-12)
+    np.testing.assert_allclose(np.asarray(trace.deltas).ravel(), [-0.21, -0.1554], atol=1e-12)
     assert abs(trace.inner_products[0] - 0.032634) <= 1e-12
     report = lemma_bounds(LEMMA_1D_MOMENTUM, trace)
     assert report.all_satisfied
@@ -79,6 +83,55 @@ def test_random_specs_within_z_bounds(rng):
             continue
         report = lemma_bounds(spec, trace)
         assert report.all_satisfied
+
+
+def test_simulation_and_bounds_match_the_long_double_oracle():
+    # 200 seeded random specs, half of them rotated; the oracle's M is built
+    # here from the same orthogonal Q. A product that nearly cancels keeps
+    # no relative accuracy, so an update product is compared relative to
+    # |Delta_t| |Delta_{t+1}| and a Z bound relative to the larger bound
+    rng = np.random.default_rng(2025)
+    for case in range(200):
+        d = int(rng.integers(1, 9))
+        lam = sorted(rng.uniform(0.0, 10.0, d).tolist(), reverse=True)
+        spec = QuadraticSpec(
+            eigenvalues=lam,
+            alpha=float(rng.uniform(0.0, 1.0)),
+            mu=float(rng.uniform(0.0, 0.95)),
+            eta=tuple(rng.uniform(1e-3, 0.3, int(rng.integers(1, 4))).tolist()),
+            theta_init=tuple(rng.standard_normal(d).tolist()),
+            rotation_seed=int(rng.integers(1, 1000)) if case % 2 else 0,
+        )
+        m = np.diag(lam)
+        if spec.rotation_seed:
+            q = Rng(spec.rotation_seed).orthogonal(d)
+            m = q @ m @ q.T
+        trace = simulate_quadratic(spec, 8)
+        report = lemma_bounds(spec, trace)
+        thetas, inner = quadratic_oracle(m, spec.alpha, spec.mu, spec.eta, spec.theta_init, 8)
+        norms = np.sqrt(np.einsum("ij,ij->i", thetas, thetas))
+        got_norms = [math.sqrt(sum(x * x for x in row)) for row in trace.thetas.tolist()]
+        assert np.all(np.abs(got_norms - norms) <= 1e-12 * norms), case
+        deltas = np.diff(thetas, axis=0)
+        update_norms = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+        errors = np.abs(np.asarray(trace.inner_products) - inner)
+        assert np.all(errors <= 1e-12 * update_norms[:-1] * update_norms[1:]), case
+        for pair in report.pairs:
+            assert pair.observed == trace.inner_products[pair.t - 1]
+            lower, upper = z_bounds_oracle(m, spec.alpha, spec.mu, spec.eta_at(pair.t),
+                                           spec.eta_at(pair.t + 1), thetas[pair.t - 1])
+            tol = 1e-12 * max(abs(lower), abs(upper))
+            assert abs(pair.z_lower - lower) <= tol and abs(pair.z_upper - upper) <= tol, case
+
+
+def test_a_rotation_changes_the_iterates():
+    base = QuadraticSpec(eigenvalues=(5.0, 2.0, 0.5), mu=0.3, eta=(0.08,),
+                         theta_init=(1.0, -1.0, 2.0))
+    plain = simulate_quadratic(base, 6)
+    rotated = simulate_quadratic(replace(base, rotation_seed=42), 6)
+    assert plain.thetas.tolist()[0] == rotated.thetas.tolist()[0]
+    for got, other in zip(rotated.thetas.tolist()[1:], plain.thetas.tolist()[1:]):
+        assert max(abs(x - y) for x, y in zip(got, other)) > 1e-3
 
 
 def test_lower_bound_can_be_negative():
@@ -112,7 +165,7 @@ def test_mu_zero_matches_gd_closed_form(rng):
     theta0 = np.array(spec.theta_init)
     factor = 1.0 - 0.1 * (lam + 0.2)
     for t in range(9):
-        np.testing.assert_allclose(trace.thetas[t], factor**t * theta0, atol=1e-10)
+        np.testing.assert_allclose(np.asarray(trace.thetas)[t], factor**t * theta0, atol=1e-10)
 
 
 def test_inner_product_scale_covariance():
@@ -174,6 +227,73 @@ def test_spec_validation():
 def test_non_finite_spec_value_names_its_field(field, build, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
         build(value)
+
+
+# --- every number of lemma.json and eos.json ---
+
+_ROTATED = {"eigenvalues": [5.0, 2.0, 0.5], "alpha": 0.05, "mu": 0.8,
+            "theta_init": [1.0, -1.0, 2.0], "rotation_seed": 42}  # demo 03's spec
+_D5 = {"eigenvalues": [9.0, 4.5, 2.0, 0.75, 0.1], "alpha": 0.2, "mu": 0.6,
+       "theta_init": [1.0, -0.5, 0.25, 2.0, -1.5]}
+_OUTPUT_PARAMS = {
+    ("lemma", "default"): None,
+    ("lemma", "rotated"): {**_ROTATED, "eta": [0.12], "steps": 6},
+    ("lemma", "d5"): {**_D5, "eta": [0.05, 0.08, 0.11], "steps": 8},
+    ("eos", "default"): None,
+    ("eos", "rotated"): {**_ROTATED, "eta_grid": [0.05, 0.2, 0.3], "steps": 40},
+    ("eos", "d5"): {**_D5, "eta_grid": [0.02, 0.1, 0.2], "steps": 60},
+}
+# every float of the output file as float.hex, in document order
+_OUTPUT_PINS = {
+    ("lemma", "default"): ["0x1.0624dd2f1a9fcp-5"] + ["0x1.0624dd2f1a9fdp-5"] * 4,
+    ("lemma", "rotated"): [
+        "0x1.cbdb84129006ep-3", "0x1.66d78311cb624p-6", "0x1.50303af50d4c9p-1",
+        "0x1.50303af50d4c9p-1", "0x1.66d78311cb624p-6",
+        "0x1.1826269bbd28cp-5", "0x1.69815dcd40182p-7", "0x1.52af0a2aad8e0p-2",
+        "0x1.52af0a2aad8e0p-2", "0x1.69815dcd40182p-7",
+        "0x1.bd9c6b06b013dp-7", "0x1.f5d6f3fd0ad5bp-8", "0x1.d628ab13dc727p-3",
+        "0x1.d628ab13dc727p-3", "0x1.f5d6f3fd0ad5bp-8",
+    ],
+    ("lemma", "d5"): [
+        "0x1.a1de0bb971a63p-3", "0x1.54c91a90a4fe7p-9", "0x1.4e47d581a7348p+0",
+        "0x1.4e47d581a7348p+0", "0x1.54c91a90a4fe7p-9",
+        "0x1.27efaa5396d21p-5", "-0x1.b30289c4ef29ap-2", "0x1.2f7afca8d8b81p-1",
+        "-0x1.b30289c4ef29ap-2", "0x1.55f5ef25e2624p-8",
+        "0x1.5b5224f169fa5p-6", "-0x1.3da5d54b199dfp-2", "0x1.bb352f1a5c0e2p-2",
+        "-0x1.3da5d54b199dfp-2", "0x1.f367aafd0d48fp-9",
+        "0x1.c5ea8cdfa82bap-7", "-0x1.e1b782102b306p-3", "0x1.5010a673c8e92p-2",
+        "-0x1.e1b782102b306p-3", "0x1.7aad4a957a100p-9",
+    ],
+    ("eos", "default"): [
+        "0x1.47ae147ae147bp-7", "0x1.198ffda57e903p-5", "0x1.999999999999ap-5", "0x0.0p+0",
+        "0x1.999999999999ap-4", "0x0.0p+0", "0x1.1eb851eb851ecp-3", "0x0.0p+0",
+        "0x1.5c28f5c28f5c3p-3", "0x1.3df35c0aa5332p-8", "0x1.851eb851eb852p-3",
+        "0x1.67fe2604a2ba9p+7",
+    ],
+    ("eos", "rotated"): [
+        "0x1.999999999999ap-5", "0x1.13c30e558c38fp+0", "0x1.999999999999ap-3",
+        "0x1.3054f7c11695dp-7", "0x1.3333333333333p-2", "0x1.27a98de348706p+6",
+    ],
+    ("eos", "d5"): [
+        "0x1.47ae147ae147bp-6", "0x1.8a07cf1794143p-2", "0x1.999999999999ap-4",
+        "0x1.c388e5a0a7a6ap-1", "0x1.999999999999ap-3", "0x1.638175d563637p+7",
+    ],
+}
+
+
+@pytest.mark.parametrize("verb, case", list(_OUTPUT_PINS))
+def test_theory_outputs_pinned_bits(tmp_path, capsys, verb, case):
+    out = tmp_path / "out"
+    argv = ["theory", verb, "--out", str(out)]
+    if _OUTPUT_PARAMS[verb, case] is not None:
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(_OUTPUT_PARAMS[verb, case]), encoding="utf-8")
+        argv += ["--params", str(params)]
+    assert main(argv) == 0
+    floats = []
+    json.loads((out / f"{verb}.json").read_bytes(),
+               parse_float=lambda text: floats.append(float(text).hex()))
+    assert floats == _OUTPUT_PINS[verb, case]
 
 
 # --- edge of stability ---
