@@ -87,7 +87,13 @@ def _add_store_flags(p) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--select", action="append", metavar="GLOB")
     p.add_argument("--exclude", action="append", metavar="GLOB")
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument(
+        "--threads", type=_at_least(1), default=1, metavar="N",
+        help="threads to use; every output is the same for every N. The Gram pass reads on "
+        "the calling thread while the others multiply. Above one thread, hallmarks streams "
+        "its series on one of them, and the calling thread helps that stream once its Gram "
+        "pass is done. Default 1",
+    )
     p.add_argument(
         "--mem-budget", type=_at_least(0), default=2 << 30, metavar="BYTES",
         help="bounds the Gram pass's ring of n x 4096 float64 chunk buffers: at most "
@@ -213,9 +219,10 @@ def _hallmarks(args, requested: list[str], store) -> int:
     """The Gram pass for omega and omega0 and the series' stream are two
     reads of the store. At --threads 1 they run in turn; above it, one
     worker streams the series while the calling thread runs the Gram pass
-    on the other threads. Either way every value comes from the same call,
-    errors rank Gram pass, cosine maps, then series in requested order, and
-    nothing is written until every value is computed."""
+    on the other threads, then takes a share of the stream's products and
+    subtractions until the stream ends. Either way every value comes from
+    the same call, errors rank Gram pass, cosine maps, then series in
+    requested order, and nothing is written until every value is computed."""
     from .hallmarks import (
         AngularMeasureKind, NormMeasureKind, angular_series, mds, norm_series, require_points,
     )
@@ -230,10 +237,10 @@ def _hallmarks(args, requested: list[str], store) -> int:
     for measure in measures:  # before any payload is read
         require_points(measure, args.k, store.n_points)
 
-    def all_series():
+    def all_series(share=None):
         return [
             (angular_series if isinstance(m, AngularMeasureKind) else norm_series)(
-                store, m, k=args.k, sel=sel
+                store, m, k=args.k, sel=sel, share=share
             )
             for m in measures
         ]
@@ -244,11 +251,23 @@ def _hallmarks(args, requested: list[str], store) -> int:
     else:
         from concurrent.futures import ThreadPoolExecutor
 
+        from .share import Share
+
+        share = Share()
+
+        def stream():
+            try:
+                return all_series(share)
+            finally:
+                share.close()
+
         # leaving the block joins the worker, also when the Gram pass raises
         with ThreadPoolExecutor(max_workers=1) as pool:
-            stream = pool.submit(all_series)
-            gram, gram0 = gram_pair(store, sel, threads=min(args.threads - 1, slots))
-        series = stream.result
+            series = pool.submit(stream).result
+            try:
+                gram, gram0 = gram_pair(store, sel, threads=min(args.threads - 1, slots))
+            finally:  # the calling thread helps the stream until it ends
+                share.help()
     omega = mds(compute_cosine_map(gram))
     omega0 = None if gram0 is None else mds(compute_cosine_map(gram0))
     results = series()

@@ -10,9 +10,11 @@ of step inner products, streamed once per store, selection and lag.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from . import angles
 from .ckptstore import ALL, SelectionSpec, TrajectoryStore
 from .errors import DegenerateVector, InsufficientPoints, NonFinitePayload
 from .kernel import CosineMap
+
+if TYPE_CHECKING:
+    from .share import Share
 
 
 class AngularMeasureKind(enum.Enum):
@@ -76,9 +81,29 @@ _COLUMNS = (
 )
 
 
+# a job of the stream, on whichever thread runs it; the stream checks
+# every product, so overflow and NaN pass silently here
+@np.errstate(invalid="ignore", over="ignore")
+def _product(col: list, t: int, a: np.ndarray, b: np.ndarray) -> None:
+    col[t] = float(np.dot(a, b))
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    np.subtract(a, b, out=out)
+
+
+def _check(cols: dict, name: str, t: int) -> None:
+    if not math.isfinite(cols[name][t]):
+        raise NonFinitePayload(
+            f"{name} at step {t} is not finite: a checkpoint holds NaN or Inf, "
+            "or its products overflow float64"
+        )
+
+
 @np.errstate(invalid="ignore", over="ignore")  # dot() checks every product
 def _stream_products(
-    store: TrajectoryStore, sel: SelectionSpec | None, k: int
+    store: TrajectoryStore, sel: SelectionSpec | None, k: int, share: Share | None = None
 ) -> dict[str, list]:
     """The step table, from one pass that reads each checkpoint once, in
     order after theta_0 and theta_T (D needs both), and theta_T again at
@@ -87,20 +112,49 @@ def _stream_products(
     updates and the current step's vectors, where w = min(k, n - 1), since a
     lag past the store's end is never formed. That is at most 2 w + 8
     p-length vectors, and 8 at k = 1.
+
+    With a ``share``, each product, and each half of each subtraction,
+    is a job of a ``share.Batch``. Each product is still one full-vector
+    ``np.dot`` of the same two arrays and each subtraction element-wise,
+    and the products are checked in the order of the loop, so the table
+    is the same bit for bit, and so is the first error.
     """
     n = store.n_points
     last = n - 1
     w = min(k, last)
     cols = {name: [None] * n for name in _COLUMNS}
+    if share is not None:
+        from .share import Batch  # loaded only when a stream is shared
+
+        batch = Batch(share)
 
     def dot(name: str, t: int, a: np.ndarray, b: np.ndarray) -> None:
-        value = float(np.dot(a, b))
-        if not math.isfinite(value):
-            raise NonFinitePayload(
-                f"{name} at step {t} is not finite: a checkpoint holds NaN or Inf, "
-                "or its products overflow float64"
-            )
-        cols[name][t] = value
+        if share is None:
+            cols[name][t] = float(np.dot(a, b))
+            _check(cols, name, t)
+        else:
+            job = functools.partial(_product, cols[name], t, a, b)
+            batch.add([(job, functools.partial(_check, cols, name, t))], (a, b), ())
+
+    def subtract(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if share is None:
+            np.subtract(a, b, out=out)
+        else:
+            halves = (slice(None, out.size // 2), slice(out.size // 2, None))
+            batch.add([(functools.partial(_difference, a[h], b[h], out[h]), None)
+                       for h in halves], (a, b), (out,))
+        return out
+
+    def read(s: int) -> np.ndarray:
+        out = thetas[s % len(thetas)]
+        if share is None:
+            return store.flatten(s, sel, out=out)
+        batch.before_write(out)
+        try:
+            return store.flatten(s, sel, out=out)
+        except BaseException:
+            batch.run()  # a product of an earlier step fails first, as unshared
+            raise
 
     def ring(size: int) -> list[np.ndarray]:
         return [np.empty_like(first) for _ in range(size)]
@@ -117,12 +171,12 @@ def _stream_products(
     lags: deque = deque(maxlen=w)  # v_{s-2k} .. v_{s-k-1}
     prev_upd = None
     for s in range(n):
-        theta = store.flatten(s, sel, out=thetas[s % len(thetas)]) if s else first
+        theta = read(s) if s else first
         dot("theta_theta", s, theta, theta)
         dot("theta_init", s, theta, first)
         if s >= 1:
             t, prev = s - 1, window[-1]
-            upd = np.subtract(theta, prev, out=upds[s % 2])
+            upd = subtract(theta, prev, upds[s % 2])
             dot("upd_upd", t, upd, upd)
             dot("upd_theta", t, upd, prev)
             dot("upd_total", t, upd, total)
@@ -131,28 +185,32 @@ def _stream_products(
                 dot("upd_disp", t, upd, disp)  # disp still holds d_t
             prev_upd = upd
         # d_s replaces d_{s-1}, used for the last time just above; d_1 is kept
-        disp = np.subtract(theta, first, out=disp1 if s == 1 else disp_buf)
+        disp = subtract(theta, first, disp1 if s == 1 else disp_buf)
         dot("disp_disp", s, disp, disp)
         if s >= 1:
             dot("disp_first", s, disp, disp1)
             dot("disp_total", s, disp, total)
         if k > 1 and s >= k:
-            lag = np.subtract(theta, window[0], out=lag_bufs[s % len(lag_bufs)])
+            lag = subtract(theta, window[0], lag_bufs[s % len(lag_bufs)])
             dot("lag_lag", s - k, lag, lag)
             if len(lags) == k:
                 dot("lag_prev", s - k, lag, lags[0])
             lags.append(lag)
         window.append(theta)
+    if share is not None:
+        batch.run()
     if k == 1:
         cols["lag_lag"], cols["lag_prev"] = cols["upd_upd"], cols["upd_prev"]
     return cols
 
 
 def _step_products(
-    store: TrajectoryStore, k: int = 1, sel: SelectionSpec | None = None
+    store: TrajectoryStore, k: int = 1, sel: SelectionSpec | None = None,
+    share: Share | None = None,
 ) -> dict[str, list]:
     """The store's step table for lag k, streamed once per selection and k."""
-    return store.memo(("step_products", sel or ALL, k), lambda: _stream_products(store, sel, k))
+    return store.memo(("step_products", sel or ALL, k),
+                      lambda: _stream_products(store, sel, k, share))
 
 
 def _rows(k: int) -> dict:
@@ -201,11 +259,11 @@ def require_points(
         )
 
 
-def _terms(store, measure, k: int, sel) -> list[tuple[int, object]]:
+def _terms(store, measure, k: int, sel, share) -> list[tuple[int, object]]:
     """(t, terms at step t) for every step of ``measure``'s row."""
     require_points(measure, k, store.n_points)
     first, short, terms, *_ = _rows(k)[measure]
-    cols = _step_products(store, k, sel)
+    cols = _step_products(store, k, sel, share)
     return [(t, terms(cols, t)) for t in range(first, store.n_points - short)]
 
 
@@ -214,9 +272,14 @@ def angular_series(
     measure: AngularMeasureKind,
     k: int = 1,
     sel: SelectionSpec | None = None,
+    *,
+    share: Share | None = None,
 ) -> ScalarSeries:
+    """``measure``'s series in degrees. With a ``share``, the threads that
+    call its ``help`` take part in the store's stream, when this call
+    runs it."""
     points = []
-    for t, (ab, aa, bb) in _terms(store, measure, k, sel):
+    for t, (ab, aa, bb) in _terms(store, measure, k, sel, share):
         try:
             points.append((t, angles.angle_degrees(ab, aa, bb)))
         except DegenerateVector as exc:
@@ -229,6 +292,9 @@ def norm_series(
     measure: NormMeasureKind,
     k: int = 1,
     sel: SelectionSpec | None = None,
+    *,
+    share: Share | None = None,
 ) -> ScalarSeries:
-    points = [(t, math.sqrt(square)) for t, square in _terms(store, measure, k, sel)]
+    """``measure``'s series of L2 norms; ``share`` as in ``angular_series``."""
+    points = [(t, math.sqrt(square)) for t, square in _terms(store, measure, k, sel, share)]
     return ScalarSeries(measure_id=measure.value, points=points, units="l2norm")

@@ -166,14 +166,6 @@ class Rng:
     def __init__(self, seed: int):
         self._state = np.array(splitmix64_stream(seed, 4), dtype=np.uint64)
 
-    @classmethod
-    def from_state(cls, state) -> "Rng":
-        rng = cls.__new__(cls)
-        rng._state = np.array(state, dtype=np.uint64)
-        if rng._state.shape != (4,):
-            raise ValueError("state must have 4 words")
-        return rng
-
     def uint64(self, n: int) -> np.ndarray:
         """The next ``n`` values of the stream (the one source of stream values)."""
         n = operator.index(n)
@@ -224,19 +216,11 @@ class Rng:
         bits = self.uint64(n) & np.uint64(1)
         return bits.astype(np.float64) * 2.0 - 1.0
 
-    def below(self, n: int) -> int:
-        """Unbiased integer in [0, n) by rejection."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        bound = _rejection_bound(n)
-        while True:
-            x = self.next_uint64()
-            if x < bound:
-                return x % n
-
     def shuffle(self, items) -> None:
         """In-place Fisher-Yates; takes the same values from the stream as
-        one ``below(i + 1)`` per position, drawn in batches."""
+        the serial form that draws each position i's j in [0, i + 1) by
+        rejection, one stream value at a time (``below`` in
+        tests/oracles.py), but drawn in batches."""
         i = len(items) - 1
         while i > 0:
             # One value per remaining position; a rejected value is skipped

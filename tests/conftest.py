@@ -1,5 +1,7 @@
 import json
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,31 @@ def strict_json(text: str):
         raise ValueError(f"{name} is not JSON")
 
     return json.loads(text, parse_constant=reject)
+
+
+def slow_stream_products(monkeypatch) -> list:
+    """Slows the products that the stream's thread runs itself, so that a
+    helper takes the ones offered to it; returns a list that gets True for
+    each product a helper ran."""
+    from trajkit import hallmarks
+
+    stream, product = hallmarks._stream_products, hallmarks._product
+    streaming, helped = [], []
+
+    def streamed(*args):
+        streaming.append(threading.current_thread())
+        return stream(*args)
+
+    def slowed(*args):
+        if threading.current_thread() in streaming:
+            time.sleep(1e-4)
+        else:
+            helped.append(True)
+        product(*args)
+
+    monkeypatch.setattr(hallmarks, "_stream_products", streamed)
+    monkeypatch.setattr(hallmarks, "_product", slowed)
+    return helped
 
 
 @pytest.fixture

@@ -271,6 +271,19 @@ def xoshiro256ss(seed: int, n: int) -> tuple[list[int], tuple[int, int, int, int
     return out, tuple(s)
 
 
+def below(rng, n: int) -> int:
+    """An unbiased integer in [0, n) from ``rng``'s stream by rejection, one
+    value at a time: the serial reference for ``Rng.shuffle``, which
+    takes the same values as one ``below(rng, i + 1)`` per position."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    bound = (1 << 64) - (1 << 64) % n
+    while True:
+        x = rng.next_uint64()
+        if x < bound:
+            return x % n
+
+
 HEATMAP_STOPS = (
     (0.00, (255, 255, 255)),
     (0.25, (199, 199, 229)),

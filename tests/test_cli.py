@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import in_memory_store, mixed_dtype_store, strict_json
+from conftest import in_memory_store, mixed_dtype_store, slow_stream_products, strict_json
 from trajkit import (
     Checkpoint,
     Dtype,
@@ -850,9 +850,10 @@ def straddling_f32_store(path, n=9) -> str:
     return points_store(points, path, Dtype.F32, sizes=[3000, 5000, 4500])
 
 
-@pytest.mark.parametrize("k", ["1", "2"])
+@pytest.mark.parametrize("k", ["1", "2", "5"])
 def test_hallmarks_outputs_identical_across_threads_and_reruns(tmp_path, k):
-    manifest = straddling_f32_store(tmp_path / "store")
+    # lagged_updates at k needs 2 k + 1 checkpoints
+    manifest = straddling_f32_store(tmp_path / "store", n=max(9, 2 * int(k) + 1))
 
     def outputs(threads: str, run: int) -> dict[str, bytes]:
         out = tmp_path / "out"  # summary.json names its series files
@@ -932,6 +933,149 @@ def test_hallmarks_error_is_the_gram_pass_at_every_thread_count(tmp_path, capsys
     assert lines[0] == lines[1] == lines[2]
     error = json.loads(lines[0])
     assert error["error"] == "NonFinitePayload" and "Gram entry" in error["detail"]
+
+
+def step_table_bits(cols: dict) -> dict:
+    return {name: [None if v is None else v.hex() for v in col] for name, col in cols.items()}
+
+
+@pytest.mark.parametrize("join", ["start", "mid", "never"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_shared_stream_gives_the_same_step_table(tmp_path, monkeypatch, k, join):
+    from trajkit import hallmarks
+    from trajkit.share import Share
+
+    store = open_store(straddling_f32_store(tmp_path / "store"))
+    want = step_table_bits(hallmarks._stream_products(store, None, k))
+    share = Share()
+    helper = threading.Thread(target=share.help)
+    flatten = TrajectoryStore.flatten
+
+    def joined_at(self, i, sel=None, **kwargs):
+        if i == 4:  # read once, at the stream's fifth step
+            helper.start()
+        return flatten(self, i, sel, **kwargs)
+
+    if join == "start":
+        helper.start()
+    elif join == "mid":
+        monkeypatch.setattr(TrajectoryStore, "flatten", joined_at)
+    helped = slow_stream_products(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = step_table_bits(hallmarks._stream_products(store, None, k, share))
+    finally:
+        sys.setswitchinterval(interval)
+        share.close()
+        if helper.is_alive():
+            helper.join(timeout=60)
+    assert not helper.is_alive()
+    assert got == want
+    assert bool(helped) == (join != "never")
+
+
+def test_hallmarks_calling_thread_joins_the_stream_mid_way(tmp_path, monkeypatch):
+    # the Gram pass ends only once the stream has read checkpoint 5 of 9
+    manifest = straddling_f32_store(tmp_path / "store")
+    gram_pair, flatten = kernel.gram_pair, TrajectoryStore.flatten
+    halfway = threading.Event()
+
+    def slowed(store, sel=None, *, threads):
+        assert halfway.wait(timeout=60)
+        return gram_pair(store, sel, threads=threads)
+
+    def read(self, i, sel=None, **kwargs):
+        if i == 5:
+            halfway.set()
+        return flatten(self, i, sel, **kwargs)
+
+    def outputs(threads: str) -> dict[str, bytes]:
+        out = tmp_path / "out"  # summary.json names its series files
+        argv = ["hallmarks", "--manifest", manifest, "--measure", "all", "--threads", threads,
+                "--out", str(out)]
+        assert main(argv) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        for f in out.iterdir():
+            f.unlink()
+        return files
+
+    want = outputs("1")
+    monkeypatch.setattr(TrajectoryStore, "flatten", read)
+    monkeypatch.setattr(kernel, "gram_pair", slowed)
+    helped = slow_stream_products(monkeypatch)
+    for threads in ("2", "3"):
+        halfway.clear()
+        assert outputs(threads) == want
+    assert helped
+
+
+# Runs main on argv[2:] with the products of the stream's own thread slowed,
+# so that the calling thread takes jobs once its Gram pass is done; with
+# argv[1] "raise", each product the calling thread runs raises instead
+SHARED_FAILURE_CHILD = """
+import json, sys, threading, time
+import numpy as np
+from trajkit.cli import main
+
+dot, on_main = np.dot, []
+
+def shared_dot(a, b):
+    if threading.current_thread() is threading.main_thread():
+        on_main.append(True)
+        if sys.argv[1] == "raise":
+            raise OSError("a product failed")
+    else:
+        time.sleep(2e-3)
+    return dot(a, b)
+
+np.dot = shared_dot
+baseline = threading.active_count()
+code = main(sys.argv[2:])
+print(json.dumps([code, threading.active_count() - baseline, bool(on_main)]))
+"""
+
+
+def failing_walk(case: str):
+    """A random walk of 16 checkpoints; a later one repeats (a zero update),
+    or one coordinate swings by 2.4e154 from step 8 (updates whose squares
+    overflow while every Gram entry stays finite)."""
+    rng = np.random.default_rng(23)
+    points = np.cumsum(rng.standard_normal((16, 20000)), axis=0)
+    if case == "degenerate":
+        points[13] = points[12]
+    elif case == "non_finite":
+        points[8:, 0] = [1.2e154 * (-1) ** t for t in range(8, 16)]
+    return points
+
+
+@pytest.mark.parametrize(
+    "case, mode, error",
+    [("degenerate", "slow", "DegenerateVector"), ("plain", "raise", "IoError"),
+     ("non_finite", "slow", "NonFinitePayload")],
+)
+def test_hallmarks_shared_stream_fails_as_one_thread_does(tmp_path, case, mode, error):
+    # a series error met while the calling thread helps, an error raised
+    # inside a job the calling thread runs, and overflowing products that
+    # both threads meet: each run reports --threads 1's line, writes
+    # nothing and leaves no thread behind
+    manifest = points_store(failing_walk(case), tmp_path / "store")
+    runs = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / threads
+        argv = ["hallmarks", "--manifest", manifest, "--measure", "all", "--threads", threads,
+                "--out", str(out)]
+        done = subprocess.run([sys.executable, "-c", SHARED_FAILURE_CHILD, mode, *argv],
+                              env=child_env(), capture_output=True, text=True, timeout=60)
+        code, left, helped = json.loads(done.stdout.splitlines()[-1])
+        assert (code, left, helped) == (2, 0, True)
+        assert not out.exists()
+        assert len(done.stderr.splitlines()) == 1
+        runs.append(done.stderr)
+    assert runs[0] == runs[1] == runs[2]
+    assert json.loads(runs[0])["error"] == error
+    if case == "non_finite":  # u_8 . u_8 is the first of five products at step 8 to overflow
+        assert json.loads(runs[0])["detail"].startswith("upd_upd at step 8 ")
 
 
 def test_theory_width_overflow_is_data_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from trajkit import (
 from trajkit.errors import DegenerateVector, InsufficientPoints, NonFinitePayload
 from trajkit.hallmarks import _stream_products, require_points
 
-from conftest import random_store
+from conftest import random_store, slow_stream_products
 
 
 def circle_store(n):
@@ -351,6 +352,54 @@ def test_stream_holds_two_vectors_per_lag_and_eight_more(rng, k):
     finally:
         tracemalloc.stop()
     assert peak < (vectors + 0.5) * p * 8
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_shared_stream_holds_the_same_vectors(rng, monkeypatch, k):
+    # a helper thread takes jobs: the halves of the subtractions and the
+    # jobs allocate no p-length temporaries
+    from trajkit import hallmarks
+    from trajkit.share import Share
+
+    n, p = 6, 1 << 16
+    store = random_store(rng, n, p)
+    vectors = 8 if k == 1 else 2 * min(k, n - 1) + 8
+    share = Share()
+    helper = threading.Thread(target=share.help)
+    helped = slow_stream_products(monkeypatch)
+    helper.start()
+    tracemalloc.start()
+    try:
+        hallmarks._stream_products(store, None, k, share)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        share.close()
+        helper.join(timeout=60)
+    assert not helper.is_alive()
+    assert helped
+    assert peak < (vectors + 0.5) * p * 8
+
+
+def test_shared_stream_reports_a_product_before_a_later_read_error(monkeypatch):
+    # d_3 . d_3 overflows while its product still waits in the batch, and
+    # the read of checkpoint 4 fails: as unshared, the product's error wins
+    from trajkit.share import Share
+
+    pts = np.array([[-1.2e154, 0.0], [0.0, 1.0], [0.0, 1.0], [1.2e154, 0.0], [0.0, 2.0],
+                    [0.0, 1.0]])
+    store = TrajectoryStore.from_arrays(pts)
+    flatten = TrajectoryStore.flatten
+
+    def failing(self, i, sel=None, **kwargs):
+        if i == 4:
+            raise OSError("checkpoint 4 is unreadable")
+        return flatten(self, i, sel, **kwargs)
+
+    monkeypatch.setattr(TrajectoryStore, "flatten", failing)
+    for share in (None, Share()):
+        with pytest.raises(NonFinitePayload, match="disp_disp at step 3 "):
+            _stream_products(store, None, 1, share)
 
 
 def test_non_finite_checkpoint_raises_in_series():

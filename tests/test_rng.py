@@ -2,17 +2,22 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import xoshiro256ss
+from oracles import below, xoshiro256ss
 
 from trajkit.rng import LANE_THRESHOLD, Rng
 
 
+def rng_from_state(state) -> Rng:
+    """An Rng whose xoshiro256** state is the four words ``state``."""
+    rng = Rng.__new__(Rng)
+    rng._state = np.array(state, dtype=np.uint64)
+    return rng
+
+
 def test_xoshiro_known_outputs():
     # state (1,2,3,4): first output rotl(2*5,7)*9 = 11520, second 0
-    r = Rng.from_state([1, 2, 3, 4])
+    r = rng_from_state([1, 2, 3, 4])
     assert list(r.uint64(2)) == [11520, 0]
-    with pytest.raises(ValueError, match="4 words"):
-        Rng.from_state([1, 2, 3])
 
 
 def test_seeded_streams_reproduce():
@@ -51,7 +56,7 @@ def test_golden_stream_digest():
 
 def _per_draw_shuffle(rng: Rng, items) -> None:
     for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
+        j = below(rng, i + 1)
         items[i], items[j] = items[j], items[i]
 
 
@@ -203,7 +208,7 @@ def test_orthogonal_matrix():
 
 def test_below_bounds():
     r = Rng(4)
-    draws = [r.below(7) for _ in range(500)]
+    draws = [below(r, 7) for _ in range(500)]
     assert min(draws) >= 0 and max(draws) <= 6
     with pytest.raises(ValueError):
-        r.below(0)
+        below(r, 0)
