@@ -220,11 +220,13 @@ def _hallmarks(args, requested: list[str], store) -> int:
     reads of the store. At --threads 1 they run in turn; above it, one
     worker streams the series while the calling thread runs the Gram pass
     on the other threads, then takes a share of the stream's products and
-    subtractions until the stream ends. Either way every value comes from
+    subtractions until the stream ends; that worker streams the step table
+    before it forms the series from it. Either way every value comes from
     the same call, errors rank Gram pass, cosine maps, then series in
     requested order, and nothing is written until every value is computed."""
     from .hallmarks import (
-        AngularMeasureKind, NormMeasureKind, angular_series, mds, norm_series, require_points,
+        AngularMeasureKind, NormMeasureKind, _step_products, angular_series, mds, norm_series,
+        require_points,
     )
     from .kernel import compute_cosine_map, gram_pair
     from .report import write_series_csv
@@ -237,10 +239,10 @@ def _hallmarks(args, requested: list[str], store) -> int:
     for measure in measures:  # before any payload is read
         require_points(measure, args.k, store.n_points)
 
-    def all_series(share=None):
+    def all_series():
         return [
             (angular_series if isinstance(m, AngularMeasureKind) else norm_series)(
-                store, m, k=args.k, sel=sel, share=share
+                store, m, k=args.k, sel=sel
             )
             for m in measures
         ]
@@ -257,9 +259,10 @@ def _hallmarks(args, requested: list[str], store) -> int:
 
         def stream():
             try:
-                return all_series(share)
+                _step_products(store, args.k, sel, share)  # the series read it from the memo
             finally:
                 share.close()
+            return all_series()
 
         # leaving the block joins the worker, also when the Gram pass raises
         with ThreadPoolExecutor(max_workers=1) as pool:

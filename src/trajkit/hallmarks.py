@@ -101,7 +101,7 @@ def _check(cols: dict, name: str, t: int) -> None:
         )
 
 
-@np.errstate(invalid="ignore", over="ignore")  # dot() checks every product
+@np.errstate(invalid="ignore", over="ignore")  # D may overflow: its products are checked
 def _stream_products(
     store: TrajectoryStore, sel: SelectionSpec | None, k: int, share: Share | None = None
 ) -> dict[str, list]:
@@ -113,47 +113,39 @@ def _stream_products(
     lag past the store's end is never formed. That is at most 2 w + 8
     p-length vectors, and 8 at k = 1.
 
-    With a ``share``, each product, and each half of each subtraction,
-    is a job of a ``share.Batch``. Each product is still one full-vector
-    ``np.dot`` of the same two arrays and each subtraction element-wise,
-    and the products are checked in the order of the loop, so the table
-    is the same bit for bit, and so is the first error.
+    Each product, and each half of each subtraction, is a job of a
+    ``share.Batch``, run through ``share``: the threads that call its
+    ``help`` take part, and with none (or no ``share``) the stream runs
+    every job itself. Each product is still one full-vector ``np.dot`` of
+    the same two arrays and each subtraction element-wise, and the products
+    are checked in the order of the loop, so the table is the same bit for
+    bit, and so is the first error, whichever thread runs a job.
     """
+    from .share import Batch, Share  # not loaded by train, which needs only mds
+
     n = store.n_points
     last = n - 1
     w = min(k, last)
     cols = {name: [None] * n for name in _COLUMNS}
-    if share is not None:
-        from .share import Batch  # loaded only when a stream is shared
-
-        batch = Batch(share)
+    batch = Batch(share or Share())
 
     def dot(name: str, t: int, a: np.ndarray, b: np.ndarray) -> None:
-        if share is None:
-            cols[name][t] = float(np.dot(a, b))
-            _check(cols, name, t)
-        else:
-            job = functools.partial(_product, cols[name], t, a, b)
-            batch.add([(job, functools.partial(_check, cols, name, t))], (a, b), ())
+        job = functools.partial(_product, cols[name], t, a, b)
+        batch.add([(job, functools.partial(_check, cols, name, t))], (a, b), ())
 
     def subtract(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if share is None:
-            np.subtract(a, b, out=out)
-        else:
-            halves = (slice(None, out.size // 2), slice(out.size // 2, None))
-            batch.add([(functools.partial(_difference, a[h], b[h], out[h]), None)
-                       for h in halves], (a, b), (out,))
+        halves = (slice(None, out.size // 2), slice(out.size // 2, None))
+        batch.add([(functools.partial(_difference, a[h], b[h], out[h]), None)
+                   for h in halves], (a, b), (out,))
         return out
 
     def read(s: int) -> np.ndarray:
         out = thetas[s % len(thetas)]
-        if share is None:
-            return store.flatten(s, sel, out=out)
         batch.before_write(out)
         try:
             return store.flatten(s, sel, out=out)
         except BaseException:
-            batch.run()  # a product of an earlier step fails first, as unshared
+            batch.run()  # a product of an earlier step fails first
             raise
 
     def ring(size: int) -> list[np.ndarray]:
@@ -197,8 +189,7 @@ def _stream_products(
                 dot("lag_prev", s - k, lag, lags[0])
             lags.append(lag)
         window.append(theta)
-    if share is not None:
-        batch.run()
+    batch.run()
     if k == 1:
         cols["lag_lag"], cols["lag_prev"] = cols["upd_upd"], cols["upd_prev"]
     return cols
@@ -259,11 +250,11 @@ def require_points(
         )
 
 
-def _terms(store, measure, k: int, sel, share) -> list[tuple[int, object]]:
+def _terms(store, measure, k: int, sel) -> list[tuple[int, object]]:
     """(t, terms at step t) for every step of ``measure``'s row."""
     require_points(measure, k, store.n_points)
     first, short, terms, *_ = _rows(k)[measure]
-    cols = _step_products(store, k, sel, share)
+    cols = _step_products(store, k, sel)
     return [(t, terms(cols, t)) for t in range(first, store.n_points - short)]
 
 
@@ -272,14 +263,9 @@ def angular_series(
     measure: AngularMeasureKind,
     k: int = 1,
     sel: SelectionSpec | None = None,
-    *,
-    share: Share | None = None,
 ) -> ScalarSeries:
-    """``measure``'s series in degrees. With a ``share``, the threads that
-    call its ``help`` take part in the store's stream, when this call
-    runs it."""
     points = []
-    for t, (ab, aa, bb) in _terms(store, measure, k, sel, share):
+    for t, (ab, aa, bb) in _terms(store, measure, k, sel):
         try:
             points.append((t, angles.angle_degrees(ab, aa, bb)))
         except DegenerateVector as exc:
@@ -292,9 +278,6 @@ def norm_series(
     measure: NormMeasureKind,
     k: int = 1,
     sel: SelectionSpec | None = None,
-    *,
-    share: Share | None = None,
 ) -> ScalarSeries:
-    """``measure``'s series of L2 norms; ``share`` as in ``angular_series``."""
-    points = [(t, math.sqrt(square)) for t, square in _terms(store, measure, k, sel, share)]
+    points = [(t, math.sqrt(square)) for t, square in _terms(store, measure, k, sel)]
     return ScalarSeries(measure_id=measure.value, points=points, units="l2norm")

@@ -3,9 +3,10 @@
 The hallmark series' stream (``hallmarks._stream_products``) puts its
 products and subtractions in a ``Batch`` and runs each batch through a
 ``Share``; ``hallmarks`` above one thread lets its calling thread help
-once its Gram pass is done. A job runs on whichever thread takes it, but
-the batch reports the first failure in the order the jobs were added, so
-the thread that ran a job never shows in a result or an error.
+once its Gram pass is done, and at one thread nothing helps. A job runs
+on whichever thread takes it, but the batch reports the first failure in
+the order the jobs were added, so the thread that ran a job never shows
+in a result or an error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ class Share:
 
     ``run`` offers every other job of a batch, runs the rest itself, then
     runs each offered job that no helper has claimed, and waits only on
-    the claimed ones. ``help`` runs offered jobs until ``close``.
+    the claimed ones. ``help`` runs offered jobs until ``close``. A share
+    that no thread helps runs every job on the thread that calls ``run``.
     """
 
     def __init__(self):
@@ -63,10 +65,12 @@ class Share:
                     return
                 job = self._offered.popleft()
                 self._claimed += 1
-            job()  # raises nothing: run's call keeps the exception
-            with self._cond:
-                self._claimed -= 1
-                self._cond.notify_all()
+            try:  # run's call keeps a job's exception; an interrupt still unclaims it
+                job()
+            finally:
+                with self._cond:
+                    self._claimed -= 1
+                    self._cond.notify_all()
 
     def close(self) -> None:
         with self._cond:

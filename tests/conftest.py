@@ -1,7 +1,6 @@
 import json
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -69,29 +68,60 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def slow_stream_products(monkeypatch) -> list:
-    """Slows the products that the stream's thread runs itself, so that a
-    helper takes the ones offered to it; returns a list that gets True for
-    each product a helper ran."""
-    from trajkit import hallmarks
+class WaitingStream:
+    """Patches ``Share`` so that a shared stream waits for its helper
+    instead of racing it: once a thread has entered a share's ``help``,
+    the first batch of two or more jobs that the share runs holds its first
+    job, which the stream's own thread runs, until a helper has run one of
+    the others. ``helped`` gets True for each job a helper ran; ``entered``
+    is set each time a thread enters ``help``."""
 
-    stream, product = hallmarks._stream_products, hallmarks._product
-    streaming, helped = [], []
+    def __init__(self, monkeypatch):
+        from trajkit.share import Share
 
-    def streamed(*args):
-        streaming.append(threading.current_thread())
-        return stream(*args)
+        run, help_ = Share.run, Share.help
+        self.helped, self.entered = [], threading.Event()
+        ran = {}  # share -> set once a helper has run one of its jobs
 
-    def slowed(*args):
-        if threading.current_thread() in streaming:
-            time.sleep(1e-4)
-        else:
-            helped.append(True)
-        product(*args)
+        def helping(share):
+            ran.setdefault(share, threading.Event())
+            self.entered.set()
+            help_(share)
 
-    monkeypatch.setattr(hallmarks, "_stream_products", streamed)
-    monkeypatch.setattr(hallmarks, "_product", slowed)
-    return helped
+        def running(share, jobs):
+            stream = threading.current_thread()
+
+            def tracked(job):
+                def call():
+                    if threading.current_thread() is not stream:
+                        self.helped.append(True)
+                        ran[share].set()
+                    job()
+
+                return call
+
+            jobs = [tracked(job) for job in jobs]
+            helper_ran = ran.get(share)
+            if helper_ran is not None and not helper_ran.is_set() and len(jobs) > 1:
+                first = jobs[0]
+
+                def held():
+                    assert helper_ran.wait(timeout=60)
+                    first()
+
+                jobs[0] = held
+            return run(share, jobs)
+
+        monkeypatch.setattr(Share, "run", running)
+        monkeypatch.setattr(Share, "help", helping)
+
+    def start_helper(self, share) -> threading.Thread:
+        """A thread that helps ``share``, started and inside ``help``."""
+        helper = threading.Thread(target=share.help)
+        self.entered.clear()
+        helper.start()
+        assert self.entered.wait(timeout=60)
+        return helper
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import in_memory_store, mixed_dtype_store, slow_stream_products, strict_json
+from conftest import WaitingStream, in_memory_store, mixed_dtype_store, strict_json
 from trajkit import (
     Checkpoint,
     Dtype,
@@ -947,20 +947,19 @@ def test_shared_stream_gives_the_same_step_table(tmp_path, monkeypatch, k, join)
 
     store = open_store(straddling_f32_store(tmp_path / "store"))
     want = step_table_bits(hallmarks._stream_products(store, None, k))
-    share = Share()
-    helper = threading.Thread(target=share.help)
+    share, helpers = Share(), []
     flatten = TrajectoryStore.flatten
+    waiting = WaitingStream(monkeypatch)
 
     def joined_at(self, i, sel=None, **kwargs):
         if i == 4:  # read once, at the stream's fifth step
-            helper.start()
+            helpers.append(waiting.start_helper(share))
         return flatten(self, i, sel, **kwargs)
 
     if join == "start":
-        helper.start()
+        helpers.append(waiting.start_helper(share))
     elif join == "mid":
         monkeypatch.setattr(TrajectoryStore, "flatten", joined_at)
-    helped = slow_stream_products(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -968,15 +967,16 @@ def test_shared_stream_gives_the_same_step_table(tmp_path, monkeypatch, k, join)
     finally:
         sys.setswitchinterval(interval)
         share.close()
-        if helper.is_alive():
+        for helper in helpers:
             helper.join(timeout=60)
-    assert not helper.is_alive()
+    assert not any(helper.is_alive() for helper in helpers)
     assert got == want
-    assert bool(helped) == (join != "never")
+    assert bool(waiting.helped) == (join != "never")
 
 
 def test_hallmarks_calling_thread_joins_the_stream_mid_way(tmp_path, monkeypatch):
-    # the Gram pass ends only once the stream has read checkpoint 5 of 9
+    # the Gram pass ends only once the stream has read checkpoint 5 of 9,
+    # and the stream reads on only once the calling thread helps it
     manifest = straddling_f32_store(tmp_path / "store")
     gram_pair, flatten = kernel.gram_pair, TrajectoryStore.flatten
     halfway = threading.Event()
@@ -988,6 +988,7 @@ def test_hallmarks_calling_thread_joins_the_stream_mid_way(tmp_path, monkeypatch
     def read(self, i, sel=None, **kwargs):
         if i == 5:
             halfway.set()
+            assert waiting.entered.wait(timeout=60)
         return flatten(self, i, sel, **kwargs)
 
     def outputs(threads: str) -> dict[str, bytes]:
@@ -1003,11 +1004,13 @@ def test_hallmarks_calling_thread_joins_the_stream_mid_way(tmp_path, monkeypatch
     want = outputs("1")
     monkeypatch.setattr(TrajectoryStore, "flatten", read)
     monkeypatch.setattr(kernel, "gram_pair", slowed)
-    helped = slow_stream_products(monkeypatch)
+    waiting = WaitingStream(monkeypatch)
     for threads in ("2", "3"):
         halfway.clear()
+        waiting.entered.clear()
+        waiting.helped.clear()
         assert outputs(threads) == want
-    assert helped
+        assert waiting.helped
 
 
 # Runs main on argv[2:] with the products of the stream's own thread slowed,

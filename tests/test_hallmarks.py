@@ -1,4 +1,3 @@
-import threading
 import tracemalloc
 
 import numpy as np
@@ -26,7 +25,7 @@ from trajkit import (
 from trajkit.errors import DegenerateVector, InsufficientPoints, NonFinitePayload
 from trajkit.hallmarks import _stream_products, require_points
 
-from conftest import random_store, slow_stream_products
+from conftest import WaitingStream, random_store
 
 
 def circle_store(n):
@@ -365,9 +364,8 @@ def test_shared_stream_holds_the_same_vectors(rng, monkeypatch, k):
     store = random_store(rng, n, p)
     vectors = 8 if k == 1 else 2 * min(k, n - 1) + 8
     share = Share()
-    helper = threading.Thread(target=share.help)
-    helped = slow_stream_products(monkeypatch)
-    helper.start()
+    waiting = WaitingStream(monkeypatch)
+    helper = waiting.start_helper(share)
     tracemalloc.start()
     try:
         hallmarks._stream_products(store, None, k, share)
@@ -377,7 +375,7 @@ def test_shared_stream_holds_the_same_vectors(rng, monkeypatch, k):
         share.close()
         helper.join(timeout=60)
     assert not helper.is_alive()
-    assert helped
+    assert waiting.helped
     assert peak < (vectors + 0.5) * p * 8
 
 

@@ -43,7 +43,7 @@ QUADRATIC = BASE | {"trajkit.theory", "trajkit.angles"}
 LOADED = {
     "--version": BASE,
     "map": ANALYSIS | {"trajkit.heatmap"},
-    "hallmarks": ANALYSIS | {"trajkit.hallmarks"},
+    "hallmarks": ANALYSIS | {"trajkit.hallmarks", "trajkit.share"},
     "spectra": ANALYSIS | {"trajkit.spectral"},
     "train": BASE | {"trajkit.trajgen", "trajkit.ckptstore", "trajkit.kernel",
                      "trajkit.angles", "trajkit.hallmarks", "trajkit.rng"},
