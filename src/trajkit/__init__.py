@@ -18,11 +18,11 @@ _EXPORTS = {
         "open_store", "read_checkpoint", "write_checkpoint", "write_store",
     ),
     "hallmarks": (
-        "AngularMeasureKind", "NormMeasureKind", "ScalarSeries", "angular_series", "mds",
+        "AngularMeasureKind", "NormMeasureKind", "ScalarSeries", "angular_series",
         "norm_series",
     ),
     "kernel": (
-        "CosineMap", "GramMatrix", "compute_cosine_map", "compute_gram", "gram_pair",
+        "CosineMap", "GramMatrix", "compute_cosine_map", "compute_gram", "gram_pair", "mds",
         "trajectory_map",
     ),
     "spectral": ("MatrixId", "SpectralSummary", "symmetric_eigenvalues", "trajectory_spectra"),

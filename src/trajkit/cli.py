@@ -225,10 +225,10 @@ def _hallmarks(args, requested: list[str], store) -> int:
     the same call, errors rank Gram pass, cosine maps, then series in
     requested order, and nothing is written until every value is computed."""
     from .hallmarks import (
-        AngularMeasureKind, NormMeasureKind, _step_products, angular_series, mds, norm_series,
+        AngularMeasureKind, NormMeasureKind, _step_products, angular_series, norm_series,
         require_points,
     )
-    from .kernel import compute_cosine_map, gram_pair
+    from .kernel import compute_cosine_map, gram_pair, mds
     from .report import write_series_csv
 
     sel = _selection(args)

@@ -1,10 +1,9 @@
 """Quantitative trajectory hallmarks.
 
-MDS (mean directional similarity) is the mean of all n^2 entries of a
-cosine map, equivalently the squared norm of the average unit-normalized
-trajectory point. The angular and norm measure families are per-step
-series over the flattened checkpoints; all of them derive from one table
-of step inner products, streamed once per store, selection and lag.
+The angular and norm measure families are per-step series over the
+flattened checkpoints; all of them derive from one table of step inner
+products, streamed once per store, selection and lag. MDS, the third
+hallmark, is ``kernel.mds`` of a cosine map.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 from . import angles
 from .ckptstore import ALL, SelectionSpec, TrajectoryStore
 from .errors import DegenerateVector, InsufficientPoints, NonFinitePayload
-from .kernel import CosineMap
 
 if TYPE_CHECKING:
     from .share import Share
@@ -50,15 +48,6 @@ class ScalarSeries:
     measure_id: str
     points: list[tuple[int, float]]
     units: str  # "degrees" or "l2norm"
-
-
-def mds(cosmap: CosineMap) -> float:
-    """omega = (1/n^2) * sum of all cosine-map entries, diagonal included.
-
-    The relative MDS at checkpoint tau is
-    ``mds(compute_cosine_map(compute_gram(store, tau)))``.
-    """
-    return float(np.mean(cosmap.values))
 
 
 # The step table: one column per inner product the hallmark series use,

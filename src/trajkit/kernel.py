@@ -12,6 +12,10 @@ reads the chunks, from any store, into a ring of reused buffers; the
 shift, done in place, and the product run on worker threads while the
 next chunk is read. Per chunk, a pass allocates only the n x n partial
 and the read's staging row of payload-dtype values.
+
+MDS (mean directional similarity) is the mean of all n^2 entries of a
+cosine map, equivalently the squared norm of the average unit-normalized
+trajectory point.
 """
 
 from __future__ import annotations
@@ -226,6 +230,15 @@ def compute_cosine_map(gram: GramMatrix) -> CosineMap:
     np.clip(values, -1.0, 1.0, out=values)
     np.fill_diagonal(values, 1.0)
     return CosineMap(values=values, point_labels=list(gram.point_labels))
+
+
+def mds(cosmap: CosineMap) -> float:
+    """omega = (1/n^2) * sum of all cosine-map entries, diagonal included.
+
+    The relative MDS at checkpoint tau is
+    ``mds(compute_cosine_map(compute_gram(store, tau)))``.
+    """
+    return float(np.mean(cosmap.values))
 
 
 def trajectory_map(

@@ -14,14 +14,20 @@ ahead is T^i applied to the state, a 256 x 256 bit-matrix power
 generators", 2008). A draw of n values is cut into L lanes of
 M = 2^floor(log2(n - 1) / 2) consecutive values. Lane l starts at
 T^(l M) applied to the state, and the lanes step together as numpy
-uint64 operations. The values, and the state after the draw, are
-bit-identical to the serial stream. Shorter draws run the serial loop:
-there, building the powers of T once per process (about 15 ms) would
-cost more than it saves.
+uint64 operations, _BLOCK steps at a time into a small (_BLOCK, L)
+block that the draw consumes before the next: ``uint64`` copies it into
+its output. The values, and the state after the draw, are bit-identical
+to the serial stream. Shorter draws run the serial loop: there,
+building the powers of T once per process (about 15 ms) would cost more
+than it saves.
 
-A Gaussian draw of n values takes 2 ceil(n / 2) stream values in one
-draw, u1 || u2, so it runs in lanes from 2^15 values on; Box-Muller then
-runs in place in those uniforms.
+A Gaussian draw of n values takes the next 2 ceil(n / 2) stream values,
+u1 || u2, so it runs in lanes from 2^15 values on. Its u1 lanes start at
+the state and its u2 lanes ceil(n / 2) steps ahead, a jump by T^(2^i)
+for each set bit i of ceil(n / 2), and all of them step as one set of
+lanes. Each block then holds both halves of its pairs, and Box-Muller
+writes their normals straight into the output: the uniforms are never
+held whole, and the draw holds one float64 array of its size.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import numpy as np
 _MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53_INV = 2.0 ** -53
 LANE_THRESHOLD = 1 << 15
+_BLOCK = 16  # steps per lane block
 
 
 def splitmix64_stream(seed: int, n: int) -> list[int]:
@@ -133,26 +140,91 @@ def _power(k: int) -> np.ndarray:
     return np.unpackbits(_packed_power(k), axis=1).astype(np.float32)
 
 
-def _fill_lanes(state: np.ndarray, n: int) -> np.ndarray:
-    """The next ``n`` values, run in lanes; advances ``state`` by ``n`` steps."""
+def _lane_starts(states: np.ndarray, n: int) -> tuple[int, int, np.ndarray]:
+    """(m, last, starts): the next ``n`` values from each row of ``states``
+    as L lanes of 2^m steps, the last lane taking ``last`` of them.
+    starts[i L + l] is states[i] moved l 2^m steps."""
     m = ((n - 1).bit_length() - 1) // 2
-    steps = 1 << m
-    lanes = -(-n // steps)
-    starts = _bits(state[None, :])
+    lanes = -(-n // (1 << m))
+    rows = lanes * states.shape[0]
+    starts = _bits(states)
     k = m
-    while starts.shape[0] < lanes:  # doubling: starts l and l + 2^(k-m) are T^(2^k) apart
+    while starts.shape[0] < rows:  # doubling: lanes l and l + 2^(k-m) are T^(2^k) apart
         starts = np.concatenate([starts, _mod2(starts @ _power(k))])
         k += 1
-    s = list(_words(starts[:lanes]).T.copy())
-    buf = np.empty(lanes * steps, dtype=np.uint64)
-    grid = buf.reshape(lanes, steps)
-    r, t = np.empty(lanes, dtype=np.uint64), np.empty(lanes, dtype=np.uint64)
-    last = n - (lanes - 1) * steps  # steps the last lane takes within the draw
-    for j in range(steps):
-        _step_lanes(s, grid[:, j], r, t)
-        if j + 1 == last:
-            state[:] = [w[-1] for w in s]
-    return buf[:n]
+    starts = _words(starts[:rows]).reshape(lanes, -1, 4).swapaxes(0, 1)  # by state, then lane
+    return m, n - ((lanes - 1) << m), starts.reshape(rows, 4)
+
+
+def _jump(state: np.ndarray, k: int) -> np.ndarray:
+    """The state ``k`` steps ahead of ``state``."""
+    row = _bits(state[None, :])
+    for i in range(k.bit_length()):
+        if k >> i & 1:
+            row = _mod2(row @ _power(i))
+    return _words(row)[0]
+
+
+def _lane_blocks(starts: np.ndarray, m: int, last: int, state: np.ndarray):
+    """Step one lane from each row of ``starts`` 2^m steps, _BLOCK at a time.
+
+    Yields (j0, block) with block[j, l] the output of lane l at its step
+    j0 + j; the block is overwritten by the next one. ``state`` becomes
+    that of the last lane after its first ``last`` steps.
+    """
+    s = list(starts.T.copy())
+    block = np.empty((_BLOCK, starts.shape[0]), dtype=np.uint64)
+    r, t = np.empty_like(block[0]), np.empty_like(block[0])
+    for j0 in range(0, 1 << m, _BLOCK):
+        for j in range(_BLOCK):
+            _step_lanes(s, block[j], r, t)
+            if j0 + j + 1 == last:
+                state[:] = [w[-1] for w in s]
+        yield j0, block
+
+
+def _gaussian_lanes(state: np.ndarray, pairs: int) -> np.ndarray:
+    """Box-Muller on the next 2 ``pairs`` values, run in lanes; advances
+    ``state`` by 2 ``pairs`` steps.
+
+    The u1 lanes start at ``state`` and the u2 lanes ``pairs`` steps
+    further, and all of them step together, so each block gives the
+    uniforms of both halves of its pairs at once.
+    """
+    m, last, starts = _lane_starts(np.stack([state, _jump(state, pairs)]), pairs)
+    lanes = starts.shape[0] // 2
+    z = np.empty(2 * (lanes << m), dtype=np.float64)
+    pair = z.reshape(lanes, 1 << m, 2)  # pair i = l 2^m + j is lane l's step j
+    u = np.empty((2 * lanes, _BLOCK), dtype=np.float64)  # lane-major, as z is
+    u1, u2 = u[:lanes], u[lanes:]
+    cos = np.empty_like(u1)
+    for j0, block in _lane_blocks(starts, m, last, state):
+        _to_uniform(block.T, u)
+        _box_muller(u1, u2, cos, u2)  # contiguous: a strided 2-D out makes numpy buffer
+        pair[:, j0 : j0 + _BLOCK, 0] = cos
+        pair[:, j0 : j0 + _BLOCK, 1] = u2
+    return z
+
+
+def _to_uniform(bits: np.ndarray, out: np.ndarray) -> None:
+    """Uniforms in (0, 1] from stream values; shifts ``bits`` in place."""
+    bits >>= np.uint64(11)
+    np.copyto(out, bits)
+    out += 1.0
+    out *= _TWO53_INV
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray, even: np.ndarray, odd: np.ndarray) -> None:
+    """even = r cos(a) and odd = r sin(a), with r = sqrt(-2 log(u1)) and
+    a = 2 pi u2; overwrites u1 and u2, and ``odd`` may be ``u2``."""
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * math.pi
+    np.cos(u2, out=even)
+    np.sin(u2, out=odd)
+    even *= u1
+    odd *= u1
 
 
 def _rejection_bound(n: int) -> int:
@@ -167,10 +239,16 @@ class Rng:
         self._state = np.array(splitmix64_stream(seed, 4), dtype=np.uint64)
 
     def uint64(self, n: int) -> np.ndarray:
-        """The next ``n`` values of the stream (the one source of stream values)."""
+        """The next ``n`` values of the stream. Every draw takes its values
+        here except a Gaussian draw in lanes, which steps its own."""
         n = operator.index(n)
         if n >= LANE_THRESHOLD:
-            return _fill_lanes(self._state, n)
+            m, last, starts = _lane_starts(self._state[None, :], n)
+            out = np.empty(starts.shape[0] << m, dtype=np.uint64)
+            grid = out.reshape(-1, 1 << m)
+            for j0, block in _lane_blocks(starts, m, last, self._state):
+                grid[:, j0 : j0 + _BLOCK] = block.T
+            return out[:n]
         out = np.empty(n, dtype=np.uint64)
         _fill_serial(self._state, out)
         return out
@@ -185,30 +263,23 @@ class Rng:
     def uniform(self, n: int) -> np.ndarray:
         """Uniforms in (0, 1]; the +1 keeps log() finite for Box-Muller."""
         bits = self.uint64(n)
-        bits >>= np.uint64(11)
-        u = bits.astype(np.float64)
-        u += 1.0
-        u *= _TWO53_INV
+        u = np.empty(n, dtype=np.float64)
+        _to_uniform(bits, u)
         return u
 
     def gaussian(self, n: int) -> np.ndarray:
-        """Standard normals by Box-Muller on u1 || u2 = uniform(2 * pairs),
-        one draw of 2 * ceil(n / 2) stream values: z[2i] = r_i cos(a_i) and
+        """Standard normals by Box-Muller on u1 || u2, the next 2 * pairs
+        stream values with pairs = ceil(n / 2): z[2i] = r_i cos(a_i) and
         z[2i + 1] = r_i sin(a_i), with r_i = sqrt(-2 log(u1_i)) and
-        a_i = 2 pi u2_i. The transform runs in place in the uniforms, so a
-        draw peaks at two float64 arrays of its size, the uniforms and z."""
+        a_i = 2 pi u2_i. From LANE_THRESHOLD values on, u1 and u2 come
+        from lanes in blocks and go straight into z, so a draw holds one
+        float64 array of its size."""
         pairs = (n + 1) // 2
+        if 2 * pairs >= LANE_THRESHOLD:
+            return _gaussian_lanes(self._state, pairs)[:n]
         u = self.uniform(2 * pairs)
-        radius, angle = u[:pairs], u[pairs:]
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle *= 2.0 * math.pi
         z = np.empty(2 * pairs, dtype=np.float64)
-        np.cos(angle, out=z[0::2])
-        np.sin(angle, out=z[1::2])
-        z[0::2] *= radius
-        z[1::2] *= radius
+        _box_muller(u[:pairs], u[pairs:], z[0::2], z[1::2])
         return z[:n]
 
     def rademacher(self, n: int) -> np.ndarray:

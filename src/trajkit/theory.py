@@ -340,8 +340,9 @@ def width_alignment(spec: WidthSpec) -> AlignmentCurve:
     is held once, in the buffer its Gaussians were drawn into. W_T is
     never held whole: each 4096-value slice of vec(W_T) is W0's slice
     minus the steps' updates of it, in step order, and gives its three
-    dot partials before the next slice is built. A width peaks at two
-    n x n float64 arrays (2 n^2 8 bytes), both inside the Gaussian draw.
+    dot partials before the next slice is built. A width peaks at one
+    n x n float64 array (n^2 8 bytes), W0, which the Gaussian draw fills
+    block by block.
     """
     import numpy as np
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ckptstore, hallmarks, kernel
+from . import ckptstore, kernel
 from .ckptstore import Checkpoint, Dtype, TensorRecord, TrajectoryStore
 from .errors import NonFiniteLoss, require_finite
 from .rng import Rng
@@ -323,6 +323,6 @@ def hyperparameter_grid(
         except NonFiniteLoss as exc:
             raise NonFiniteLoss(f"{name}: {exc}") from None
         store = TrajectoryStore.from_checkpoints(record.checkpoints)
-        results.append((name, hallmarks.mds(kernel.trajectory_map(store))))
+        results.append((name, kernel.mds(kernel.trajectory_map(store))))
         del record, store  # the next variant trains without this one's checkpoints
     return results

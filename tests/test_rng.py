@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +145,10 @@ _DRAW_DIGESTS = {
         32768: "c64d8ee3b1523d5bf2097ac02ae8185d0c571b27dd590c8dae63e8e948dfd86e",
         33124: "38a0eaa5c343700b05658cc6f5b39ac4847a0cb5289bc1f0e74057def587573d",
         65537: "b56e893df5afdc00a5c056238dc101635edf81a8ff198eeec971d76033aba3bc",
+        76810: "fe65b32ee83a51fe7c7b0334d9b15bc2587c11ef622ccae4e8e8d40e7ae290d9",
+        99999: "42b8b89fbc6b188cd4755b3e3991ce0cc4c97c7495b62055cd8558611dd627b2",
+        2**20: "03e7cb1ae1a8d7836e9ef248fb64148cdcba2e5675283d77e73e67a9c9cb29bb",
+        2**20 + 1: "c988143de4c19d314bb73b84ecf3357f3de34caed2dd7bc7643a0612076da856",
     },
     "uniform": {
         1: "b2e816a89aebb90b263f839c772af5747bc588a2f33989701a3774aae9dacdf0",
@@ -162,6 +168,9 @@ _DRAW_DIGESTS = {
         33124: "2a0c7e85c9d1c33c175a09034702f573306196ce6b19e19cdf9b9351af6b5e41",
         65537: "bbae4b8818c22bbbb15f606648e7f7c1989aa32c60d006ef2f188c8a2f676c1e",
     },
+    "uint64": {
+        2**20: "83d85668e04748f280776470db4a2058cb8ded5d05b36e10ff4cfc75147c3d79",
+    },
 }
 
 
@@ -172,6 +181,38 @@ def test_draw_digests(name):
         h = hashlib.sha256(getattr(r, name)(n).tobytes())
         h.update(r._state.tobytes())
         assert h.hexdigest() == digest, (name, n)
+
+
+@functools.cache
+def _oracle_state(n: int) -> tuple[int, int, int, int]:
+    return xoshiro256ss(2024, n)[1]
+
+
+# 76 810 Gaussians are 38 405 pairs: 300 lanes of 128 and a last lane of
+# 5 steps, shorter than a block. 99 999 are 50 000 pairs, whose 128-step
+# lanes do not divide them either.
+@pytest.mark.parametrize(
+    "name, n",
+    [("gaussian", 76_810), ("gaussian", 99_999), ("gaussian", 2**20), ("gaussian", 2**20 + 1),
+     ("uint64", 2**20)],
+)
+def test_lane_draw_ends_at_the_oracle_state(name, n):
+    r = Rng(2024)
+    getattr(r, name)(n)
+    values = 2 * ((n + 1) // 2) if name == "gaussian" else n
+    assert tuple(int(w) for w in r._state) == _oracle_state(values)
+
+
+def test_gaussian_peak_memory():
+    # z itself and the lane blocks: no second array of the draw's size
+    n = 2**20
+    tracemalloc.start()
+    try:
+        Rng(3).gaussian(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * 8, peak / (n * 8)
 
 
 def test_gaussian_moments():

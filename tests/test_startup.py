@@ -27,9 +27,9 @@ EXPORTED = {
                   "TrajectoryStore", "open_store", "read_checkpoint", "write_checkpoint",
                   "write_store"],
     "hallmarks": ["AngularMeasureKind", "NormMeasureKind", "ScalarSeries",
-                  "angular_series", "mds", "norm_series"],
+                  "angular_series", "norm_series"],
     "kernel": ["CosineMap", "GramMatrix", "compute_cosine_map", "compute_gram",
-               "gram_pair", "trajectory_map"],
+               "gram_pair", "mds", "trajectory_map"],
     "spectral": ["MatrixId", "SpectralSummary", "symmetric_eigenvalues", "trajectory_spectra"],
     "theory": ["AlignmentCurve", "LemmaBoundReport", "QuadraticSpec", "QuadraticTrace",
                "WidthSpec", "eos_angle_sweep", "lemma_bounds", "simulate_quadratic",
@@ -46,7 +46,7 @@ LOADED = {
     "hallmarks": ANALYSIS | {"trajkit.hallmarks", "trajkit.share"},
     "spectra": ANALYSIS | {"trajkit.spectral"},
     "train": BASE | {"trajkit.trajgen", "trajkit.ckptstore", "trajkit.kernel",
-                     "trajkit.angles", "trajkit.hallmarks", "trajkit.rng"},
+                     "trajkit.angles", "trajkit.rng"},
     "lemma": QUADRATIC,
     "eos": QUADRATIC,
     "width": QUADRATIC | {"trajkit.rng"},

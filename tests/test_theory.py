@@ -390,7 +390,7 @@ def test_width_alignment_pinned_bits(case):
 
 
 def test_width_alignment_peak_memory():
-    # W0 and the uniforms it is drawn from: two n x n float64 arrays
+    # W0, drawn in place from lane blocks: one n x n float64 array
     n = 512
     tracemalloc.start()
     try:
@@ -398,7 +398,7 @@ def test_width_alignment_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * n * n * 8, peak / (n * n * 8)
+    assert peak <= 1.25 * n * n * 8, peak / (n * n * 8)
 
 
 def test_width_spec_validation():
