@@ -13,16 +13,13 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import angles
 from .ckptstore import ALL, SelectionSpec, TrajectoryStore
 from .errors import DegenerateVector, InsufficientPoints, NonFinitePayload
-
-if TYPE_CHECKING:
-    from .share import Share
+from .share import Share
 
 
 class AngularMeasureKind(enum.Enum):
@@ -82,14 +79,6 @@ def _difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.subtract(a, b, out=out)
 
 
-def _check(cols: dict, name: str, t: int) -> None:
-    if not math.isfinite(cols[name][t]):
-        raise NonFinitePayload(
-            f"{name} at step {t} is not finite: a checkpoint holds NaN or Inf, "
-            "or its products overflow float64"
-        )
-
-
 @np.errstate(invalid="ignore", over="ignore")  # D may overflow: its products are checked
 def _stream_products(
     store: TrajectoryStore, sel: SelectionSpec | None, k: int, share: Share | None = None
@@ -102,39 +91,53 @@ def _stream_products(
     lag past the store's end is never formed. That is at most 2 w + 8
     p-length vectors, and 8 at k = 1.
 
-    Each product, and each half of each subtraction, is a job of a
-    ``share.Batch``, run through ``share``: the threads that call its
-    ``help`` take part, and with none (or no ``share``) the stream runs
-    every job itself. Each product is still one full-vector ``np.dot`` of
-    the same two arrays and each subtraction element-wise, and the products
-    are checked in the order of the loop, so the table is the same bit for
-    bit, and so is the first error, whichever thread runs a job.
+    Each product, and each half of each subtraction, is a job, and the jobs
+    run in batches through ``share``: the threads that call its ``help``
+    take part, and with none (or no ``share``) the stream runs every job
+    itself. The loop ends a batch wherever a job would change what a
+    queued one uses: after each subtraction, whose output the products that
+    follow read, and, from step 3 on, before d_s overwrites d_{s-1}. A
+    read needs no barrier: it overwrites theta_{s-w-1}, which no queued job
+    uses. Each product is still one full-vector ``np.dot`` of the same two
+    arrays and each subtraction element-wise, and the products are checked
+    in the order of the loop, so the table is the same bit for bit, and so
+    is the first error, whichever thread runs a job.
     """
-    from .share import Batch, Share  # not loaded by train, which needs only mds
-
     n = store.n_points
     last = n - 1
     w = min(k, last)
     cols = {name: [None] * n for name in _COLUMNS}
-    batch = Batch(share or Share())
+    share = share or Share()
+    jobs: list = []  # (job, column or None for a subtraction, step), in loop order
+
+    def run() -> None:
+        """Runs the queued jobs, then raises the first error or non-finite
+        product among them in loop order."""
+        errors = share.run([job for job, _, _ in jobs])
+        for (_, name, t), error in zip(jobs, errors):
+            if error is not None:
+                raise error
+            if name is not None and not math.isfinite(cols[name][t]):
+                raise NonFinitePayload(
+                    f"{name} at step {t} is not finite: a checkpoint holds NaN or Inf, "
+                    "or its products overflow float64"
+                )
+        jobs.clear()
 
     def dot(name: str, t: int, a: np.ndarray, b: np.ndarray) -> None:
-        job = functools.partial(_product, cols[name], t, a, b)
-        batch.add([(job, functools.partial(_check, cols, name, t))], (a, b), ())
+        jobs.append((functools.partial(_product, cols[name], t, a, b), name, t))
 
     def subtract(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        halves = (slice(None, out.size // 2), slice(out.size // 2, None))
-        batch.add([(functools.partial(_difference, a[h], b[h], out[h]), None)
-                   for h in halves], (a, b), (out,))
+        for h in (slice(None, out.size // 2), slice(out.size // 2, None)):
+            jobs.append((functools.partial(_difference, a[h], b[h], out[h]), None, None))
+        run()
         return out
 
     def read(s: int) -> np.ndarray:
-        out = thetas[s % len(thetas)]
-        batch.before_write(out)
         try:
-            return store.flatten(s, sel, out=out)
+            return store.flatten(s, sel, out=thetas[s % len(thetas)])
         except BaseException:
-            batch.run()  # a product of an earlier step fails first
+            run()  # a product of an earlier step fails first
             raise
 
     def ring(size: int) -> list[np.ndarray]:
@@ -166,6 +169,8 @@ def _stream_products(
                 dot("upd_disp", t, upd, disp)  # disp still holds d_t
             prev_upd = upd
         # d_s replaces d_{s-1}, used for the last time just above; d_1 is kept
+        if s >= 3:  # d_{s-1} is in disp_buf
+            run()
         disp = subtract(theta, first, disp1 if s == 1 else disp_buf)
         dot("disp_disp", s, disp, disp)
         if s >= 1:
@@ -178,7 +183,7 @@ def _stream_products(
                 dot("lag_prev", s - k, lag, lags[0])
             lags.append(lag)
         window.append(theta)
-    batch.run()
+    run()
     if k == 1:
         cols["lag_lag"], cols["lag_prev"] = cols["upd_upd"], cols["upd_prev"]
     return cols

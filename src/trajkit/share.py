@@ -1,12 +1,12 @@
 """Jobs that one thread shares with the threads that help it.
 
-The hallmark series' stream (``hallmarks._stream_products``) puts its
-products and subtractions in a ``Batch`` and runs each batch through a
-``Share``; ``hallmarks`` above one thread lets its calling thread help
-once its Gram pass is done, and at one thread nothing helps. A job runs
-on whichever thread takes it, but the batch reports the first failure in
-the order the jobs were added, so the thread that ran a job never shows
-in a result or an error.
+The hallmark series' stream (``hallmarks._stream_products``) runs its
+products and subtractions in batches through a ``Share``; ``hallmarks``
+above one thread lets its calling thread help once its Gram pass is
+done, and at one thread nothing helps. A job runs on whichever thread
+takes it, but ``run`` returns each job's error in job order, and the
+stream raises the first of them in the order of its loop, so the thread
+that ran a job never shows in a result or an error.
 """
 
 from __future__ import annotations
@@ -77,42 +77,3 @@ class Share:
             self._closed = True
             self._cond.notify_all()
 
-
-class Batch:
-    """Jobs that wait until a write would change a buffer that one of them
-    reads or writes; ``run`` then runs them through the share.
-
-    Each job comes with a check, or None, that ``run`` calls after every
-    job has finished, in the order the jobs were added: a job's error, or
-    its check's, is raised only if no earlier job or check failed.
-    """
-
-    def __init__(self, share: Share):
-        self.share = share
-        self.jobs: list = []  # (job, check or None)
-        self.reads: set = set()  # ids of the buffers the jobs read
-        self.writes: set = set()  # and write
-
-    def add(self, jobs: list, reads: tuple, writes: tuple) -> None:
-        """Adds (job, check) pairs that read ``reads`` and write ``writes``,
-        after running the batch if they conflict with it."""
-        read_ids, write_ids = {id(a) for a in reads}, {id(a) for a in writes}
-        if write_ids & (self.reads | self.writes) or read_ids & self.writes:
-            self.run()
-        self.jobs += jobs
-        self.reads |= read_ids
-        self.writes |= write_ids
-
-    def before_write(self, buffer) -> None:
-        """Runs the batch if a write to ``buffer`` would change what it uses."""
-        if id(buffer) in self.reads or id(buffer) in self.writes:
-            self.run()
-
-    def run(self) -> None:
-        errors = self.share.run([job for job, _ in self.jobs])
-        for (_, check), error in zip(self.jobs, errors):
-            if error is not None:
-                raise error
-            if check is not None:
-                check()
-        self.jobs, self.reads, self.writes = [], set(), set()

@@ -379,6 +379,48 @@ def test_shared_stream_holds_the_same_vectors(rng, monkeypatch, k):
     assert peak < (vectors + 0.5) * p * 8
 
 
+# the sizes of the batches a stream of 9 checkpoints runs, at each lag k
+STREAM_BATCHES = {
+    1: [4, 5, 5, 7, 7, 7, 5, 2, 7, 5, 2, 7, 5, 2, 7, 5, 2, 7, 5, 2, 7, 5, 2, 3],
+    2: [4, 5, 5, 7, 7, 5, 5, 5, 2, 5, 5, 5, 2, 5, 6, 5, 2, 5, 6, 5, 2, 5, 6, 5, 2, 5, 6, 5, 2,
+        5, 2],
+    3: [4, 5, 5, 7, 7, 7, 5, 2, 5, 5, 5, 2, 5, 5, 5, 2, 5, 5, 5, 2, 5, 6, 5, 2, 5, 6, 5, 2, 5,
+        2],
+    5: [4, 5, 5, 7, 7, 7, 5, 2, 7, 5, 2, 7, 5, 2, 5, 5, 5, 2, 5, 5, 5, 2, 5, 5, 5, 2, 5, 1],
+    9: [4, 5, 5, 7, 7, 7, 5, 2, 7, 5, 2, 7, 5, 2, 7, 5, 2, 7, 5, 2, 7, 5, 2, 3],
+}
+
+
+@pytest.mark.parametrize("k", sorted(STREAM_BATCHES))
+def test_stream_runs_a_fixed_schedule_of_batches_that_race_on_no_buffer(rng, monkeypatch, k):
+    # the jobs of one batch may run on any threads at once: none may write
+    # memory that another reads or writes. A subtraction half writes its
+    # out; every other array a job takes it reads.
+    from trajkit import hallmarks
+    from trajkit.share import Share
+
+    run, sizes, conflicts = Share.run, [], []
+
+    def spied(share, jobs):
+        sizes.append(len(jobs))
+        uses = []  # (reads, writes) of each job
+        for job in jobs:
+            arrays = [a for a in job.args if isinstance(a, np.ndarray)]
+            uses.append((arrays[:2], arrays[2:]) if job.func is hallmarks._difference
+                        else (arrays, []))
+        for i, (_, writes) in enumerate(uses):
+            for j, (reads, other_writes) in enumerate(uses):
+                if i != j and any(np.shares_memory(w, a)
+                                  for w in writes for a in reads + other_writes):
+                    conflicts.append((len(sizes), i, j))
+        return run(share, jobs)
+
+    monkeypatch.setattr(Share, "run", spied)
+    _stream_products(random_store(rng, 9, 40), None, k)
+    assert conflicts == []
+    assert sizes == STREAM_BATCHES[k]
+
+
 def test_shared_stream_reports_a_product_before_a_later_read_error(monkeypatch):
     # d_3 . d_3 overflows while its product still waits in the batch, and
     # the read of checkpoint 4 fails: as unshared, the product's error wins
