@@ -90,9 +90,9 @@ def _add_store_flags(p) -> None:
     p.add_argument(
         "--threads", type=_at_least(1), default=1, metavar="N",
         help="threads to use; every output is the same for every N. The Gram pass reads on "
-        "the calling thread while the others multiply. Above one thread, hallmarks streams "
-        "its series on one of them, and the calling thread helps that stream once its Gram "
-        "pass is done. Default 1",
+        "one thread while the others multiply. Above one thread, hallmarks runs its Gram pass "
+        "on a worker while the calling thread streams its series, and the worker helps that "
+        "stream once its Gram pass is done. Default 1",
     )
     p.add_argument(
         "--mem-budget", type=_at_least(0), default=2 << 30, metavar="BYTES",
@@ -218,12 +218,12 @@ def cmd_hallmarks(args) -> int:
 def _hallmarks(args, requested: list[str], store) -> int:
     """The Gram pass for omega and omega0 and the series' stream are two
     reads of the store. At --threads 1 they run in turn; above it, one
-    worker streams the series while the calling thread runs the Gram pass
-    on the other threads, then takes a share of the stream's products and
-    subtractions until the stream ends; that worker streams the step table
-    before it forms the series from it. Either way every value comes from
-    the same call, errors rank Gram pass, cosine maps, then series in
-    requested order, and nothing is written until every value is computed."""
+    worker runs the Gram pass on the other threads while the calling thread
+    streams the step table, and once the Gram pass is done the worker takes
+    a part of the stream's products and subtractions until the stream ends.
+    Either way every value comes from the same call, errors rank Gram pass,
+    cosine maps, then series in requested order, and nothing is written
+    until every value is computed."""
     from .hallmarks import (
         AngularMeasureKind, NormMeasureKind, _step_products, angular_series, norm_series,
         require_points,
@@ -239,41 +239,28 @@ def _hallmarks(args, requested: list[str], store) -> int:
     for measure in measures:  # before any payload is read
         require_points(measure, args.k, store.n_points)
 
-    def all_series():
-        return [
-            (angular_series if isinstance(m, AngularMeasureKind) else norm_series)(
-                store, m, k=args.k, sel=sel
-            )
-            for m in measures
-        ]
+    def omegas(gram, gram0) -> tuple:
+        omega = mds(compute_cosine_map(gram))
+        return omega, None if gram0 is None else mds(compute_cosine_map(gram0))
 
     if args.threads == 1:
-        gram, gram0 = gram_pair(store, sel, threads=slots)
-        series = all_series
+        omega, omega0 = omegas(*gram_pair(store, sel, threads=slots))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        from .share import Share
-
-        share = Share()
-
-        def stream():
-            try:
-                _step_products(store, args.k, sel, share)  # the series read it from the memo
-            finally:
-                share.close()
-            return all_series()
-
-        # leaving the block joins the worker, also when the Gram pass raises
+        # leaving the block joins the worker, also when the stream raises
         with ThreadPoolExecutor(max_workers=1) as pool:
-            series = pool.submit(stream).result
+            gram_pass = pool.submit(gram_pair, store, sel, threads=min(args.threads - 1, slots))
             try:
-                gram, gram0 = gram_pair(store, sel, threads=min(args.threads - 1, slots))
-            finally:  # the calling thread helps the stream until it ends
-                share.help()
-    omega = mds(compute_cosine_map(gram))
-    omega0 = None if gram0 is None else mds(compute_cosine_map(gram0))
-    results = series()
+                _step_products(store, args.k, sel, pool)  # the series read it from the memo
+            finally:  # a stream error ranks after the Gram pass and the cosine maps
+                omega, omega0 = omegas(*gram_pass.result())
+    results = [
+        (angular_series if isinstance(m, AngularMeasureKind) else norm_series)(
+            store, m, k=args.k, sel=sel
+        )
+        for m in measures
+    ]
     out = _out_dir(args)
     files = {}
     for name, result in zip(requested, results):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import typing
 from collections import deque
 from dataclasses import dataclass
 
@@ -19,7 +20,9 @@ import numpy as np
 from . import angles
 from .ckptstore import ALL, SelectionSpec, TrajectoryStore
 from .errors import DegenerateVector, InsufficientPoints, NonFinitePayload
-from .share import Share
+
+if typing.TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 class AngularMeasureKind(enum.Enum):
@@ -67,21 +70,49 @@ _COLUMNS = (
 )
 
 
-# a job of the stream, on whichever thread runs it; the stream checks
-# every product, so overflow and NaN pass silently here
-@np.errstate(invalid="ignore", over="ignore")
+# the jobs of the stream; each runs under the stream's error state or
+# _call_submitted's, where overflow and NaN pass silently, since the stream
+# checks every product
 def _product(col: list, t: int, a: np.ndarray, b: np.ndarray) -> None:
     col[t] = float(np.dot(a, b))
 
 
-@np.errstate(invalid="ignore", over="ignore")
 def _difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.subtract(a, b, out=out)
 
 
+def _call(job) -> BaseException | None:
+    """Runs ``job``; returns what it raised, or None."""
+    try:
+        job()
+    except BaseException as exc:  # the stream raises it, in loop order
+        return exc
+    return None
+
+
+# how the executor's worker runs a submitted job: numpy's error state is
+# per thread, and the stream's own covers only the jobs run inline
+_call_submitted = np.errstate(invalid="ignore", over="ignore")(_call)
+
+
+def _run_batch(jobs: list, pool: Executor | None) -> list[BaseException | None]:
+    """Runs each of ``jobs`` once; returns what each raised, or None, in job
+    order. Every other job is submitted to ``pool`` and the rest run here;
+    then each submitted job whose future cancels (``pool`` has not started
+    it) runs here too, and the others are waited on. With no ``pool`` every
+    job runs here, in order."""
+    submitted = {}
+    if pool is not None:
+        submitted = {i: pool.submit(_call_submitted, jobs[i]) for i in range(1, len(jobs), 2)}
+    errors = [None if i in submitted else _call(job) for i, job in enumerate(jobs)]
+    for i, future in submitted.items():
+        errors[i] = _call(jobs[i]) if future.cancel() else future.result()
+    return errors
+
+
 @np.errstate(invalid="ignore", over="ignore")  # D may overflow: its products are checked
 def _stream_products(
-    store: TrajectoryStore, sel: SelectionSpec | None, k: int, share: Share | None = None
+    store: TrajectoryStore, sel: SelectionSpec | None, k: int, pool: Executor | None = None
 ) -> dict[str, list]:
     """The step table, from one pass that reads each checkpoint once, in
     order after theta_0 and theta_T (D needs both), and theta_T again at
@@ -92,28 +123,27 @@ def _stream_products(
     p-length vectors, and 8 at k = 1.
 
     Each product, and each half of each subtraction, is a job, and the jobs
-    run in batches through ``share``: the threads that call its ``help``
-    take part, and with none (or no ``share``) the stream runs every job
-    itself. The loop ends a batch wherever a job would change what a
-    queued one uses: after each subtraction, whose output the products that
-    follow read, and, from step 3 on, before d_s overwrites d_{s-1}. A
-    read needs no barrier: it overwrites theta_{s-w-1}, which no queued job
-    uses. Each product is still one full-vector ``np.dot`` of the same two
-    arrays and each subtraction element-wise, and the products are checked
-    in the order of the loop, so the table is the same bit for bit, and so
-    is the first error, whichever thread runs a job.
+    run in batches through ``_run_batch``: ``pool``'s worker takes a part of
+    a batch whenever it is free, and with no ``pool`` the stream runs every
+    job itself, in loop order. The loop ends a batch wherever a job would
+    change what a queued one uses: after each subtraction, whose output the
+    products that follow read, and, from step 3 on, before d_s overwrites
+    d_{s-1}. A read needs no barrier: it overwrites theta_{s-w-1}, which no
+    queued job uses. Each product is still one full-vector ``np.dot`` of the
+    same two arrays and each subtraction element-wise, and the products are
+    checked in the order of the loop, so the table is the same bit for bit,
+    and so is the first error, whichever thread runs a job.
     """
     n = store.n_points
     last = n - 1
     w = min(k, last)
     cols = {name: [None] * n for name in _COLUMNS}
-    share = share or Share()
     jobs: list = []  # (job, column or None for a subtraction, step), in loop order
 
     def run() -> None:
         """Runs the queued jobs, then raises the first error or non-finite
         product among them in loop order."""
-        errors = share.run([job for job, _, _ in jobs])
+        errors = _run_batch([job for job, _, _ in jobs], pool)
         for (_, name, t), error in zip(jobs, errors):
             if error is not None:
                 raise error
@@ -191,11 +221,11 @@ def _stream_products(
 
 def _step_products(
     store: TrajectoryStore, k: int = 1, sel: SelectionSpec | None = None,
-    share: Share | None = None,
+    pool: Executor | None = None,
 ) -> dict[str, list]:
     """The store's step table for lag k, streamed once per selection and k."""
     return store.memo(("step_products", sel or ALL, k),
-                      lambda: _stream_products(store, sel, k, share))
+                      lambda: _stream_products(store, sel, k, pool))
 
 
 def _rows(k: int) -> dict:

@@ -1,10 +1,10 @@
 """Desk-scale trajectory generator.
 
-Trains a small MLP with SGD (heavy-ball momentum, coupled weight decay,
-multiplicative learning-rate schedule) on synthetic two-class Gaussian
-blobs and writes the checkpoint trajectory in the store format. Training
-is single-threaded and fully deterministic from the spec: identical
-specs produce byte-identical stores.
+Trains a small MLP with SGD (heavy-ball momentum, coupled weight decay)
+on synthetic two-class Gaussian blobs and writes the checkpoint
+trajectory in the store format. Training is single-threaded and fully
+deterministic from the spec: identical specs produce byte-identical
+stores.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class TrainSpec:
     layer_sizes: tuple[int, ...] = (20, 64, 64, 2)
     data: BlobSpec = field(default_factory=BlobSpec)
     eta: float = 0.05
-    eta_schedule: tuple[tuple[int, float], ...] = ()
     mu: float = 0.9
     wd: float = 1e-4
     batch_size: int = 32
@@ -53,9 +52,7 @@ class TrainSpec:
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        self.eta_schedule = tuple((int(at), float(mult)) for at, mult in self.eta_schedule)
-        multipliers = tuple(mult for _, mult in self.eta_schedule)
-        require_finite(eta=self.eta, mu=self.mu, wd=self.wd, eta_schedule=multipliers)
+        require_finite(eta=self.eta, mu=self.mu, wd=self.wd)
         if len(self.layer_sizes) < 2 or min(self.layer_sizes) < 1:
             raise ValueError("need at least input and output layer sizes, each >= 1")
         if self.layer_sizes[0] != self.data.dim:
@@ -66,11 +63,6 @@ class TrainSpec:
             raise ValueError("eta must be positive and wd non-negative")
         if self.batch_size < 1 or self.epochs < 0 or self.ckpt_every < 1:
             raise ValueError("batch_size/ckpt_every must be >= 1, epochs >= 0")
-        epochs = [e for e, _ in self.eta_schedule]
-        if epochs != sorted(set(epochs)):
-            raise ValueError("schedule epochs must be strictly increasing")
-        if any(mult <= 0 for mult in multipliers):
-            raise ValueError(f"eta_schedule multipliers must be positive, got {multipliers}")
         if self.loss not in ("softmax_ce", "squared"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -212,14 +204,6 @@ def _checkpoint(theta: np.ndarray, layer_sizes, epoch: int) -> Checkpoint:
     return Checkpoint(index=epoch, label=f"epoch{epoch}", tensors=tensors)
 
 
-def _lr_at(spec: TrainSpec, epoch: int) -> float:
-    lr = spec.eta
-    for at, mult in spec.eta_schedule:
-        if epoch >= at:
-            lr *= mult
-    return lr
-
-
 # divergence is reported as NonFiniteLoss; numpy's warnings would only add
 # lines to stderr
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -228,13 +212,13 @@ def train(spec: TrainSpec, out_dir, schedule: Schedule | None = None) -> TrainRu
 
     ``schedule`` is ``draw_schedule(spec)``, drawn here when not given.
     theta, the velocity v and the gradient g are one float64 vector each;
-    a step is six whole-vector operations in this order, with lr the
-    scheduled learning rate:
+    a step is six whole-vector operations in this order, with eta the
+    learning rate:
 
         tmp = wd * theta; tmp = g + tmp; v = mu * v; v += tmp;
-        tmp = lr * v; theta -= tmp
+        tmp = eta * v; theta -= tmp
 
-    that is v <- mu*v + (g + wd*theta), theta <- theta - lr*v. Checkpoint
+    that is v <- mu*v + (g + wd*theta), theta <- theta - eta*v. Checkpoint
     0 is the initialization; later checkpoints land after every
     ckpt_every-th epoch and after the final epoch.
     """
@@ -251,7 +235,6 @@ def train(spec: TrainSpec, out_dir, schedule: Schedule | None = None) -> TrainRu
     losses, accuracies = [], []
     n_samples = x.shape[0]
     for epoch, row in enumerate(schedule.orders, start=1):
-        lr = _lr_at(spec, epoch)
         # a list index skips numpy's cast from the stored unsigned dtype,
         # whose code would add 64 KB to the resident set
         order = row.tolist()
@@ -266,7 +249,7 @@ def train(spec: TrainSpec, out_dir, schedule: Schedule | None = None) -> TrainRu
             np.add(grad, tmp, out=tmp)
             np.multiply(velocity, spec.mu, out=velocity)
             velocity += tmp
-            np.multiply(velocity, lr, out=tmp)
+            np.multiply(velocity, spec.eta, out=tmp)
             theta -= tmp
         epoch_loss, epoch_acc = evaluate(params, x, y, spec.loss)
         if not np.isfinite(epoch_loss):
@@ -296,7 +279,7 @@ def hyperparameter_grid(
     The variants differ only in mu and wd, so the schedule is drawn once,
     from ``base``, and shared; each variant steps as ``train`` does:
     v <- mu*v + (g + wd*theta) as tmp = wd*theta, tmp = g + tmp,
-    v = mu*v, v += tmp; then theta <- theta - lr*v as tmp = lr*v,
+    v = mu*v, v += tmp; then theta <- theta - eta*v as tmp = eta*v,
     theta -= tmp. Each variant's store is ``out_dir / name``, so a name
     must be a plain file name (not empty, ``.`` or ``..``, with no
     separator or NUL) that no other variant has. Every name and spec is

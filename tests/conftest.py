@@ -69,59 +69,58 @@ def strict_json(text: str):
 
 
 class WaitingStream:
-    """Patches ``Share`` so that a shared stream waits for its helper
-    instead of racing it: once a thread has entered a share's ``help``,
-    the first batch of two or more jobs that the share runs holds its first
-    job, which the stream's own thread runs, until a helper has run one of
-    the others. ``helped`` gets True for each job a helper ran; ``entered``
-    is set each time a thread enters ``help``."""
+    """Patches ``hallmarks._run_batch`` so that a shared stream waits for the
+    executor's worker instead of racing it: once ``joined`` is set (the
+    worker is free to take jobs), the stream's next batch of two or more
+    jobs holds its first job, which the stream's own thread runs, until the
+    worker has run one of the submitted ones. ``helped`` gets True for each
+    job the worker ran."""
 
     def __init__(self, monkeypatch):
-        from trajkit.share import Share
+        from trajkit import hallmarks
 
-        run, help_ = Share.run, Share.help
-        self.helped, self.entered = [], threading.Event()
-        ran = {}  # share -> set once a helper has run one of its jobs
+        run_batch = hallmarks._run_batch
+        self.helped, self.joined = [], threading.Event()
+        ran = {}  # pool -> set once its worker has run one of the stream's jobs
 
-        def helping(share):
-            ran.setdefault(share, threading.Event())
-            self.entered.set()
-            help_(share)
-
-        def running(share, jobs):
+        def running(jobs, pool):
             stream = threading.current_thread()
+            worker_ran = ran.setdefault(pool, threading.Event())
 
             def tracked(job):
                 def call():
                     if threading.current_thread() is not stream:
                         self.helped.append(True)
-                        ran[share].set()
+                        worker_ran.set()
                     job()
 
                 return call
 
             jobs = [tracked(job) for job in jobs]
-            helper_ran = ran.get(share)
-            if helper_ran is not None and not helper_ran.is_set() and len(jobs) > 1:
+            if pool is not None and self.joined.is_set() and not worker_ran.is_set() \
+                    and len(jobs) > 1:
                 first = jobs[0]
 
                 def held():
-                    assert helper_ran.wait(timeout=60)
+                    assert worker_ran.wait(timeout=60)
                     first()
 
                 jobs[0] = held
-            return run(share, jobs)
+            return run_batch(jobs, pool)
 
-        monkeypatch.setattr(Share, "run", running)
-        monkeypatch.setattr(Share, "help", helping)
+        monkeypatch.setattr(hallmarks, "_run_batch", running)
 
-    def start_helper(self, share) -> threading.Thread:
-        """A thread that helps ``share``, started and inside ``help``."""
-        helper = threading.Thread(target=share.help)
-        self.entered.clear()
-        helper.start()
-        assert self.entered.wait(timeout=60)
-        return helper
+    def occupy(self, pool) -> threading.Event:
+        """Keeps ``pool``'s one worker busy, as the Gram pass does, until the
+        returned event is set; ``joined`` is set as it frees the worker."""
+        release = threading.Event()
+
+        def busy():
+            assert release.wait(timeout=60)
+            self.joined.set()
+
+        pool.submit(busy)
+        return release
 
 
 @pytest.fixture

@@ -562,7 +562,6 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
          (2, "NonFiniteLoss")),
         # json reads 10**400 as an int, which no float holds
         (["theory", "lemma"], {"eigenvalues": [10**400]}, (1, "UsageError")),
-        (["train"], {"train": {"eta_schedule": [[0, 10**400]]}}, (1, "UsageError")),
         # 728 TiB: no 64-bit address space maps it, so nothing is allocated
         (["theory", "lemma"], {"steps": 10**14}, (2, "OutOfMemory")),
         # more float64 values than any index reaches
@@ -594,7 +593,6 @@ def test_bad_count_is_usage_error(linear_manifest, tmp_path, capsys, monkeypatch
     ],
     ids=["eos-missing", "width-empty", "lemma-bad-key", "grid-entry", "grid-empty",
          "train-layers", "train-diverges", "train-diverges-at-evaluation", "lemma-huge-int",
-         "schedule-huge-int",
          "lemma-out-of-memory", "lemma-past-any-index", "lemma-nan", "eos-infinity", "eos-past-range",
          "width-minus-infinity", "train-nan", "data-infinity", "grid-entry-nan",
          "grid-later-entry-invalid", "grid-name-nul", "grid-name-dotdot",
@@ -942,53 +940,63 @@ def step_table_bits(cols: dict) -> dict:
 @pytest.mark.parametrize("join", ["start", "mid", "never"])
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_shared_stream_gives_the_same_step_table(tmp_path, monkeypatch, k, join):
+    # the executor's worker is free from the start, is freed at the
+    # stream's fifth step as the Gram pass frees it, or stays busy
+    from concurrent.futures import ThreadPoolExecutor
+
     from trajkit import hallmarks
-    from trajkit.share import Share
 
     store = open_store(straddling_f32_store(tmp_path / "store"))
     want = step_table_bits(hallmarks._stream_products(store, None, k))
-    share, helpers = Share(), []
     flatten = TrajectoryStore.flatten
     waiting = WaitingStream(monkeypatch)
+    baseline = threading.active_count()
 
     def joined_at(self, i, sel=None, **kwargs):
         if i == 4:  # read once, at the stream's fifth step
-            helpers.append(waiting.start_helper(share))
+            release.set()
+            assert waiting.joined.wait(timeout=60)
         return flatten(self, i, sel, **kwargs)
 
-    if join == "start":
-        helpers.append(waiting.start_helper(share))
-    elif join == "mid":
+    if join == "mid":
         monkeypatch.setattr(TrajectoryStore, "flatten", joined_at)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = step_table_bits(hallmarks._stream_products(store, None, k, share))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            release = waiting.occupy(pool)
+            if join == "start":
+                release.set()
+                assert waiting.joined.wait(timeout=60)
+            try:
+                got = step_table_bits(hallmarks._stream_products(store, None, k, pool))
+            finally:
+                release.set()
     finally:
         sys.setswitchinterval(interval)
-        share.close()
-        for helper in helpers:
-            helper.join(timeout=60)
-    assert not any(helper.is_alive() for helper in helpers)
+    assert threading.active_count() == baseline
     assert got == want
     assert bool(waiting.helped) == (join != "never")
 
 
-def test_hallmarks_calling_thread_joins_the_stream_mid_way(tmp_path, monkeypatch):
+def test_hallmarks_worker_joins_the_stream_mid_way(tmp_path, monkeypatch):
     # the Gram pass ends only once the stream has read checkpoint 5 of 9,
-    # and the stream reads on only once the calling thread helps it
+    # and the stream reads on only once the Gram pass has freed the worker
     manifest = straddling_f32_store(tmp_path / "store")
     gram_pair, flatten = kernel.gram_pair, TrajectoryStore.flatten
     halfway = threading.Event()
 
     def slowed(store, sel=None, *, threads):
         assert halfway.wait(timeout=60)
-        return gram_pair(store, sel, threads=threads)
+        try:
+            return gram_pair(store, sel, threads=threads)
+        finally:
+            waiting.joined.set()
 
     def read(self, i, sel=None, **kwargs):
         if i == 5:
             halfway.set()
-            assert waiting.entered.wait(timeout=60)
+            assert waiting.joined.wait(timeout=60)
         return flatten(self, i, sel, **kwargs)
 
     def outputs(threads: str) -> dict[str, bytes]:
@@ -1007,35 +1015,96 @@ def test_hallmarks_calling_thread_joins_the_stream_mid_way(tmp_path, monkeypatch
     waiting = WaitingStream(monkeypatch)
     for threads in ("2", "3"):
         halfway.clear()
-        waiting.entered.clear()
+        waiting.joined.clear()
         waiting.helped.clear()
         assert outputs(threads) == want
         assert waiting.helped
 
 
-# Runs main on argv[2:] with the products of the stream's own thread slowed,
-# so that the calling thread takes jobs once its Gram pass is done; with
-# argv[1] "raise", each product the calling thread runs raises instead
+def test_hallmarks_gram_pass_fails_with_stream_jobs_queued_behind_it(
+    tmp_path, monkeypatch, capsys
+):
+    # the Gram pass meets the NaN only once the stream's first shared batch
+    # waits behind it in the worker's queue: each run reports --threads 1's
+    # line, writes nothing and leaves no thread behind
+    from trajkit import hallmarks
+
+    points = np.outer(np.arange(1.0, 7.0), [1.0, 2.0, -1.0])
+    points[3, 1] = np.nan
+    manifest = points_store(points, tmp_path / "store")
+    gram_pair, queued = kernel.gram_pair, threading.Event()
+
+    def failing(store, sel=None, *, threads):
+        assert queued.wait(timeout=60)
+        try:
+            return gram_pair(store, sel, threads=threads)
+        finally:
+            waiting.joined.set()
+
+    monkeypatch.setattr(kernel, "gram_pair", failing)
+    waiting = WaitingStream(monkeypatch)
+    run_batch = hallmarks._run_batch
+
+    def queueing(jobs, pool):
+        if pool is not None and not queued.is_set() and len(jobs) > 1:
+            first = jobs[0]
+
+            def held():  # the batch's other jobs are submitted by now
+                queued.set()
+                assert waiting.joined.wait(timeout=60)
+                first()
+
+            jobs = [held, *jobs[1:]]
+        return run_batch(jobs, pool)
+
+    monkeypatch.setattr(hallmarks, "_run_batch", queueing)
+    baseline = threading.active_count()
+    lines = []
+    for threads in ("1", "2", "3", "8"):
+        queued.clear()
+        if threads == "1":  # no worker: nothing queues
+            queued.set()
+        waiting.joined.clear()
+        waiting.helped.clear()
+        out = tmp_path / threads
+        argv = ["hallmarks", "--manifest", manifest, "--measure", "all",
+                "--threads", threads, "--out", str(out)]
+        assert main(argv) == 2
+        lines.append(capsys.readouterr().err)
+        assert not out.exists()
+        assert threading.active_count() == baseline
+        assert bool(waiting.helped) == (threads != "1")
+    assert len(set(lines)) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "NonFinitePayload" and "Gram entry" in error["detail"]
+
+
+# Runs main on argv[2:] with the products that the calling thread runs
+# slowed, so that the executor's worker takes jobs once its Gram pass is
+# done; with argv[1] "raise", each product the worker runs raises instead,
+# and so does every product at --threads 1, where no worker exists
 SHARED_FAILURE_CHILD = """
 import json, sys, threading, time
 import numpy as np
 from trajkit.cli import main
 
-dot, on_main = np.dot, []
+dot, on_worker = np.dot, []
+alone = sys.argv[sys.argv.index("--threads") + 1] == "1"
 
 def shared_dot(a, b):
-    if threading.current_thread() is threading.main_thread():
-        on_main.append(True)
-        if sys.argv[1] == "raise":
-            raise OSError("a product failed")
-    else:
+    worker = threading.current_thread() is not threading.main_thread()
+    if worker:
+        on_worker.append(True)
+    elif not alone:
         time.sleep(2e-3)
+    if sys.argv[1] == "raise" and (alone or worker):
+        raise OSError("a product failed")
     return dot(a, b)
 
 np.dot = shared_dot
 baseline = threading.active_count()
 code = main(sys.argv[2:])
-print(json.dumps([code, threading.active_count() - baseline, bool(on_main)]))
+print(json.dumps([code, threading.active_count() - baseline, bool(on_worker)]))
 """
 
 
@@ -1058,24 +1127,24 @@ def failing_walk(case: str):
      ("non_finite", "slow", "NonFinitePayload")],
 )
 def test_hallmarks_shared_stream_fails_as_one_thread_does(tmp_path, case, mode, error):
-    # a series error met while the calling thread helps, an error raised
-    # inside a job the calling thread runs, and overflowing products that
-    # both threads meet: each run reports --threads 1's line, writes
-    # nothing and leaves no thread behind
+    # a series error met once the worker has helped, an error raised inside
+    # a job the worker runs, and overflowing products that both threads
+    # meet: each run reports --threads 1's line, writes nothing and leaves
+    # no thread behind
     manifest = points_store(failing_walk(case), tmp_path / "store")
     runs = []
-    for threads in ("1", "2", "3"):
+    for threads in ("1", "2", "3", "8"):
         out = tmp_path / threads
         argv = ["hallmarks", "--manifest", manifest, "--measure", "all", "--threads", threads,
                 "--out", str(out)]
         done = subprocess.run([sys.executable, "-c", SHARED_FAILURE_CHILD, mode, *argv],
                               env=child_env(), capture_output=True, text=True, timeout=60)
         code, left, helped = json.loads(done.stdout.splitlines()[-1])
-        assert (code, left, helped) == (2, 0, True)
+        assert (code, left, helped) == (2, 0, threads != "1")
         assert not out.exists()
         assert len(done.stderr.splitlines()) == 1
         runs.append(done.stderr)
-    assert runs[0] == runs[1] == runs[2]
+    assert len(set(runs)) == 1
     assert json.loads(runs[0])["error"] == error
     if case == "non_finite":  # u_8 . u_8 is the first of five products at step 8 to overflow
         assert json.loads(runs[0])["detail"].startswith("upd_upd at step 8 ")

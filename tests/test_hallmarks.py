@@ -355,26 +355,24 @@ def test_stream_holds_two_vectors_per_lag_and_eight_more(rng, k):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_shared_stream_holds_the_same_vectors(rng, monkeypatch, k):
-    # a helper thread takes jobs: the halves of the subtractions and the
-    # jobs allocate no p-length temporaries
+    # the executor's worker takes jobs: the halves of the subtractions and
+    # the jobs allocate no p-length temporaries
+    from concurrent.futures import ThreadPoolExecutor
+
     from trajkit import hallmarks
-    from trajkit.share import Share
 
     n, p = 6, 1 << 16
     store = random_store(rng, n, p)
     vectors = 8 if k == 1 else 2 * min(k, n - 1) + 8
-    share = Share()
     waiting = WaitingStream(monkeypatch)
-    helper = waiting.start_helper(share)
-    tracemalloc.start()
-    try:
-        hallmarks._stream_products(store, None, k, share)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        share.close()
-        helper.join(timeout=60)
-    assert not helper.is_alive()
+    waiting.joined.set()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tracemalloc.start()
+        try:
+            hallmarks._stream_products(store, None, k, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert waiting.helped
     assert peak < (vectors + 0.5) * p * 8
 
@@ -397,11 +395,10 @@ def test_stream_runs_a_fixed_schedule_of_batches_that_race_on_no_buffer(rng, mon
     # memory that another reads or writes. A subtraction half writes its
     # out; every other array a job takes it reads.
     from trajkit import hallmarks
-    from trajkit.share import Share
 
-    run, sizes, conflicts = Share.run, [], []
+    run_batch, sizes, conflicts = hallmarks._run_batch, [], []
 
-    def spied(share, jobs):
+    def spied(jobs, pool):
         sizes.append(len(jobs))
         uses = []  # (reads, writes) of each job
         for job in jobs:
@@ -413,9 +410,9 @@ def test_stream_runs_a_fixed_schedule_of_batches_that_race_on_no_buffer(rng, mon
                 if i != j and any(np.shares_memory(w, a)
                                   for w in writes for a in reads + other_writes):
                     conflicts.append((len(sizes), i, j))
-        return run(share, jobs)
+        return run_batch(jobs, pool)
 
-    monkeypatch.setattr(Share, "run", spied)
+    monkeypatch.setattr(hallmarks, "_run_batch", spied)
     _stream_products(random_store(rng, 9, 40), None, k)
     assert conflicts == []
     assert sizes == STREAM_BATCHES[k]
@@ -424,7 +421,7 @@ def test_stream_runs_a_fixed_schedule_of_batches_that_race_on_no_buffer(rng, mon
 def test_shared_stream_reports_a_product_before_a_later_read_error(monkeypatch):
     # d_3 . d_3 overflows while its product still waits in the batch, and
     # the read of checkpoint 4 fails: as unshared, the product's error wins
-    from trajkit.share import Share
+    from concurrent.futures import ThreadPoolExecutor
 
     pts = np.array([[-1.2e154, 0.0], [0.0, 1.0], [0.0, 1.0], [1.2e154, 0.0], [0.0, 2.0],
                     [0.0, 1.0]])
@@ -437,9 +434,15 @@ def test_shared_stream_reports_a_product_before_a_later_read_error(monkeypatch):
         return flatten(self, i, sel, **kwargs)
 
     monkeypatch.setattr(TrajectoryStore, "flatten", failing)
-    for share in (None, Share()):
+    waiting = WaitingStream(monkeypatch)
+    waiting.joined.set()
+    with pytest.raises(NonFinitePayload, match="disp_disp at step 3 "):
+        _stream_products(store, None, 1)
+    assert not waiting.helped
+    with ThreadPoolExecutor(max_workers=1) as pool:
         with pytest.raises(NonFinitePayload, match="disp_disp at step 3 "):
-            _stream_products(store, None, 1, share)
+            _stream_products(store, None, 1, pool)
+    assert waiting.helped
 
 
 def test_non_finite_checkpoint_raises_in_series():

@@ -70,8 +70,7 @@ data = _maybe(
 train = _maybe(
     {"epochs": st.integers(-1, 3)},
     layer_sizes=st.lists(st.integers(-1, 4), max_size=4), data=data, eta=float_value,
-    eta_schedule=st.lists(st.tuples(small_int, float_value), max_size=2), mu=float_value,
-    wd=float_value, batch_size=st.integers(-1, 8),
+    mu=float_value, wd=float_value, batch_size=st.integers(-1, 8),
     ckpt_every=st.integers(-1, 3), seed=small_int, loss=st.sampled_from(["squared", "x"]),
 )
 grid_entry = _maybe(name=st.sampled_from(["a", "b", "", "..", "x/y"]), mu=float_value,

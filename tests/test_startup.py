@@ -43,7 +43,7 @@ QUADRATIC = BASE | {"trajkit.theory", "trajkit.angles"}
 LOADED = {
     "--version": BASE,
     "map": ANALYSIS | {"trajkit.heatmap"},
-    "hallmarks": ANALYSIS | {"trajkit.hallmarks", "trajkit.share"},
+    "hallmarks": ANALYSIS | {"trajkit.hallmarks"},
     "spectra": ANALYSIS | {"trajkit.spectral"},
     "train": BASE | {"trajkit.trajgen", "trajkit.ckptstore", "trajkit.kernel",
                      "trajkit.angles", "trajkit.rng"},

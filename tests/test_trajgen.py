@@ -148,11 +148,11 @@ def test_linear_model_squared_loss_matches_closed_form(tmp_path):
 
 
 def test_grid_stores_match_separate_runs(tmp_path):
-    # the shared schedule: a scheduled learning rate, checkpoints every
-    # other epoch, and a last batch shorter than the others (34 samples)
+    # the shared schedule: checkpoints every other epoch, and a last batch
+    # shorter than the others (34 samples)
     spec = small_spec(
-        data=BlobSpec(samples_per_class=17, dim=6, seed=3), eta_schedule=((2, 0.5), (4, 0.1)),
-        batch_size=8, epochs=5, ckpt_every=2, loss="squared",
+        data=BlobSpec(samples_per_class=17, dim=6, seed=3), batch_size=8, epochs=5,
+        ckpt_every=2, loss="squared",
     )
     variants = [("a", 0.9, 1e-2), ("b", 0.0, 0.0), ("c", 0.5, 1e-3)]
     hyperparameter_grid(spec, variants, tmp_path / "grid")
@@ -283,11 +283,6 @@ def test_spec_validation():
         small_spec(eta=0.0)
     with pytest.raises(ValueError):
         small_spec(loss="hinge")
-    with pytest.raises(ValueError):
-        small_spec(eta_schedule=((5, 0.1), (5, 0.1)))
-    for mult in (-1.0, 0.0):
-        with pytest.raises(ValueError, match="multipliers must be positive"):
-            small_spec(eta_schedule=((5, mult),))
     for empty in ({"samples_per_class": 0}, {"dim": 0}):
         with pytest.raises(ValueError, match="must be >= 1"):
             BlobSpec(**empty)
@@ -300,7 +295,6 @@ def test_spec_validation():
         ("eta", lambda v: small_spec(eta=v)),
         ("mu", lambda v: small_spec(mu=v)),
         ("wd", lambda v: small_spec(wd=v)),
-        ("eta_schedule", lambda v: small_spec(eta_schedule=((2, 0.5), (3, v)))),
         ("separation", lambda v: BlobSpec(separation=v)),
         ("noise_std", lambda v: BlobSpec(noise_std=v)),
     ],
