@@ -92,7 +92,9 @@ def _add_store_flags(p) -> None:
         help="threads to use; every output is the same for every N. The Gram pass reads on "
         "one thread while the others multiply. Above one thread, hallmarks runs its Gram pass "
         "on a worker while the calling thread streams its series, and the worker helps that "
-        "stream once its Gram pass is done. Default 1",
+        "stream once its Gram pass is done. Above one thread, the threads take the CPUs of "
+        "the process's affinity set in order, one each, wrapping around when N exceeds "
+        "them. Default 1",
     )
     p.add_argument(
         "--mem-budget", type=_at_least(0), default=2 << 30, metavar="BYTES",
@@ -221,14 +223,16 @@ def _hallmarks(args, requested: list[str], store) -> int:
     worker runs the Gram pass on the other threads while the calling thread
     streams the step table, and once the Gram pass is done the worker takes
     a part of the stream's products and subtractions until the stream ends.
-    Either way every value comes from the same call, errors rank Gram pass,
-    cosine maps, then series in requested order, and nothing is written
-    until every value is computed."""
+    The worker's ``thread_pool`` puts the calling thread and the worker on
+    two CPUs, and the Gram pass's own pool on the CPUs after them. Either
+    way every value comes from the same call, errors rank Gram pass, cosine
+    maps, then series in requested order, and nothing is written until
+    every value is computed."""
     from .hallmarks import (
         AngularMeasureKind, NormMeasureKind, _step_products, angular_series, norm_series,
         require_points,
     )
-    from .kernel import compute_cosine_map, gram_pair, mds
+    from .kernel import compute_cosine_map, gram_pair, mds, thread_pool
     from .report import write_series_csv
 
     sel = _selection(args)
@@ -246,10 +250,8 @@ def _hallmarks(args, requested: list[str], store) -> int:
     if args.threads == 1:
         omega, omega0 = omegas(*gram_pair(store, sel, threads=slots))
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
         # leaving the block joins the worker, also when the stream raises
-        with ThreadPoolExecutor(max_workers=1) as pool:
+        with thread_pool(1) as pool:
             gram_pass = pool.submit(gram_pair, store, sel, threads=min(args.threads - 1, slots))
             try:
                 _step_products(store, args.k, sel, pool)  # the series read it from the memo

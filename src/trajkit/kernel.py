@@ -13,6 +13,13 @@ shift, done in place, and the product run on worker threads while the
 next chunk is read. Per chunk, a pass allocates only the n x n partial
 and the read's staging row of payload-dtype values.
 
+Every thread pool of a verb comes from ``thread_pool``, which places each
+of its threads on its own CPU of the process's affinity set: the calling
+thread on the first, each worker on the next, wrapping around when there
+are more threads than CPUs. Threads that pass the GIL back and forth are
+otherwise woken on one another's CPU and share it while the others idle.
+Placement moves no product, chunk or sum, so no output depends on it.
+
 MDS (mean directional similarity) is the mean of all n^2 entries of a
 cosine map, equivalently the squared norm of the average unit-normalized
 trajectory point.
@@ -20,8 +27,13 @@ trajectory point.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
+import threading
+import typing
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +42,71 @@ from . import angles
 from .ckptstore import SelectionSpec, TrajectoryStore
 from .errors import DegenerateVector, EmptyTrajectory, NonFinitePayload, OriginOutOfRange
 
+if typing.TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 CHUNK = 4096
 # gram_pair derives K from K0's pass while every (|theta_0| + |theta_i -
 # theta_0|)^2 / K_ii stays within this; the derived cosines' error measured
 # 3-7e-17 times that ratio, so at most about 1e-14 here
 CANCEL_BOUND = 128.0
+
+
+# set on each thread that thread_pool placed: the process's affinity set,
+# sorted, and the index in it of the next CPU a pool made on the thread takes
+_placement = threading.local()
+
+
+def _place(cpus: tuple[int, ...], k: int, taken: int) -> None:
+    """Puts the calling thread on CPU k of ``cpus``, wrapping around; pools
+    made on it start at CPU ``taken``. A refused call leaves it unplaced."""
+    _placement.cpus, _placement.taken = cpus, taken
+    try:
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+    except OSError:  # EPERM or EINVAL: the run goes on where the kernel puts it
+        pass
+
+
+@contextlib.contextmanager
+def thread_pool(workers: int) -> Iterator[ThreadPoolExecutor]:
+    """A ``ThreadPoolExecutor`` of ``workers`` threads, each on its own CPU.
+
+    The CPUs are the process's affinity set in order. The calling thread
+    takes the first and each worker the next, wrapping around. A pool made
+    on a thread that an enclosing pool placed, as the Gram pass's inside
+    ``hallmarks``' worker, leaves that thread on its CPU and gives its
+    workers the CPUs after all those the enclosing pools took. On exit the
+    calling thread's mask is restored. Where the affinity cannot be read
+    (not Linux) no thread is placed.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # loaded only above one thread
+
+    outer = getattr(_placement, "cpus", None) is not None
+    if outer:
+        cpus, first = _placement.cpus, _placement.taken
+    else:
+        try:
+            mask = os.sched_getaffinity(0)
+        except (AttributeError, OSError):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield pool
+            return
+        cpus, first = tuple(sorted(mask)), 1
+        _place(cpus, 0, first)
+    ids, taken = itertools.count(first), first + workers
+    _placement.taken = taken
+    try:
+        with ThreadPoolExecutor(
+            max_workers=workers, initializer=lambda: _place(cpus, next(ids), taken)
+        ) as pool:
+            yield pool
+    finally:
+        if outer:
+            _placement.taken = first
+        else:
+            del _placement.cpus, _placement.taken
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, mask)
 
 
 @dataclass
@@ -100,9 +172,9 @@ def _gram(
     the checkpoint origin ``tau`` it is the rows less row tau, with row
     tau itself kept, so K_tau is the result without row and column tau.
     The calling thread reads the chunks in order into a ring of
-    ``min(threads, chunks)`` reused n x CHUNK float64 buffers; a pool of
-    one worker fewer shifts each one in place and multiplies it while the
-    next is read.
+    ``min(threads, chunks)`` reused n x CHUNK float64 buffers; a
+    ``thread_pool`` of one worker fewer shifts each one in place and
+    multiplies it while the next is read.
     """
     p = store.selection_dim(sel)
     n = store.n_points
@@ -131,9 +203,7 @@ def _gram(
     if slots == 1:
         g = _tree_sum(product(read(k, a, b)) for k, (a, b) in enumerate(chunks))
     else:
-        from concurrent.futures import ThreadPoolExecutor  # loaded only above one slot
-
-        with ThreadPoolExecutor(max_workers=slots - 1) as ex:
+        with thread_pool(slots - 1) as ex:
 
             def parts():
                 pending: deque = deque()

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import threading
 from pathlib import Path
@@ -16,6 +17,21 @@ from trajkit import (
     read_checkpoint,
     write_store,
 )
+
+
+# bound here, so that a test that patches os.sched_getaffinity does not reach it
+_getaffinity = getattr(os, "sched_getaffinity", None)
+
+
+@pytest.fixture(autouse=True)
+def cpu_mask_kept():
+    """Every thread pool restores its calling thread's CPU mask: a test
+    that leaves the test thread placed fails, rather than the next test
+    that reads the mask."""
+    before = _getaffinity(0) if _getaffinity else None
+    yield
+    if before is not None:
+        assert _getaffinity(0) == before, "the test thread's CPU mask was left changed"
 
 
 def random_store(rng: np.random.Generator, n: int, p: int) -> TrajectoryStore:

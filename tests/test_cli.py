@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -1193,3 +1194,90 @@ def test_map_spectra_and_train_do_not_depend_on_blas_threads(tmp_path):
         outputs.append((files, record["losses"], record["accuracies"]))
     assert len(outputs[0][0]) == 2 + 2 + 4 + 3 + 1  # the 2-epoch store: 3 checkpoints
     assert outputs[0] == outputs[1]
+
+
+def verb_outputs(verb: str, manifest: str, threads: str, out: Path) -> dict[str, bytes]:
+    """The files ``verb`` writes at --threads ``threads``; removed after reading,
+    so that the next run writes the same out paths into summary.json."""
+    measure = ["--measure", "all"] if verb == "hallmarks" else []
+    argv = [verb, "--manifest", manifest, *measure, "--threads", threads, "--out", str(out)]
+    assert main(argv) == 0
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    for f in out.iterdir():
+        f.unlink()
+    return files
+
+
+@pytest.mark.parametrize("verb", ["map", "spectra", "hallmarks"])
+def test_threads_run_on_unplaced_when_affinity_is_refused(tmp_path, monkeypatch, capsys, verb):
+    manifest = straddling_f32_store(tmp_path / "store")
+    want = verb_outputs(verb, manifest, "2", tmp_path / "out")
+    capsys.readouterr()
+
+    def refused(pid, mask):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    assert verb_outputs(verb, manifest, "2", tmp_path / "out") == want
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("verb", ["map", "spectra", "hallmarks"])
+def test_threads_1_makes_no_affinity_call(tmp_path, monkeypatch, verb):
+    manifest = straddling_f32_store(tmp_path / "store")
+
+    def called(*args):
+        raise AssertionError("an affinity call at --threads 1")
+
+    for name in ("sched_getaffinity", "sched_setaffinity"):
+        monkeypatch.setattr(os, name, called, raising=False)
+    verb_outputs(verb, manifest, "1", tmp_path / "out")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("finite", [True, False])
+def test_hallmarks_threads_each_run_on_their_own_cpu(tmp_path, monkeypatch, capsys, finite):
+    # at --threads 3: the stream on the first CPU, the Gram pass's worker on
+    # the second and its multiply worker on the third, wrapping around; the
+    # calling thread's mask is restored, also when both passes fail
+    from concurrent import futures
+
+    cpus = sorted(os.sched_getaffinity(0))
+    points = np.cumsum(np.random.default_rng(5).standard_normal((6, 3 * 4096)), axis=0)
+    if not finite:
+        points[3, 1] = np.nan
+    manifest = points_store(points, tmp_path / "store")
+    gram_pair, flatten = kernel.gram_pair, TrajectoryStore.flatten
+    stream, gram, jobs = set(), set(), set()
+
+    def recorded(store, sel=None, *, threads):
+        gram.add(frozenset(os.sched_getaffinity(0)))
+        return gram_pair(store, sel, threads=threads)
+
+    def read(self, i, sel=None, **kwargs):
+        stream.add(frozenset(os.sched_getaffinity(0)))
+        return flatten(self, i, sel, **kwargs)
+
+    class Pool(futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            def job():
+                jobs.add(frozenset(os.sched_getaffinity(0)))
+                return fn(*args, **kwargs)
+
+            return super().submit(job)
+
+    monkeypatch.setattr(kernel, "gram_pair", recorded)
+    monkeypatch.setattr(TrajectoryStore, "flatten", read)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+    before = os.sched_getaffinity(0)
+    argv = ["hallmarks", "--manifest", manifest, "--measure", "all", "--threads", "3",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == (0 if finite else 2)
+    assert os.sched_getaffinity(0) == before
+    m = len(cpus)
+    assert stream == {frozenset([cpus[0]])}
+    assert gram == {frozenset([cpus[1 % m]])}
+    # the Gram pass's products ran on the CPU after the worker's
+    assert frozenset([cpus[2 % m]]) in jobs
+    if not finite:
+        assert json.loads(capsys.readouterr().err)["error"] == "NonFinitePayload"

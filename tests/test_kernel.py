@@ -1,4 +1,6 @@
+import os
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -12,9 +14,11 @@ from trajkit import (
     compute_cosine_map,
     compute_gram,
     gram_pair,
+    kernel,
     mds,
     open_store,
     trajectory_map,
+    trajectory_spectra,
     write_store,
 )
 from trajkit.ckptstore import Checkpoint, Dtype, TensorRecord
@@ -451,3 +455,107 @@ def test_lazy_gram_pass_holds_at_most_threads_plus_one_chunks(rng, tmp_path, thr
     finally:
         tracemalloc.stop()
     assert peak <= (threads + 1) * n * CHUNK * 8 + 64 * n * n * 8
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                                    reason="the platform has no CPU affinity")
+
+
+def job_masks(monkeypatch) -> tuple[list, list]:
+    """Patches the pools' executor: each submit records the calling thread's
+    CPU mask in the first list, and each job the mask of the thread that
+    runs it in the second."""
+    from concurrent import futures
+
+    callers, workers = [], []
+
+    class Pool(futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            callers.append(os.sched_getaffinity(0))
+
+            def job():
+                workers.append(os.sched_getaffinity(0))
+                return fn(*args, **kwargs)
+
+            return super().submit(job)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+    return callers, workers
+
+
+@needs_affinity
+@pytest.mark.parametrize("threads", [2, 3])
+def test_gram_pass_threads_each_run_on_their_own_cpu(wide_pts, tmp_path, monkeypatch, threads):
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("the process may run on one CPU only")
+    store = lazy_f32_store(tmp_path, wide_pts)
+    callers, workers = job_masks(monkeypatch)
+    gram_pair(store, threads=threads)
+    # the reader on the first CPU, each multiply worker on the next
+    assert callers and set(map(frozenset, callers)) == {frozenset(cpus[:1])}
+    spread = {frozenset([cpus[k % len(cpus)]]) for k in range(1, threads)}
+    assert workers and set(map(frozenset, workers)) <= spread
+    if threads == 2:
+        assert workers[0] != callers[0]
+
+
+@needs_affinity
+def test_nested_pool_threads_take_the_cpus_after_the_enclosing_pools():
+    # as hallmarks --threads 3 nests the Gram pass's pool in its worker;
+    # with fewer CPUs than threads the placement wraps around
+    cpus = sorted(os.sched_getaffinity(0))
+    both = threading.Barrier(2, timeout=60)  # each inner job holds one worker
+
+    def held() -> set:
+        both.wait()
+        return os.sched_getaffinity(0)
+
+    def nested():
+        with kernel.thread_pool(2) as inner:
+            during = os.sched_getaffinity(0)
+            jobs = [inner.submit(held) for _ in range(2)]
+            masks = [job.result(timeout=60) for job in jobs]
+        return during, masks, os.sched_getaffinity(0)
+
+    before = os.sched_getaffinity(0)
+    with kernel.thread_pool(1) as outer:
+        caller = os.sched_getaffinity(0)
+        worker, inner, after = outer.submit(nested).result(timeout=60)
+    assert os.sched_getaffinity(0) == before
+    m = len(cpus)
+    assert caller == {cpus[0]}
+    assert worker == after == {cpus[1 % m]}
+    assert sorted(map(sorted, inner)) == sorted([[cpus[2 % m]], [cpus[3 % m]]])
+
+
+@needs_affinity
+@pytest.mark.parametrize("fault", [None, "nan", "read"])
+@pytest.mark.parametrize(
+    "call",
+    [gram_pair, lambda store, threads: compute_gram(store, 2, threads=threads),
+     trajectory_spectra],
+    ids=["gram_pair", "compute_gram", "trajectory_spectra"],
+)
+def test_threads_leave_the_callers_mask_as_it_was(wide_pts, tmp_path, monkeypatch, call, fault):
+    pts = wide_pts.copy()
+    if fault == "nan":  # found once the pool has ended
+        pts[3, CHUNK + 5] = np.nan
+    store = lazy_f32_store(tmp_path, pts)
+    if fault == "read":  # raised while the pool's workers multiply
+        read = store.chunk_matrix
+
+        def failing(sel, start, stop, **kwargs):
+            if start >= 2 * CHUNK:
+                raise OSError("read failed")
+            return read(sel, start, stop, **kwargs)
+
+        monkeypatch.setattr(store, "chunk_matrix", failing)
+    before = os.sched_getaffinity(0)
+    if fault is None:
+        call(store, threads=2)
+    else:
+        with pytest.raises(NonFinitePayload if fault == "nan" else OSError):
+            call(store, threads=2)
+    assert os.sched_getaffinity(0) == before
+    assert not hasattr(kernel._placement, "cpus")
