@@ -92,9 +92,9 @@ def _add_store_flags(p) -> None:
         help="threads to use; every output is the same for every N. The Gram pass reads on "
         "one thread while the others multiply. Above one thread, hallmarks runs its Gram pass "
         "on a worker while the calling thread streams its series, and the worker helps that "
-        "stream once its Gram pass is done. Above one thread, the threads take the CPUs of "
-        "the process's affinity set in order, one each, wrapping around when N exceeds "
-        "them. Default 1",
+        "stream once its Gram pass is done. Above one thread, when the process's affinity set "
+        "has no more CPUs than the threads (as under taskset), the threads take its CPUs in "
+        "order, one each, wrapping around; a wider set is left to the scheduler. Default 1",
     )
     p.add_argument(
         "--mem-budget", type=_at_least(0), default=2 << 30, metavar="BYTES",
@@ -223,8 +223,9 @@ def _hallmarks(args, requested: list[str], store) -> int:
     worker runs the Gram pass on the other threads while the calling thread
     streams the step table, and once the Gram pass is done the worker takes
     a part of the stream's products and subtractions until the stream ends.
-    The worker's ``thread_pool`` puts the calling thread and the worker on
-    two CPUs, and the Gram pass's own pool on the CPUs after them. Either
+    When the affinity set has no more CPUs than these threads, the worker's
+    ``thread_pool`` puts the calling thread and the worker on two CPUs, and
+    the Gram pass's own pool on the CPUs after them. Either
     way every value comes from the same call, errors rank Gram pass, cosine
     maps, then series in requested order, and nothing is written until
     every value is computed."""
@@ -251,8 +252,9 @@ def _hallmarks(args, requested: list[str], store) -> int:
         omega, omega0 = omegas(*gram_pair(store, sel, threads=slots))
     else:
         # leaving the block joins the worker, also when the stream raises
-        with thread_pool(1) as pool:
-            gram_pass = pool.submit(gram_pair, store, sel, threads=min(args.threads - 1, slots))
+        gram_threads = min(args.threads - 1, slots)
+        with thread_pool(1, threads=1 + gram_threads) as pool:
+            gram_pass = pool.submit(gram_pair, store, sel, threads=gram_threads)
             try:
                 _step_products(store, args.k, sel, pool)  # the series read it from the memo
             finally:  # a stream error ranks after the Gram pass and the cosine maps

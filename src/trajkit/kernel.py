@@ -13,12 +13,15 @@ shift, done in place, and the product run on worker threads while the
 next chunk is read. Per chunk, a pass allocates only the n x n partial
 and the read's staging row of payload-dtype values.
 
-Every thread pool of a verb comes from ``thread_pool``, which places each
-of its threads on its own CPU of the process's affinity set: the calling
-thread on the first, each worker on the next, wrapping around when there
-are more threads than CPUs. Threads that pass the GIL back and forth are
-otherwise woken on one another's CPU and share it while the others idle.
-Placement moves no product, chunk or sum, so no output depends on it.
+Every thread pool of a verb comes from ``thread_pool``. When the
+process's affinity set has no more CPUs than the verb has threads, as
+under ``taskset`` or the benchmark's launcher, it places each thread on
+its own CPU of the set: the calling thread on the first, each worker on
+the next, wrapping around when there are more threads than CPUs. Threads
+that pass the GIL back and forth are otherwise woken on one another's CPU
+and share it while the others idle. A wider set, where other work may
+hold any CPU, is left to the scheduler. Placement moves no product, chunk
+or sum, so no output depends on it.
 
 MDS (mean directional similarity) is the mean of all n^2 entries of a
 cosine map, equivalently the squared norm of the average unit-normalized
@@ -68,16 +71,20 @@ def _place(cpus: tuple[int, ...], k: int, taken: int) -> None:
 
 
 @contextlib.contextmanager
-def thread_pool(workers: int) -> Iterator[ThreadPoolExecutor]:
-    """A ``ThreadPoolExecutor`` of ``workers`` threads, each on its own CPU.
+def thread_pool(workers: int, threads: int | None = None) -> Iterator[ThreadPoolExecutor]:
+    """A ``ThreadPoolExecutor`` of ``workers`` threads, each on its own CPU
+    when the CPUs are few enough.
 
-    The CPUs are the process's affinity set in order. The calling thread
-    takes the first and each worker the next, wrapping around. A pool made
+    ``threads`` counts the threads the caller runs in all: its own, the
+    workers and those of pools made in them; by default ``workers + 1``.
+    The threads are placed only when the process's affinity set has no
+    more CPUs than that. The CPUs are then taken in order: the calling
+    thread the first and each worker the next, wrapping around. A pool made
     on a thread that an enclosing pool placed, as the Gram pass's inside
     ``hallmarks``' worker, leaves that thread on its CPU and gives its
     workers the CPUs after all those the enclosing pools took. On exit the
-    calling thread's mask is restored. Where the affinity cannot be read
-    (not Linux) no thread is placed.
+    calling thread's mask is restored. A wider set, or one that cannot be
+    read (not Linux), leaves every thread where the scheduler puts it.
     """
     from concurrent.futures import ThreadPoolExecutor  # loaded only above one thread
 
@@ -87,7 +94,9 @@ def thread_pool(workers: int) -> Iterator[ThreadPoolExecutor]:
     else:
         try:
             mask = os.sched_getaffinity(0)
-        except (AttributeError, OSError):
+        except (AttributeError, OSError):  # not Linux
+            mask = None
+        if mask is None or len(mask) > (workers + 1 if threads is None else threads):
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 yield pool
             return

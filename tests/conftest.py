@@ -19,8 +19,9 @@ from trajkit import (
 )
 
 
-# bound here, so that a test that patches os.sched_getaffinity does not reach it
+# bound here, so that a test that patches os.sched_*affinity does not reach them
 _getaffinity = getattr(os, "sched_getaffinity", None)
+_setaffinity = getattr(os, "sched_setaffinity", None)
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +33,29 @@ def cpu_mask_kept():
     yield
     if before is not None:
         assert _getaffinity(0) == before, "the test thread's CPU mask was left changed"
+
+
+@pytest.fixture
+def few_cpus():
+    """``few_cpus(k)`` narrows the test thread's mask to the first k CPUs of
+    its set, so that the pools of a k-thread call place their threads, and
+    returns those CPUs in order. After the test the narrowed mask must
+    still be the test thread's, and the wider one is restored. Skips
+    without CPU affinity."""
+    if _getaffinity is None:
+        pytest.skip("the platform has no CPU affinity")
+    before, narrowed = _getaffinity(0), []
+
+    def narrow(k: int) -> list[int]:
+        narrowed[:] = sorted(before)[:k]
+        _setaffinity(0, narrowed)
+        return list(narrowed)
+
+    yield narrow
+    after = _getaffinity(0)
+    _setaffinity(0, before)
+    if narrowed:
+        assert after == set(narrowed), "the test thread's CPU mask was left changed"
 
 
 def random_store(rng: np.random.Generator, n: int, p: int) -> TrajectoryStore:

@@ -1209,7 +1209,10 @@ def verb_outputs(verb: str, manifest: str, threads: str, out: Path) -> dict[str,
 
 
 @pytest.mark.parametrize("verb", ["map", "spectra", "hallmarks"])
-def test_threads_run_on_unplaced_when_affinity_is_refused(tmp_path, monkeypatch, capsys, verb):
+def test_threads_run_on_unplaced_when_affinity_is_refused(
+    tmp_path, monkeypatch, capsys, few_cpus, verb
+):
+    few_cpus(2)
     manifest = straddling_f32_store(tmp_path / "store")
     want = verb_outputs(verb, manifest, "2", tmp_path / "out")
     capsys.readouterr()
@@ -1234,15 +1237,17 @@ def test_threads_1_makes_no_affinity_call(tmp_path, monkeypatch, verb):
     verb_outputs(verb, manifest, "1", tmp_path / "out")
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
 @pytest.mark.parametrize("finite", [True, False])
-def test_hallmarks_threads_each_run_on_their_own_cpu(tmp_path, monkeypatch, capsys, finite):
+def test_hallmarks_threads_each_run_on_their_own_cpu(
+    tmp_path, monkeypatch, capsys, few_cpus, finite
+):
     # at --threads 3: the stream on the first CPU, the Gram pass's worker on
-    # the second and its multiply worker on the third, wrapping around; the
-    # calling thread's mask is restored, also when both passes fail
+    # the second and its multiply worker on the third, wrapping around;
+    # few_cpus checks that the calling thread's mask is restored, also when
+    # both passes fail
     from concurrent import futures
 
-    cpus = sorted(os.sched_getaffinity(0))
+    cpus = few_cpus(3)
     points = np.cumsum(np.random.default_rng(5).standard_normal((6, 3 * 4096)), axis=0)
     if not finite:
         points[3, 1] = np.nan
@@ -1269,11 +1274,9 @@ def test_hallmarks_threads_each_run_on_their_own_cpu(tmp_path, monkeypatch, caps
     monkeypatch.setattr(kernel, "gram_pair", recorded)
     monkeypatch.setattr(TrajectoryStore, "flatten", read)
     monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
-    before = os.sched_getaffinity(0)
     argv = ["hallmarks", "--manifest", manifest, "--measure", "all", "--threads", "3",
             "--out", str(tmp_path / "out")]
     assert main(argv) == (0 if finite else 2)
-    assert os.sched_getaffinity(0) == before
     m = len(cpus)
     assert stream == {frozenset([cpus[0]])}
     assert gram == {frozenset([cpus[1 % m]])}
@@ -1281,3 +1284,20 @@ def test_hallmarks_threads_each_run_on_their_own_cpu(tmp_path, monkeypatch, caps
     assert frozenset([cpus[2 % m]]) in jobs
     if not finite:
         assert json.loads(capsys.readouterr().err)["error"] == "NonFinitePayload"
+
+
+@pytest.mark.parametrize("wider", [False, True])
+@pytest.mark.parametrize("verb, threads", [("map", "2"), ("spectra", "2"), ("hallmarks", "2"),
+                                           ("hallmarks", "3")])
+def test_threads_are_placed_only_on_no_more_cpus_than_threads(
+    tmp_path, monkeypatch, verb, threads, wider
+):
+    # hallmarks --threads 3 counts the Gram pass's multiply worker too
+    manifest = straddling_f32_store(tmp_path / "store")
+    calls = []
+    cpus = set(range(int(threads) + wider))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.append(mask),
+                        raising=False)
+    verb_outputs(verb, manifest, threads, tmp_path / "out")
+    assert (calls == []) == wider

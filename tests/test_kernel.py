@@ -457,10 +457,6 @@ def test_lazy_gram_pass_holds_at_most_threads_plus_one_chunks(rng, tmp_path, thr
     assert peak <= (threads + 1) * n * CHUNK * 8 + 64 * n * n * 8
 
 
-needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                                    reason="the platform has no CPU affinity")
-
-
 def job_masks(monkeypatch) -> tuple[list, list]:
     """Patches the pools' executor: each submit records the calling thread's
     CPU mask in the first list, and each job the mask of the thread that
@@ -483,10 +479,11 @@ def job_masks(monkeypatch) -> tuple[list, list]:
     return callers, workers
 
 
-@needs_affinity
 @pytest.mark.parametrize("threads", [2, 3])
-def test_gram_pass_threads_each_run_on_their_own_cpu(wide_pts, tmp_path, monkeypatch, threads):
-    cpus = sorted(os.sched_getaffinity(0))
+def test_gram_pass_threads_each_run_on_their_own_cpu(
+    wide_pts, tmp_path, monkeypatch, few_cpus, threads
+):
+    cpus = few_cpus(threads)
     if len(cpus) < 2:
         pytest.skip("the process may run on one CPU only")
     store = lazy_f32_store(tmp_path, wide_pts)
@@ -500,11 +497,10 @@ def test_gram_pass_threads_each_run_on_their_own_cpu(wide_pts, tmp_path, monkeyp
         assert workers[0] != callers[0]
 
 
-@needs_affinity
-def test_nested_pool_threads_take_the_cpus_after_the_enclosing_pools():
-    # as hallmarks --threads 3 nests the Gram pass's pool in its worker;
+def test_nested_pool_threads_take_the_cpus_after_the_enclosing_pools(few_cpus):
+    # as hallmarks --threads 4 nests the Gram pass's pool in its worker;
     # with fewer CPUs than threads the placement wraps around
-    cpus = sorted(os.sched_getaffinity(0))
+    cpus = few_cpus(4)
     both = threading.Barrier(2, timeout=60)  # each inner job holds one worker
 
     def held() -> set:
@@ -518,18 +514,15 @@ def test_nested_pool_threads_take_the_cpus_after_the_enclosing_pools():
             masks = [job.result(timeout=60) for job in jobs]
         return during, masks, os.sched_getaffinity(0)
 
-    before = os.sched_getaffinity(0)
-    with kernel.thread_pool(1) as outer:
+    with kernel.thread_pool(1, threads=4) as outer:
         caller = os.sched_getaffinity(0)
         worker, inner, after = outer.submit(nested).result(timeout=60)
-    assert os.sched_getaffinity(0) == before
     m = len(cpus)
     assert caller == {cpus[0]}
     assert worker == after == {cpus[1 % m]}
     assert sorted(map(sorted, inner)) == sorted([[cpus[2 % m]], [cpus[3 % m]]])
 
 
-@needs_affinity
 @pytest.mark.parametrize("fault", [None, "nan", "read"])
 @pytest.mark.parametrize(
     "call",
@@ -537,7 +530,11 @@ def test_nested_pool_threads_take_the_cpus_after_the_enclosing_pools():
      trajectory_spectra],
     ids=["gram_pair", "compute_gram", "trajectory_spectra"],
 )
-def test_threads_leave_the_callers_mask_as_it_was(wide_pts, tmp_path, monkeypatch, call, fault):
+def test_threads_leave_the_callers_mask_as_it_was(
+    wide_pts, tmp_path, monkeypatch, few_cpus, call, fault
+):
+    # few_cpus fails the test if the pool leaves its narrowed mask changed
+    few_cpus(2)
     pts = wide_pts.copy()
     if fault == "nan":  # found once the pool has ended
         pts[3, CHUNK + 5] = np.nan
@@ -551,11 +548,34 @@ def test_threads_leave_the_callers_mask_as_it_was(wide_pts, tmp_path, monkeypatc
             return read(sel, start, stop, **kwargs)
 
         monkeypatch.setattr(store, "chunk_matrix", failing)
-    before = os.sched_getaffinity(0)
     if fault is None:
         call(store, threads=2)
     else:
         with pytest.raises(NonFinitePayload if fault == "nan" else OSError):
             call(store, threads=2)
-    assert os.sched_getaffinity(0) == before
     assert not hasattr(kernel._placement, "cpus")
+
+
+@pytest.mark.parametrize("wider", [False, True])
+def test_threads_are_placed_only_on_no_more_cpus_than_threads(
+    wide_pts, tmp_path, monkeypatch, wider
+):
+    # a wider set may hold other work on any CPU: the scheduler keeps it
+    store = lazy_f32_store(tmp_path, wide_pts)
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3 if wider else 2)),
+                        raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.append(mask),
+                        raising=False)
+    gram_pair(store, threads=2)
+    assert (calls == []) == wider
+
+
+def test_an_error_in_an_unplaced_pool_carries_no_affinity_error(monkeypatch):
+    def unreadable(pid):
+        raise OSError("no affinity")
+
+    monkeypatch.setattr(os, "sched_getaffinity", unreadable, raising=False)
+    with pytest.raises(ValueError) as raised, kernel.thread_pool(1):
+        raise ValueError("in the pool")
+    assert raised.value.__context__ is None
